@@ -58,8 +58,6 @@ __all__ = [
     "masked_shape",
     "devectorized_body",
     "devectorized_fingerprint",
-    "vector_reduction_tag",
-    "structural_tag",
 ]
 
 #: Structural inconsistency kind: the two sides disagree on how loop
@@ -232,52 +230,6 @@ def devectorized_fingerprint(kernel: ir.Kernel) -> str:
     """Content hash of :func:`devectorized_body` — what the compare stage
     stores and compares (no retained IR, no per-pair deep tuple walks)."""
     return hashlib.sha256(repr(devectorized_body(kernel)).encode("utf-8")).hexdigest()
-
-
-def vector_reduction_tag(
-    shape_a: tuple, shape_b: tuple, envs_equal: bool, scalar_parts_equal: bool
-) -> str | None:
-    """``VECTOR_REDUCTION`` when an inconsistency is attributable to the
-    vector tier alone: reduction shapes differ, the FP environments are
-    observationally equal, and the devectorized kernels coincide (see the
-    module docstring's three conditions).  ``None`` otherwise."""
-    if envs_equal and scalar_parts_equal and shape_a != shape_b:
-        return VECTOR_REDUCTION
-    return None
-
-
-def structural_tag(
-    shape_a: tuple,
-    shape_b: tuple,
-    masked_a: tuple,
-    masked_b: tuple,
-    envs_equal: bool,
-    scalar_parts_equal: bool,
-) -> str | None:
-    """The structural kind of one inconsistent comparison, or ``None``.
-
-    Precondition for any tag is the precision pair of the module
-    docstring: observationally equal environments and content-identical
-    select-stripped scalar parts, so nothing but the vectorizing tiers
-    can be the cause.  The tiers themselves come from the divergence-tier
-    registry (:mod:`repro.tiers`), consulted in rank order — the lowest
-    rank whose shapes differ names the inconsistency.  This legacy entry
-    point carries only the two original tiers' shapes (masked sites rank
-    ahead of plain reduction shapes, exactly the pre-registry
-    precedence); callers with per-environment shapes for every registered
-    tier — the engine's compare stage — use
-    :func:`repro.tiers.structural_tag_from_shapes` directly.
-    """
-    from repro.tiers import registry
-
-    if not envs_equal or not scalar_parts_equal:
-        return None
-    sides_a = {MASKED_LANE: masked_a, VECTOR_REDUCTION: shape_a}
-    sides_b = {MASKED_LANE: masked_b, VECTOR_REDUCTION: shape_b}
-    for tier in registry():
-        if sides_a.get(tier.tag, ()) != sides_b.get(tier.tag, ()):
-            return tier.tag
-    return None
 
 
 def inconsistency_kind(a: float, b: float) -> frozenset[FPClass]:

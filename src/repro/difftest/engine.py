@@ -24,7 +24,10 @@ cacheable and concurrently schedulable:
   distinct (kernel, environment) group runs once and the result is shared
   across its labels.
 * **compare** — pairwise bitwise comparison at each level, unchanged
-  semantics.
+  semantics.  Structural tier evidence (devectorized fingerprints, tier
+  shapes) is computed lazily, only for the inconsistent pairs whose
+  scalar environments are equal and whose devectorized kernels match —
+  the only pairs that can carry a tag.
 
 Distinct compile and execute units fan out to an
 :class:`~repro.difftest.backend.ExecutionBackend` — ``serial`` (inline),
@@ -46,16 +49,14 @@ Two campaign-scale facilities ride on that determinism:
 * **sharding** — ``shard i/n`` deterministically partitions the budget by
   ``index % n`` so n machines produce disjoint shards whose
   :func:`~repro.difftest.store.merge_shards` union is bit-identical to
-  an unsharded run.  Requires a feedback-free generator (with feedback,
-  program *i+1* depends on verdicts the shard does not compute).
+  an unsharded run.  Feedback generators shard as islands
+  (``EngineConfig.islands``), which partition generation itself.
 
-Note on throughput: with the ``thread`` backend the measured gains
-(>= 2x on the substrate workload, ``benchmarks/bench_engine.py``) come
+Note on throughput: with the ``thread`` backend the measured gains come
 from the *dedup* — level-class compilation sharing, the cross-program
 cache, and identical-binary run sharing — because the stages are pure
 Python and CPython's GIL serializes thread workers.  The ``process``
-backend adds real CPU parallelism on top for the execute stage, which
-dominates campaign wall-clock.
+backend adds real CPU parallelism on top for the execute stage.
 """
 
 from __future__ import annotations
@@ -73,13 +74,13 @@ from repro.difftest.backend import (
     create_backend,
     resolve_jobs,
 )
-from repro.difftest.classify import devectorized_fingerprint
 from repro.difftest.compare import digit_difference
 from repro.difftest.config import CampaignConfig
 from repro.difftest.record import CampaignResult, ComparisonRecord, ProgramOutcome
 from repro.errors import CompileError, ReproError
 from repro.execution.batch import DEFAULT_EXEC_MODE, EXEC_MODES, run_batch_task
 from repro.execution.result import ExecutionResult, _value_hex
+from repro.fp.env import FPEnvironment
 from repro.frontend.parser import parse_program
 from repro.frontend.sema import check_program
 from repro.generation.islands import IslandCoordinator
@@ -91,13 +92,12 @@ from repro.generation.program import (
 )
 from repro.ir import nodes as ir
 from repro.ir.lower import lower_compute
-from repro.tiers import shape_vector, structural_tag_from_shapes
+from repro.tiers import structural_tag
 from repro.toolchains.base import Binary, Compiler, CompilerKind, _flags_or
 from repro.toolchains.cache import (
     CompileCache,
     env_fingerprint,
     kernel_fingerprint,
-    scalar_env_fingerprint,
 )
 from repro.toolchains.cuda import translate_to_cuda
 from repro.toolchains.optlevels import OptLevel
@@ -317,13 +317,11 @@ class _BinaryRun:
     signature: str | None
     value: float | None
     printed: tuple[float, ...] = ()
-    #: per-tier structural shapes of the optimized kernel under its
-    #: environment (divergence-tier registry order), the content hash of
-    #: its vector-stripped body, and the environment's *scalar* identity
-    #: — used to tag structural inconsistencies in the compare stage
-    shapes: tuple = ()
-    devec_fp: str = ""
-    env_key: tuple = ()
+    #: the optimized kernel and its environment; the compare stage
+    #: extracts tier evidence from them only for inconsistent pairs
+    #: (:func:`repro.tiers.structural_tag`)
+    kernel: ir.Kernel | None = None
+    env: FPEnvironment | None = None
 
 
 def frontend_kernels(source: str) -> FrontendRecord:
@@ -804,14 +802,12 @@ class CampaignEngine:
         executions: dict[str, ExecuteRecord],
         outcome: ProgramOutcome,
     ) -> dict[tuple[str, OptLevel], _BinaryRun]:
-        """Fill the outcome's per-binary dicts in legacy matrix order."""
+        """Fill the outcome's per-binary dicts in legacy matrix order.
+
+        Records each successful run's kernel and environment by
+        reference; no tier evidence is extracted here.
+        """
         runs: dict[tuple[str, OptLevel], _BinaryRun] = {}
-        # (kernel identity, environment content) -> (per-tier shapes,
-        # devectorized fingerprint), memoized: sibling levels share the
-        # optimized kernel object and usually the environment too.  The
-        # environment is part of the key because the vec-libm tier's
-        # shape depends on which vector math library the binary links.
-        shapes: dict[tuple, tuple] = {}
         for record in compiles:
             label = record.label
             outcome.compiled[label] = record.ok
@@ -821,27 +817,12 @@ class CampaignEngine:
             outcome.ran[label] = result.ok
             if result.ok:
                 sig = result.signature()
-                kernel = record.binary.kernel
-                env = record.binary.env
-                env_fp = env_fingerprint(env)
-                memo_key = (id(kernel), env_fp)
-                cached = shapes.get(memo_key)
-                if cached is None:
-                    cached = (
-                        shape_vector(kernel, env),
-                        devectorized_fingerprint(kernel),
-                    )
-                    shapes[memo_key] = cached
                 runs[(record.compiler, record.level)] = _BinaryRun(
                     sig,
                     result.value,
                     result.printed,
-                    shapes=cached[0],
-                    devec_fp=cached[1],
-                    # Scalar projection: a vec-libm difference is the
-                    # vec-libm *tier's* finding, not an environment
-                    # difference that disqualifies structural tagging.
-                    env_key=scalar_env_fingerprint(env),
+                    kernel=record.binary.kernel,
+                    env=record.binary.env,
                 )
                 if sig is not None:
                     outcome.signatures[label] = sig
@@ -854,6 +835,10 @@ class CampaignEngine:
         runs: dict[tuple[str, OptLevel], _BinaryRun],
         outcome: ProgramOutcome,
     ) -> None:
+        # Tier evidence memo for this program: sibling levels share the
+        # optimized kernel object, so each kernel's evidence is computed
+        # at most once (see repro.tiers.structural_tag).
+        memo: dict = {}
         for level in self.config.levels:
             for ca, cb in combinations(self.compilers, 2):
                 ra = runs.get((ca.name, level))
@@ -877,12 +862,7 @@ class CampaignEngine:
                         value_a=va,
                         value_b=vb,
                         digit_diff=_diffing_digits(va, vb),
-                        tag=structural_tag_from_shapes(
-                            ra.shapes,
-                            rb.shapes,
-                            ra.env_key == rb.env_key,
-                            ra.devec_fp == rb.devec_fp,
-                        ),
+                        tag=structural_tag(ra.kernel, ra.env, rb.kernel, rb.env, memo),
                     )
                 )
 

@@ -163,7 +163,9 @@ class FPEnvironment:
     def canon(self, x: float, ty: str = "double") -> float:
         """Round an arbitrary double into type ``ty`` under this environment."""
         if ty == "float" and not (math.isnan(x) or math.isinf(x)):
-            x = float(np.float32(x))
+            # Overflow rounds to same-signed infinity, the IEEE result.
+            with np.errstate(over="ignore"):
+                x = float(np.float32(x))
         return self._flush(x, ty)
 
     # -- arithmetic ---------------------------------------------------------------

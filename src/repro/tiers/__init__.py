@@ -10,14 +10,14 @@ Each tier is described once, as a :class:`DivergenceTier` bundling
   corpus see) and an explicit precedence **rank**;
 * the **shape extractor** whose per-side disagreement attributes an
   inconsistency to the tier;
-* the **kernel-stripping fingerprint** that guards precision (sides must
-  agree on all scalar code);
 * the name of the :class:`~repro.toolchains.optlevels.TierPolicy` field
   that **enables** the tier per (compiler family, level, profile).
 
-The compare stage, the classifier, the triage clusterer and the store
+The compare stage, the triage oracle and clusterer, and the store
 iterate :func:`registry` instead of hard-coding individual tags, so
-landing a new tier is one :func:`register` call.
+landing a new tier is one :func:`register` call.  Both the compare stage
+and the triage oracle tag through :func:`structural_tag`, which extracts
+shapes only for the pairs that can carry a tag.
 """
 
 from repro.tiers.registry import (
@@ -30,6 +30,7 @@ from repro.tiers.registry import (
     register,
     registry,
     shape_vector,
+    structural_tag,
     structural_tag_from_shapes,
     tier_by_tag,
     tier_tags,
@@ -47,6 +48,7 @@ __all__ = [
     "tier_by_tag",
     "tier_tags",
     "shape_vector",
+    "structural_tag",
     "structural_tag_from_shapes",
     "VEC_LIBM",
     "MIXED_PRECISION",

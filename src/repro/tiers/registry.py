@@ -34,6 +34,7 @@ from repro.difftest.classify import (
     vector_shape,
 )
 from repro.tiers.shapes import int_guard_shape, mixed_precision_shape, veclibm_shape
+from repro.toolchains.cache import env_fingerprint, scalar_env_fingerprint
 
 __all__ = [
     "DivergenceTier",
@@ -42,6 +43,7 @@ __all__ = [
     "tier_by_tag",
     "tier_tags",
     "shape_vector",
+    "structural_tag",
     "structural_tag_from_shapes",
     "VEC_LIBM",
     "MIXED_PRECISION",
@@ -82,9 +84,6 @@ class DivergenceTier:
         policy_field: name of the
             :class:`~repro.toolchains.optlevels.TierPolicy` field that
             enables the tier for a (family, level, profile).
-        strip_fingerprint: ``kernel -> str`` content hash of the kernel
-            with the tier's (and all vector) constructs stripped — the
-            scalar-parts-equal precondition shared by every tier today.
         description: one-line human summary for reports and docs.
     """
 
@@ -92,7 +91,6 @@ class DivergenceTier:
     rank: int
     extract: Callable
     policy_field: str
-    strip_fingerprint: Callable = devectorized_fingerprint
     description: str = ""
 
 
@@ -126,9 +124,10 @@ def tier_tags() -> tuple[str, ...]:
 def shape_vector(kernel, env=None) -> tuple[tuple, ...]:
     """Every tier's extracted shape for ``(kernel, env)``, registry order.
 
-    The compare stage computes this once per (kernel, environment) and
-    compares positionally — the vector is only meaningful against another
-    vector extracted by the same registry state.
+    :func:`structural_tag` computes this at most once per (kernel,
+    environment) of a program, and only for pairs that can carry a tag.
+    Shapes compare positionally — the vector is only meaningful against
+    another vector extracted by the same registry state.
     """
     return tuple(t.extract(kernel, env) for t in registry())
 
@@ -153,6 +152,45 @@ def structural_tag_from_shapes(
         if sa != sb:
             return tier.tag
     return None
+
+
+def structural_tag(kernel_a, env_a, kernel_b, env_b, memo=None) -> str | None:
+    """The structural kind of one inconsistent pair of binaries, or ``None``.
+
+    Same verdict as :func:`structural_tag_from_shapes` over both sides'
+    :func:`shape_vector`, but the evidence is computed lazily, cheapest
+    first: the scalar environment keys, then the devectorized kernel
+    fingerprints, and the tier shapes only for a pair that passed both
+    preconditions — every pair that fails one tags ``None`` whatever its
+    shapes.  The compare stage and the triage oracle both tag through
+    here, so their verdicts cannot drift apart.
+
+    ``memo`` is a dict shared by the calls of one program: fingerprints
+    are keyed by ``id(kernel)`` and shapes by ``(id(kernel), environment
+    content)``, so the memo must not outlive the kernels it has seen.
+    """
+    if scalar_env_fingerprint(env_a) != scalar_env_fingerprint(env_b):
+        return None
+    if memo is None:
+        memo = {}
+
+    def devec_fp(kernel) -> str:
+        key = ("devec", id(kernel))
+        if key not in memo:
+            memo[key] = devectorized_fingerprint(kernel)
+        return memo[key]
+
+    def shapes(kernel, env) -> tuple[tuple, ...]:
+        key = ("shapes", id(kernel), env_fingerprint(env))
+        if key not in memo:
+            memo[key] = shape_vector(kernel, env)
+        return memo[key]
+
+    if devec_fp(kernel_a) != devec_fp(kernel_b):
+        return None
+    return structural_tag_from_shapes(
+        shapes(kernel_a, env_a), shapes(kernel_b, env_b), True, True
+    )
 
 
 register(

@@ -14,18 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.difftest.classify import (
-    devectorized_fingerprint,
-    inconsistency_kind,
-    kind_label,
-)
+from repro.difftest.classify import inconsistency_kind, kind_label
 from repro.difftest.engine import _differing_values, _BinaryRun, frontend_kernels
 from repro.errors import CompileError
 from repro.execution.batch import run_batch_task
 from repro.execution.limits import DEFAULT_MAX_STEPS
-from repro.tiers import shape_vector, structural_tag_from_shapes
+from repro.tiers import structural_tag
 from repro.toolchains.base import Compiler
-from repro.toolchains.cache import scalar_env_fingerprint
 from repro.toolchains.optlevels import OptLevel
 from repro.triage.signature import PRINT_COUNT_KIND, InconsistencySignature
 
@@ -99,16 +94,11 @@ class PairOracle:
             _BinaryRun(sig_a, ra.value, ra.printed),
             _BinaryRun(sig_b, rb.value, rb.printed),
         )
-        # Same precedence as the engine's compare stage: the registry's
-        # structural kind over the value-class pair, so a reduction
-        # verdict agrees with what the campaign recorded.
+        # Same tagging helper and precedence as the engine's compare
+        # stage: the registry's structural kind over the value-class pair,
+        # so a reduction verdict agrees with what the campaign recorded.
         ba, bb = binaries
-        tag = structural_tag_from_shapes(
-            shape_vector(ba.kernel, ba.env),
-            shape_vector(bb.kernel, bb.env),
-            scalar_env_fingerprint(ba.env) == scalar_env_fingerprint(bb.env),
-            devectorized_fingerprint(ba.kernel) == devectorized_fingerprint(bb.kernel),
-        )
+        tag = structural_tag(ba.kernel, ba.env, bb.kernel, bb.env)
         if tag is not None:
             kind = tag
         else:

@@ -20,6 +20,15 @@ from repro.difftest.compare import (
 from repro.fp.classify import FPClass
 
 
+def tier_shapes(reduction=(), masked=()):
+    """A registry-ordered shape vector carrying only the two original
+    tiers' shapes (every other tier extracts nothing)."""
+    from repro.tiers import MASKED_LANE, VECTOR_REDUCTION, registry
+
+    sides = {VECTOR_REDUCTION: reduction, MASKED_LANE: masked}
+    return tuple(sides.get(tier.tag, ()) for tier in registry())
+
+
 class TestCompare:
     def test_equal_signatures_consistent(self):
         assert compare_signatures("ab", "ab") is True
@@ -135,23 +144,30 @@ class TestVectorReductionKind:
         assert vector_shape(vec) == (("+", 4, "adjacent"),)
 
     def test_tag_requires_equal_environments(self):
-        from repro.difftest.classify import VECTOR_REDUCTION, vector_reduction_tag
+        from repro.difftest.classify import VECTOR_REDUCTION
+        from repro.tiers import structural_tag_from_shapes
 
-        shape_a, shape_b = (), (("+", 4, "adjacent"),)
-        assert vector_reduction_tag(shape_a, shape_b, True, True) == VECTOR_REDUCTION
+        shape_a = tier_shapes()
+        shape_b = tier_shapes(reduction=(("+", 4, "adjacent"),))
+        tag = structural_tag_from_shapes
+        assert tag(shape_a, shape_b, True, True) == VECTOR_REDUCTION
         # differing environments: libm could be the cause — no tag
-        assert vector_reduction_tag(shape_a, shape_b, False, True) is None
+        assert tag(shape_a, shape_b, False, True) is None
         # differing scalar parts: another pass could be the cause — no tag
-        assert vector_reduction_tag(shape_a, shape_b, True, False) is None
+        assert tag(shape_a, shape_b, True, False) is None
         # identical shapes: nothing vector-related to blame
-        assert vector_reduction_tag(shape_b, shape_b, True, True) is None
+        assert tag(shape_b, shape_b, True, True) is None
 
     def test_style_difference_alone_tags(self):
-        from repro.difftest.classify import VECTOR_REDUCTION, vector_reduction_tag
+        from repro.difftest.classify import VECTOR_REDUCTION
+        from repro.tiers import structural_tag_from_shapes
 
-        adjacent = (("+", 4, "adjacent"),)
-        ladder = (("+", 4, "ladder"),)
-        assert vector_reduction_tag(adjacent, ladder, True, True) == VECTOR_REDUCTION
+        adjacent = tier_shapes(reduction=(("+", 4, "adjacent"),))
+        ladder = tier_shapes(reduction=(("+", 4, "ladder"),))
+        assert (
+            structural_tag_from_shapes(adjacent, ladder, True, True)
+            == VECTOR_REDUCTION
+        )
 
     def test_devectorized_bodies_are_width_independent(self):
         from repro.difftest.classify import devectorized_body
@@ -387,11 +403,15 @@ class TestMaskedLaneKind:
         assert masked_shape(IfConvert().run(scalar)) == ()
 
     def test_structural_tag_precedence(self):
-        from repro.difftest.classify import (
-            MASKED_LANE,
-            VECTOR_REDUCTION,
-            structural_tag,
-        )
+        from repro.difftest.classify import MASKED_LANE, VECTOR_REDUCTION
+        from repro.tiers import structural_tag_from_shapes
+
+        def structural_tag(plain_a, plain_b, masked_a, masked_b, *preconditions):
+            return structural_tag_from_shapes(
+                tier_shapes(reduction=plain_a, masked=masked_a),
+                tier_shapes(reduction=plain_b, masked=masked_b),
+                *preconditions,
+            )
 
         plain_a, plain_b = (("+", 4, "adjacent"),), (("+", 4, "ladder"),)
         masked = (("cmp", ">", 4), ("select", 4), ("reduce", "+", 4, "adjacent"))

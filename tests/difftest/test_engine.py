@@ -470,9 +470,14 @@ class TestDifferingValueGuard:
         outcome = ProgramOutcome(
             index=0, program=GeneratedProgram(source="", inputs=())
         )
+        # glibc vs CUDA libm: the environments differ, so tagging stops
+        # before it needs the (absent) kernels.
+        gcc_env, nvcc_env = (c.environment(OptLevel.O0) for c in compilers)
         runs = {
-            ("gcc", OptLevel.O0): _BinaryRun("", None, ()),
-            ("nvcc", OptLevel.O0): _BinaryRun("3ff0000000000000", 1.0, (1.0,)),
+            ("gcc", OptLevel.O0): _BinaryRun("", None, (), env=gcc_env),
+            ("nvcc", OptLevel.O0): _BinaryRun(
+                "3ff0000000000000", 1.0, (1.0,), env=nvcc_env
+            ),
         }
         engine._compare_stage(0, runs, outcome)
         assert len(outcome.comparisons) == 1

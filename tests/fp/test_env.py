@@ -1,6 +1,7 @@
 """FPEnvironment semantics: per-op precision, FTZ, approximate units."""
 
 import math
+import warnings
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -61,6 +62,12 @@ class TestSingleArithmetic:
 
     def test_canon(self):
         assert self.env.canon(0.1, "float") == float.fromhex("0x1.99999a0000000p-4")
+
+    def test_canon_overflow_is_inf_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self.env.canon(1e300, "float") == math.inf
+            assert self.env.canon(-1e300, "float") == -math.inf
 
     def test_fma_single(self):
         assert self.env.fma(3.0, 5.0, 7.0, "float") == 22.0

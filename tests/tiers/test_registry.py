@@ -1,5 +1,7 @@
 """The divergence-tier registry: ranks, shapes, and tag precedence."""
 
+import importlib
+
 import pytest
 
 from repro.fp.env import FPEnvironment
@@ -21,6 +23,7 @@ from repro.tiers import (
     register,
     registry,
     shape_vector,
+    structural_tag,
     structural_tag_from_shapes,
     tier_by_tag,
     tier_tags,
@@ -214,14 +217,67 @@ class TestTagPrecedence:
         )
         assert tag == MASKED_INT_GUARD
 
-    def test_legacy_structural_tag_agrees_with_registry(self):
-        from repro.difftest.classify import masked_shape, structural_tag, vector_shape
 
+class TestLazyStructuralTag:
+    """``structural_tag`` reaches the eager verdict, extracting only what
+    the verdict needs."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Count the helper's extractor calls."""
+        module = importlib.import_module("repro.tiers.registry")
+        counts = {"shape_vector": 0, "devectorized_fingerprint": 0}
+
+        def counting(name):
+            original = getattr(module, name)
+
+            def counted(*args):
+                counts[name] += 1
+                return original(*args)
+
+            return counted
+
+        for name in counts:
+            monkeypatch.setattr(module, name, counting(name))
+        return counts
+
+    def test_lazy_structural_tag_agrees_with_shapes(self):
+        env = FPEnvironment(libm=HostLibm())
         ka = vectorized(GUARDED_CALL, style="adjacent", masked=True)
         kb = vectorized(GUARDED_CALL, style="ladder", masked=True)
-        tag = structural_tag(
-            vector_shape(ka), vector_shape(kb),
-            masked_shape(ka), masked_shape(kb),
-            True, True,
+        eager = structural_tag_from_shapes(
+            shape_vector(ka, env), shape_vector(kb, env), True, True
         )
-        assert tag == MASKED_LANE
+        assert eager == MASKED_LANE
+        assert structural_tag(ka, env, kb, env) == eager
+
+    def test_veclibm_difference_alone_still_tags(self):
+        # The vec-libm binding is outside the scalar environment key.
+        kernel = vectorized(CALL_REDUCTION)
+        env_a = FPEnvironment(libm=HostLibm(), veclibm=GccVecLibm())
+        env_b = FPEnvironment(libm=HostLibm(), veclibm=ClangVecLibm())
+        assert structural_tag(kernel, env_a, kernel, env_b) == VEC_LIBM
+
+    def test_env_unequal_pairs_extract_nothing(self, calls):
+        kernel = vectorized(CALL_REDUCTION)
+        env_a = FPEnvironment(libm=HostLibm())
+        env_b = FPEnvironment(libm=HostLibm(), ftz=True)
+        assert structural_tag(kernel, env_a, kernel, env_b) is None
+        assert calls == {"shape_vector": 0, "devectorized_fingerprint": 0}
+
+    def test_scalar_unequal_pairs_extract_no_shapes(self, calls):
+        env = FPEnvironment(libm=HostLibm())
+        ka = vectorized(CALL_REDUCTION)
+        kb = vectorized(MIXED_REDUCTION)
+        assert structural_tag(ka, env, kb, env) is None
+        assert calls == {"shape_vector": 0, "devectorized_fingerprint": 2}
+
+    def test_memo_extracts_each_kernel_once(self, calls):
+        env = FPEnvironment(libm=HostLibm())
+        ka = vectorized(CALL_REDUCTION, style="adjacent")
+        kb = vectorized(CALL_REDUCTION, style="ladder")
+        kc = vectorized(CALL_REDUCTION, width=2)
+        memo = {}
+        for other in (kb, kc, kb):
+            assert structural_tag(ka, env, other, env, memo) == VECTOR_REDUCTION
+        assert calls == {"shape_vector": 3, "devectorized_fingerprint": 3}
