@@ -9,14 +9,13 @@ decision separated from the stages themselves.  Three policies exist:
   Adds scheduling slack but no CPU parallelism under CPython's GIL; pays
   off on GIL-free runtimes or once stages grow I/O sections.
 * :class:`ProcessBackend` — a :class:`~concurrent.futures.ProcessPoolExecutor`
-  for the execute stage.  Kernel runs are dispatched as picklable task
-  specs (optimized IR, FP environment, inputs, step limit) through the
-  pure :func:`repro.execution.worker.run_kernel_task`, chunked to amortize
-  IPC.  This is real multi-core parallelism: the interpreter dominates
-  campaign wall-clock and each run is independent.  Compile-stage work
-  stays in the parent process — compilations are cheap, and the
-  campaign-wide compile cache lives in parent memory where child writes
-  would be lost.
+  for the execute stage.  Kernel runs are dispatched as picklable batch
+  specs (optimized IR, FP environment, input sets, step limit, exec mode)
+  through the pure :func:`repro.execution.batch.run_batch_task`, chunked
+  to amortize IPC.  This is real multi-core parallelism: each run is
+  independent.  Compile-stage work stays in the parent process —
+  compilations are cheap, and the campaign-wide compile cache lives in
+  parent memory where child writes would be lost.
 
 Every backend returns results in task order, so the engine fills its
 records in the same deterministic sequence regardless of policy: a
@@ -33,7 +32,6 @@ from typing import Callable, Sequence
 
 from repro.execution.batch import BatchTask, run_batch_task
 from repro.execution.result import ExecutionResult
-from repro.execution.worker import KernelTask, run_kernel_task
 
 __all__ = [
     "BACKENDS",
@@ -80,7 +78,7 @@ class ExecutionBackend:
     """Ordered fan-out of independent work units.
 
     ``map_inline`` schedules parent-process callables (the compile stage);
-    ``run_kernels`` schedules pure kernel executions and is the only hook
+    ``run_batches`` schedules pure kernel executions and is the only hook
     a backend may move across a process boundary.  Both preserve input
     order.  Backends are context managers; pools are created lazily on
     first use and torn down on exit.
@@ -102,16 +100,12 @@ class ExecutionBackend:
         """Apply ``fn`` to every item, in order, in the parent process."""
         return [fn(item) for item in items]
 
-    def run_kernels(self, tasks: Sequence[KernelTask]) -> list[ExecutionResult]:
-        """Execute every (kernel, env, inputs, max_steps) task, in order."""
-        return [run_kernel_task(task) for task in tasks]
-
     def run_batches(
         self, tasks: Sequence[BatchTask]
     ) -> list[tuple[ExecutionResult, ...]]:
         """Execute every batched task (one kernel, many input sets), in
-        order.  Same scheduling policy as :meth:`run_kernels`; one tape
-        compile (or interpreter) per task instead of per input."""
+        order; one tape compile (or interpreter) per task instead of per
+        input."""
         return [run_batch_task(task) for task in tasks]
 
 
@@ -146,11 +140,6 @@ class ThreadBackend(ExecutionBackend):
         if self.jobs == 1 or len(items) < 2:
             return [fn(item) for item in items]
         return list(self._ensure().map(fn, items))
-
-    def run_kernels(self, tasks: Sequence[KernelTask]) -> list[ExecutionResult]:
-        if self.jobs == 1 or len(tasks) < 2:
-            return [run_kernel_task(task) for task in tasks]
-        return list(self._ensure().map(run_kernel_task, tasks))
 
     def run_batches(
         self, tasks: Sequence[BatchTask]
@@ -191,16 +180,6 @@ class ProcessBackend(ExecutionBackend):
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-
-    def run_kernels(self, tasks: Sequence[KernelTask]) -> list[ExecutionResult]:
-        if self.jobs == 1 or len(tasks) < 2:
-            return [run_kernel_task(task) for task in tasks]
-        pool = self._ensure()
-        return list(
-            pool.map(
-                run_kernel_task, tasks, chunksize=_chunksize(len(tasks), self.jobs)
-            )
-        )
 
     def run_batches(
         self, tasks: Sequence[BatchTask]

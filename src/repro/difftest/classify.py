@@ -77,13 +77,9 @@ def vector_shape(kernel: ir.Kernel) -> tuple[tuple[str, int, str], ...]:
     Two optimized kernels with different shapes associate their reduction
     sums differently, so equal inputs can round to different results.
     """
-    shape = []
-    for s in ir.walk_stmts(kernel.body):
-        for top in ir.stmt_exprs(s):
-            for e in ir.walk(top):
-                if isinstance(e, ir.VecReduce):
-                    shape.append((e.op, e.lanes, e.style))
-    return tuple(shape)
+    return tuple(
+        (e.op, e.lanes, e.style) for e in ir.walk(kernel) if isinstance(e, ir.VecReduce)
+    )
 
 
 def masked_shape(kernel: ir.Kernel) -> tuple[tuple, ...]:

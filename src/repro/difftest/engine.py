@@ -33,7 +33,7 @@ Distinct compile and execute units fan out to an
 :class:`~repro.difftest.backend.ExecutionBackend` — ``serial`` (inline),
 ``thread`` (GIL-bound scheduling slack), or ``process`` (true multi-core:
 execute tasks ship to a :class:`~concurrent.futures.ProcessPoolExecutor`
-as picklable specs through the pure ``execution/worker`` entry point).
+as picklable specs through the pure ``execution/batch`` entry point).
 Results are gathered in matrix order and every record dict is filled in
 the same deterministic order as the serial loop, so a
 :class:`CampaignResult` is byte-identical across backends, job counts and

@@ -272,17 +272,6 @@ def compile_tape(kernel: ir.Kernel, env: FPEnvironment) -> Tape:
     return _Compiler(kernel, env).compile()
 
 
-def _child_nodes(node):
-    for f in node.__dataclass_fields__:
-        v = getattr(node, f)
-        if hasattr(v, "__dataclass_fields__"):
-            yield v
-        elif isinstance(v, tuple):
-            for item in v:
-                if hasattr(item, "__dataclass_fields__"):
-                    yield item
-
-
 class _Compiler:
     def __init__(self, kernel: ir.Kernel, env: FPEnvironment) -> None:
         self.kernel = kernel
@@ -314,7 +303,7 @@ class _Compiler:
                  ir.SMaskedStore, ir.VecLoad, ir.VecMaskedLoad),
             ):
                 array(node.name)
-            stack.extend(_child_nodes(node))
+            stack.extend(ir.children(node))
 
     # -- compilation entry -------------------------------------------------------
 

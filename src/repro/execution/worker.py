@@ -1,13 +1,13 @@
-"""Worker-safe execution entry point for the campaign engine.
+"""Worker-safe single-run execution entry point.
 
-The staged engine (:mod:`repro.difftest.engine`) fans the per-program
-(compiler, level) matrix out to a :mod:`concurrent.futures` pool.  Pool
-workers must not share mutable state, so this module exposes a single pure
-function: it builds a fresh :class:`~repro.execution.interp.Interpreter`
-per call and touches nothing global.  Given equal arguments it returns a
-bit-identical :class:`~repro.execution.result.ExecutionResult` — the
-property the engine's run-sharing and determinism guarantees rest on
-(every FP operation routes through the deterministic
+:func:`run_kernel` builds a fresh :class:`~repro.execution.interp.Interpreter`
+per call and touches nothing global, so it is safe from any thread or
+process (triage bisection runs every pipeline prefix through it; the
+campaign engine's batched path is :mod:`repro.execution.batch`).  Given
+equal arguments it returns a bit-identical
+:class:`~repro.execution.result.ExecutionResult` — the property the
+engine's run-sharing and determinism guarantees rest on (every FP
+operation routes through the deterministic
 :class:`~repro.fp.env.FPEnvironment`, and libm perturbations are keyed
 hashes, not RNG draws).
 """
@@ -20,14 +20,7 @@ from repro.execution.result import ExecutionResult
 from repro.fp.env import FPEnvironment
 from repro.ir import nodes as ir
 
-__all__ = ["KernelTask", "run_kernel", "run_kernel_task"]
-
-#: A fully picklable execution unit: (kernel IR, FP environment, inputs,
-#: step limit).  This is the wire format of the process backend — every
-#: component is a plain dataclass/tuple, so the spec crosses a
-#: :class:`~concurrent.futures.ProcessPoolExecutor` boundary intact and
-#: pickle round-trips floats bit-exactly.
-KernelTask = tuple
+__all__ = ["run_kernel"]
 
 
 def run_kernel(
@@ -43,15 +36,3 @@ def run_kernel(
     arguments.
     """
     return Interpreter(kernel, env, max_steps).run(inputs)
-
-
-def run_kernel_task(task: KernelTask) -> ExecutionResult:
-    """Unpack one :data:`KernelTask` and run it (pool ``map`` entry point).
-
-    One fresh interpreter per call.  When several input sets hit the same
-    kernel, prefer the batched form (:mod:`repro.execution.batch`): a
-    :class:`~repro.execution.batch.KernelRunner` hoists the per-kernel
-    setup so repeated inputs stop paying it, in every exec mode.
-    """
-    kernel, env, inputs, max_steps = task
-    return run_kernel(kernel, env, inputs, max_steps)

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import re
 import time
 from pathlib import Path
@@ -71,8 +72,8 @@ def stochastic_universal_sampling(
     if k < 1:
         raise ValueError("k must be >= 1")
     total = float(sum(weights))
-    if total <= 0.0 or any(w < 0 for w in weights):
-        raise ValueError("weights must be non-negative with positive sum")
+    if not 0.0 < total < math.inf or not all(0.0 <= w < math.inf for w in weights):
+        raise ValueError("weights must be finite, non-negative with positive sum")
     step = total / k
     start = rng.uniform(0.0, step)
     picks: list[int] = []

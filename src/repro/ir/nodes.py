@@ -8,8 +8,10 @@ precision ("float"/"double") so mixed-precision programs lower correctly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Union
+import re
+from dataclasses import dataclass, field, fields, is_dataclass
+from operator import is_
+from typing import NamedTuple, Union, get_args
 
 # ----------------------------------------------------------------------- expressions
 
@@ -433,42 +435,6 @@ def lanes_of(e: Expr) -> int:
     return 1
 
 
-def walk(e: Expr):
-    """Yield ``e`` and all sub-expressions, pre-order."""
-    yield e
-    if isinstance(e, (FBin, IBin, Compare, Logic, VecBin, VecCmp)):
-        yield from walk(e.left)
-        yield from walk(e.right)
-    elif isinstance(
-        e,
-        (FNeg, INeg, Not, SiToFp, FpToSi, FpExt, FpTrunc, VecSplat, VecNeg,
-         VecSiToFp, VecFpExt, VecFpTrunc, VecReduce),
-    ):
-        yield from walk(e.operand)
-    elif isinstance(e, (Fma, VecFma)):
-        yield from walk(e.a)
-        yield from walk(e.b)
-        yield from walk(e.c)
-    elif isinstance(e, (FCall, VecCall)):
-        for a in e.args:
-            yield from walk(a)
-    elif isinstance(e, Select):
-        yield from walk(e.cond)
-        yield from walk(e.then)
-        yield from walk(e.other)
-    elif isinstance(e, VecSelect):
-        yield from walk(e.mask)
-        yield from walk(e.then)
-        yield from walk(e.other)
-    elif isinstance(e, (LoadElem, VecLoad)):
-        yield from walk(e.index)
-    elif isinstance(e, VecMaskedLoad):
-        yield from walk(e.index)
-        yield from walk(e.mask)
-    elif isinstance(e, VecIota):
-        yield from walk(e.base)
-
-
 # ----------------------------------------------------------------------- statements
 
 
@@ -583,44 +549,7 @@ Stmt = Union[
     SReturn,
 ]
 
-
-def walk_stmts(stmts: tuple[Stmt, ...]):
-    """Yield every statement, pre-order, recursing into bodies."""
-    for s in stmts:
-        yield s
-        if isinstance(s, SIf):
-            yield from walk_stmts(s.then)
-            yield from walk_stmts(s.other)
-        elif isinstance(s, SFor):
-            yield from walk_stmts(s.init)
-            yield from walk_stmts(s.body)
-            yield from walk_stmts(s.step)
-        elif isinstance(s, SWhile):
-            yield from walk_stmts(s.body)
-
-
-def stmt_exprs(s: Stmt):
-    """Top-level expressions of one statement (no recursion into bodies)."""
-    if isinstance(s, SAssign):
-        yield s.value
-    elif isinstance(s, SDeclArray) and s.init is not None:
-        yield from s.init
-    elif isinstance(s, (SStoreElem, SVecStore)):
-        yield s.index
-        yield s.value
-    elif isinstance(s, SMaskedStore):
-        yield s.mask
-        yield s.index
-        yield s.value
-    elif isinstance(s, SIf):
-        yield s.cond
-    elif isinstance(s, SFor):
-        if s.cond is not None:
-            yield s.cond
-    elif isinstance(s, SWhile):
-        yield s.cond
-    elif isinstance(s, SPrint):
-        yield from s.values
+STMT_NODES = get_args(Stmt)
 
 
 # ----------------------------------------------------------------------- kernel
@@ -651,3 +580,97 @@ class Kernel:
 
     def with_body(self, body: tuple[Stmt, ...]) -> "Kernel":
         return Kernel(self.name, self.params, body, self.var_types)
+
+
+# ----------------------------------------------------------------------- traversal
+#
+# A node's children are exactly its fields annotated with ``Expr`` or
+# ``Stmt`` (bare, as a tuple, or ``| None``).  The table below is derived
+# from those annotations once, at import, so a new node class needs no
+# hand-written child list anywhere: ``children``, ``map_children`` and
+# every walker pick it up from its dataclass fields.
+
+
+class ChildField(NamedTuple):
+    pos: int  # constructor position
+    name: str
+    seq: bool  # a tuple of nodes rather than one node
+    stmt: bool  # statement-typed (a body) rather than expression-typed
+
+
+_IR_TYPE = re.compile(r"\b(Expr|Stmt)\b")
+
+#: Per IR node class, its child fields in declaration order.
+CHILD_FIELDS: dict[type, tuple[ChildField, ...]] = {
+    cls: tuple(
+        ChildField(pos, f.name, f.type.startswith("tuple["), "Stmt" in f.type)
+        for pos, f in enumerate(fields(cls))
+        if _IR_TYPE.search(f.type)
+    )
+    for cls in list(globals().values())
+    if isinstance(cls, type) and is_dataclass(cls) and cls.__module__ == __name__
+}
+
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {
+    cls: tuple(f.name for f in fields(cls)) for cls in CHILD_FIELDS
+}
+
+
+def _field_nodes(node, c: ChildField):
+    v = getattr(node, c.name)
+    return () if v is None else v if c.seq else (v,)
+
+
+def children(node):
+    """Yield ``node``'s direct children, in field order."""
+    for c in CHILD_FIELDS[type(node)]:
+        yield from _field_nodes(node, c)
+
+
+def map_children(node, fn):
+    """``node`` rebuilt with ``fn`` applied to each direct child.
+
+    Returns ``node`` itself when every child comes back as the same
+    object, so a rewrite that changes nothing allocates nothing and keeps
+    ``id()``-keyed memos valid.
+    """
+    args = None
+    for c in CHILD_FIELDS[type(node)]:
+        old = getattr(node, c.name)
+        if old is None:
+            continue
+        if c.seq:
+            new = tuple(map(fn, old))
+            if all(map(is_, new, old)):
+                continue
+        else:
+            new = fn(old)
+            if new is old:
+                continue
+        if args is None:
+            args = [getattr(node, name) for name in _FIELD_NAMES[type(node)]]
+        args[c.pos] = new
+    return node if args is None else type(node)(*args)
+
+
+def walk(node):
+    """Yield ``node`` and every node below it, pre-order."""
+    yield node
+    for child in children(node):
+        yield from walk(child)
+
+
+def walk_stmts(stmts: tuple[Stmt, ...]):
+    """Yield every statement, pre-order, recursing into bodies."""
+    for s in stmts:
+        yield s
+        for c in CHILD_FIELDS[type(s)]:
+            if c.stmt:
+                yield from walk_stmts(_field_nodes(s, c))
+
+
+def stmt_exprs(s: Stmt):
+    """Top-level expressions of one statement (no recursion into bodies)."""
+    for c in CHILD_FIELDS[type(s)]:
+        if not c.stmt:
+            yield from _field_nodes(s, c)

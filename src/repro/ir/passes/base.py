@@ -8,90 +8,16 @@ __all__ = ["Pass", "ExprRewritePass", "PassPipeline", "rebuild_expr"]
 
 
 def rebuild_expr(e: ir.Expr, fn) -> ir.Expr:
-    """Bottom-up rewrite: apply ``fn`` to every node after rewriting children."""
-    if isinstance(e, ir.FBin):
-        e = ir.FBin(e.op, rebuild_expr(e.left, fn), rebuild_expr(e.right, fn), e.ty)
-    elif isinstance(e, ir.IBin):
-        e = ir.IBin(e.op, rebuild_expr(e.left, fn), rebuild_expr(e.right, fn))
-    elif isinstance(e, ir.Compare):
-        e = ir.Compare(e.op, rebuild_expr(e.left, fn), rebuild_expr(e.right, fn), e.fp)
-    elif isinstance(e, ir.Logic):
-        e = ir.Logic(e.op, rebuild_expr(e.left, fn), rebuild_expr(e.right, fn))
-    elif isinstance(e, ir.FNeg):
-        e = ir.FNeg(rebuild_expr(e.operand, fn), e.ty)
-    elif isinstance(e, ir.INeg):
-        e = ir.INeg(rebuild_expr(e.operand, fn))
-    elif isinstance(e, ir.Not):
-        e = ir.Not(rebuild_expr(e.operand, fn))
-    elif isinstance(e, ir.Fma):
-        e = ir.Fma(
-            rebuild_expr(e.a, fn), rebuild_expr(e.b, fn), rebuild_expr(e.c, fn), e.ty
-        )
-    elif isinstance(e, ir.FCall):
-        e = ir.FCall(e.name, tuple(rebuild_expr(a, fn) for a in e.args), e.ty)
-    elif isinstance(e, ir.Select):
-        e = ir.Select(
-            rebuild_expr(e.cond, fn),
-            rebuild_expr(e.then, fn),
-            rebuild_expr(e.other, fn),
-            e.ty,
-        )
-    elif isinstance(e, ir.LoadElem):
-        e = ir.LoadElem(e.name, rebuild_expr(e.index, fn), e.ty)
-    elif isinstance(e, ir.VecBin):
-        e = ir.VecBin(
-            e.op, rebuild_expr(e.left, fn), rebuild_expr(e.right, fn), e.lanes, e.ty
-        )
-    elif isinstance(e, ir.VecNeg):
-        e = ir.VecNeg(rebuild_expr(e.operand, fn), e.lanes, e.ty)
-    elif isinstance(e, ir.VecFma):
-        e = ir.VecFma(
-            rebuild_expr(e.a, fn),
-            rebuild_expr(e.b, fn),
-            rebuild_expr(e.c, fn),
-            e.lanes,
-            e.ty,
-        )
-    elif isinstance(e, ir.VecSplat):
-        e = ir.VecSplat(rebuild_expr(e.operand, fn), e.lanes, e.ty)
-    elif isinstance(e, ir.VecSiToFp):
-        e = ir.VecSiToFp(rebuild_expr(e.operand, fn), e.lanes, e.ty)
-    elif isinstance(e, (ir.VecFpExt, ir.VecFpTrunc)):
-        e = type(e)(rebuild_expr(e.operand, fn), e.lanes)
-    elif isinstance(e, ir.VecIota):
-        e = ir.VecIota(rebuild_expr(e.base, fn), e.lanes)
-    elif isinstance(e, ir.VecLoad):
-        e = ir.VecLoad(e.name, rebuild_expr(e.index, fn), e.lanes, e.ty)
-    elif isinstance(e, ir.VecCall):
-        e = ir.VecCall(e.name, tuple(rebuild_expr(a, fn) for a in e.args), e.lanes, e.ty)
-    elif isinstance(e, ir.VecReduce):
-        e = ir.VecReduce(e.op, rebuild_expr(e.operand, fn), e.lanes, e.ty, e.style)
-    elif isinstance(e, ir.VecCmp):
-        e = ir.VecCmp(e.op, rebuild_expr(e.left, fn), rebuild_expr(e.right, fn), e.lanes)
-    elif isinstance(e, ir.VecSelect):
-        e = ir.VecSelect(
-            rebuild_expr(e.mask, fn),
-            rebuild_expr(e.then, fn),
-            rebuild_expr(e.other, fn),
-            e.lanes,
-            e.ty,
-        )
-    elif isinstance(e, ir.VecMaskedLoad):
-        e = ir.VecMaskedLoad(
-            e.name,
-            rebuild_expr(e.index, fn),
-            rebuild_expr(e.mask, fn),
-            e.lanes,
-            e.ty,
-            e.invert,
-        )
-    elif isinstance(e, (ir.SiToFp, ir.FpToSi, ir.FpExt, ir.FpTrunc)):
-        cls = type(e)
-        if isinstance(e, ir.SiToFp):
-            e = ir.SiToFp(rebuild_expr(e.operand, fn), e.ty)
-        else:
-            e = cls(rebuild_expr(e.operand, fn))
-    return fn(e)
+    """Bottom-up rewrite: apply ``fn`` to every node after rewriting children.
+
+    Subtrees ``fn`` leaves alone come back as the same objects, so
+    ``rebuild_expr(e, lambda n: n) is e``.
+    """
+
+    def go(node: ir.Expr) -> ir.Expr:
+        return fn(ir.map_children(node, go))
+
+    return go(e)
 
 
 class Pass:
@@ -110,38 +36,14 @@ class ExprRewritePass(Pass):
         raise NotImplementedError
 
     def run(self, kernel: ir.Kernel) -> ir.Kernel:
-        return kernel.with_body(self._stmts(kernel.body))
+        """Rewrite every expression; the input kernel when nothing changed."""
 
-    def _stmts(self, stmts: tuple[ir.Stmt, ...]) -> tuple[ir.Stmt, ...]:
-        return tuple(self._stmt(s) for s in stmts)
+        def go(node):
+            if isinstance(node, ir.STMT_NODES):
+                return ir.map_children(node, go)
+            return rebuild_expr(node, self.rewrite)
 
-    def _stmt(self, s: ir.Stmt) -> ir.Stmt:
-        rw = lambda e: rebuild_expr(e, self.rewrite)
-        if isinstance(s, ir.SAssign):
-            return ir.SAssign(s.name, rw(s.value), s.ty)
-        if isinstance(s, ir.SDeclArray):
-            init = tuple(rw(e) for e in s.init) if s.init is not None else None
-            return ir.SDeclArray(s.name, s.size, s.elem_ty, init)
-        if isinstance(s, ir.SStoreElem):
-            return ir.SStoreElem(s.name, rw(s.index), rw(s.value), s.elem_ty)
-        if isinstance(s, ir.SVecStore):
-            return ir.SVecStore(s.name, rw(s.index), rw(s.value), s.elem_ty, s.lanes)
-        if isinstance(s, ir.SMaskedStore):
-            return ir.SMaskedStore(
-                s.name, rw(s.index), rw(s.mask), rw(s.value), s.elem_ty, s.lanes
-            )
-        if isinstance(s, ir.SIf):
-            return ir.SIf(rw(s.cond), self._stmts(s.then), self._stmts(s.other))
-        if isinstance(s, ir.SFor):
-            cond = rw(s.cond) if s.cond is not None else None
-            return ir.SFor(
-                self._stmts(s.init), cond, self._stmts(s.step), self._stmts(s.body)
-            )
-        if isinstance(s, ir.SWhile):
-            return ir.SWhile(rw(s.cond), self._stmts(s.body))
-        if isinstance(s, ir.SPrint):
-            return ir.SPrint(s.fmt, tuple(rw(v) for v in s.values))
-        return s  # SReturn
+        return ir.map_children(kernel, go)
 
 
 class PassPipeline:

@@ -135,17 +135,9 @@ def substitute_induction(s: ir.Stmt, var: str, offset: int) -> ir.Stmt:
             return ir.IBin("+", e, ir.IConst(offset))
         return e
 
-    def stmt(st: ir.Stmt) -> ir.Stmt:
-        rw = lambda e: rebuild_expr(e, sub)
-        if isinstance(st, ir.SAssign):
-            return ir.SAssign(st.name, rw(st.value), st.ty)
-        if isinstance(st, ir.SStoreElem):
-            return ir.SStoreElem(st.name, rw(st.index), rw(st.value), st.elem_ty)
-        if isinstance(st, ir.SPrint):
-            return ir.SPrint(st.fmt, tuple(rw(v) for v in st.values))
-        raise ValueError(f"cannot substitute into {type(st).__name__}")
-
-    return stmt(s)
+    if not isinstance(s, (ir.SAssign, ir.SStoreElem, ir.SPrint)):
+        raise ValueError(f"cannot substitute into {type(s).__name__}")
+    return ir.map_children(s, lambda e: rebuild_expr(e, sub))
 
 
 def _straight_line(stmts: tuple[ir.Stmt, ...]) -> bool:

@@ -70,14 +70,17 @@ class Reassociate(ExprRewritePass):
             acc = terms[0]
             for t in terms[1:]:
                 acc = ir.FBin(op, acc, t, ty)
-            return acc
-        # balanced: pairwise reduction rounds
-        level = terms
-        while len(level) > 1:
-            nxt: list[ir.Expr] = []
-            for i in range(0, len(level) - 1, 2):
-                nxt.append(ir.FBin(op, level[i], level[i + 1], ty))
-            if len(level) % 2:
-                nxt.append(level[-1])
-            level = nxt
-        return level[0]
+        else:
+            # balanced: pairwise reduction rounds
+            level = terms
+            while len(level) > 1:
+                nxt: list[ir.Expr] = []
+                for i in range(0, len(level) - 1, 2):
+                    nxt.append(ir.FBin(op, level[i], level[i + 1], ty))
+                if len(level) % 2:
+                    nxt.append(level[-1])
+                level = nxt
+            acc = level[0]
+        # A chain already in canonical form keeps its nodes.  The terms are
+        # shared, so the comparison walks only the chain's own spine.
+        return e if acc == e else acc

@@ -24,12 +24,6 @@ from repro.ir import nodes as ir
 __all__ = ["veclibm_shape", "mixed_precision_shape", "int_guard_shape"]
 
 
-def _walk_exprs(kernel: ir.Kernel):
-    for s in ir.walk_stmts(kernel.body):
-        for top in ir.stmt_exprs(s):
-            yield from ir.walk(top)
-
-
 def veclibm_shape(kernel: ir.Kernel, env: FPEnvironment | None = None) -> tuple:
     """The kernel's vectorized-libm call sites under ``env``.
 
@@ -44,7 +38,7 @@ def veclibm_shape(kernel: ir.Kernel, env: FPEnvironment | None = None) -> tuple:
         return ()
     sites = tuple(
         ("call", e.name, e.lanes, e.ty)
-        for e in _walk_exprs(kernel)
+        for e in ir.walk(kernel)
         if isinstance(e, ir.VecCall)
     )
     if not sites:
@@ -64,7 +58,7 @@ def mixed_precision_shape(kernel: ir.Kernel, env: FPEnvironment | None = None) -
     """
     mixed: list[tuple] = []
     reduces: list[tuple] = []
-    for e in _walk_exprs(kernel):
+    for e in ir.walk(kernel):
         if isinstance(e, ir.VecFpExt):
             mixed.append(("ext", e.lanes))
         elif isinstance(e, ir.VecFpTrunc):
@@ -90,7 +84,7 @@ def int_guard_shape(kernel: ir.Kernel, env: FPEnvironment | None = None) -> tupl
 
     icmps = tuple(
         ("icmp", e.op, e.lanes)
-        for e in _walk_exprs(kernel)
+        for e in ir.walk(kernel)
         if isinstance(e, ir.VecCmp) and ir.expr_type(e.left) == "int"
     )
     if not icmps:

@@ -84,15 +84,6 @@ _HOST_VECTOR_WIDTHS = {
 WARP_WIDTH = 32
 
 
-def vector_width_for(compiler_family: str, level: OptLevel) -> int:
-    """Deprecated shim over :func:`tier_policy` — use the policy table.
-
-    Kept for callers written against the pre-registry API; equivalent to
-    ``tier_policy(compiler_family, level).vector_width``.
-    """
-    return tier_policy(compiler_family, level).vector_width
-
-
 # -- the if-conversion (masking) tier ------------------------------------------
 #
 # Whether the family's vectorizer if-converts conditional loop bodies
@@ -140,9 +131,9 @@ TIER_PROFILES: tuple[str, ...] = ("baseline", "full")
 class TierPolicy:
     """Divergence-tier enablement of one (family, level, profile)."""
 
-    #: vectorizer lanes (0 = scalar only; subsumes ``vector_width_for``)
+    #: vectorizer lanes (0 = scalar only)
     vector_width: int = 0
-    #: if-convert conditional bodies before widening (``if_conversion_for``)
+    #: if-convert conditional bodies before widening
     if_convert: bool = False
     #: widen integer guard comparisons into iota/splat masks
     int_guards: bool = False
@@ -175,12 +166,3 @@ def tier_policy(
         vec_libm=level is OptLevel.O3_FASTMATH,
         mixed_precision=True,
     )
-
-
-def if_conversion_for(compiler_family: str, level: OptLevel) -> bool:
-    """Deprecated shim over :func:`tier_policy` — use the policy table.
-
-    Kept for callers written against the pre-registry API; equivalent to
-    ``tier_policy(compiler_family, level).if_convert``.
-    """
-    return tier_policy(compiler_family, level).if_convert

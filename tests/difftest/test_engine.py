@@ -199,9 +199,9 @@ class TestBackendEquivalence:
         assert result_key(serial) == result_key(process)
 
     def test_process_backend_no_pool_for_single_job(self):
-        # jobs=1 must never spawn a pool: run_kernels goes inline
+        # jobs=1 must never spawn a pool: run_batches goes inline
         backend = ProcessBackend(jobs=1)
-        assert backend.run_kernels([]) == []
+        assert backend.run_batches([]) == []
         assert backend._pool is None
         backend.shutdown()
 

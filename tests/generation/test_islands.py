@@ -51,6 +51,16 @@ class TestStochasticUniversalSampling:
         with pytest.raises(ValueError):
             stochastic_universal_sampling(rng, [1.0, -0.5], 1)
 
+    @pytest.mark.parametrize(
+        "weights",
+        [[float("nan"), 1.0], [1.0, float("nan")], [float("inf"), 1.0],
+         [1.0, float("-inf"), 2.0], []],
+        ids=["nan-first", "nan-last", "inf", "neg-inf", "empty"],
+    )
+    def test_non_finite_or_empty_weights_rejected(self, weights):
+        with pytest.raises(ValueError, match="finite"):
+            stochastic_universal_sampling(SplittableRng(1, "sus"), weights, 1)
+
 
 class TestMutationFitness:
     def test_novelty_decays_with_repetition(self):

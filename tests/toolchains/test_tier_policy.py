@@ -12,21 +12,25 @@ from repro.toolchains import (
     default_compilers,
     tier_policy,
 )
-from repro.toolchains.optlevels import (
-    if_conversion_for,
-    vector_width_for,
-)
 
 FAMILIES = ("gcc", "clang", "nvcc")
 
 
 class TestPolicyTable:
-    def test_baseline_matches_deprecated_shims_everywhere(self):
-        for family in FAMILIES:
-            for level in ALL_LEVELS:
+    def test_baseline_placement_matches_the_documented_table(self):
+        # docs/vectorization.md, "Toolchain placement"
+        host_widths = {OptLevel.O2: 4, OptLevel.O3: 8, OptLevel.O3_FASTMATH: 8}
+        for level in ALL_LEVELS:
+            for family in ("gcc", "clang"):
                 pol = tier_policy(family, level)
-                assert pol.vector_width == vector_width_for(family, level)
-                assert pol.if_convert == if_conversion_for(family, level)
+                assert pol.vector_width == host_widths.get(level, 0)
+                assert pol.if_convert == (
+                    level in (OptLevel.O3, OptLevel.O3_FASTMATH)
+                )
+            nvcc = tier_policy("nvcc", level)
+            masked = level is not OptLevel.O0_NOFMA
+            assert nvcc.vector_width == (32 if masked else 0)
+            assert nvcc.if_convert == masked
 
     def test_baseline_never_enables_the_new_tiers(self):
         for family in FAMILIES:
