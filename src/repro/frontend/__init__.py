@@ -7,14 +7,13 @@ the constructs LLM-style generation produces within the paper's guidelines
 ``if``/``else``, calls into the C math library, and ternary expressions.
 """
 
-from repro.frontend.lexer import Lexer, tokenize
+from repro.frontend.lexer import tokenize
 from repro.frontend.parser import Parser, parse_program
 from repro.frontend.sema import SemanticChecker, check_program
 from repro.frontend.printer import print_c, print_cuda
 from repro.frontend import ast
 
 __all__ = [
-    "Lexer",
     "tokenize",
     "Parser",
     "parse_program",

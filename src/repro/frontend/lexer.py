@@ -4,14 +4,21 @@ Preprocessor lines are not expanded: ``#include <...>`` directives are
 collected (the sema stage enforces the paper's header allow-list) and any
 other directive is rejected — the generators never need macros, and
 rejecting them keeps candidate programs analysable.
+
+The scanner is one compiled pattern matched at the cursor: each named
+group is one lexical class, tried in order.  Identifiers and numbers use
+ASCII classes only, so any other character outside a string literal, a
+comment or a directive line is an ``unexpected character`` error.
 """
 
 from __future__ import annotations
 
+import re
+
 from repro.errors import LexError
 from repro.frontend.tokens import KEYWORDS, PUNCTUATORS, Token, TokenKind
 
-__all__ = ["Lexer", "tokenize", "LexResult"]
+__all__ = ["tokenize", "LexResult"]
 
 
 class LexResult:
@@ -22,173 +29,94 @@ class LexResult:
         self.includes = includes
 
 
-class Lexer:
-    def __init__(self, source: str) -> None:
-        self._src = source
-        self._pos = 0
-        self._line = 1
-        self._col = 1
-        self.includes: list[str] = []
+_STRING_BODY = r'"(?:[^"\\\n]|\\[\s\S])*'
 
-    # -- low-level cursor ----------------------------------------------------
+#: One alternative per lexical class; the order is the match priority.
+_SCANNER = re.compile(
+    "|".join(
+        (
+            r"(?P<space>[ \t\r\n]+)",
+            r"(?P<comment>//[^\n]*|/\*[\s\S]*?\*/)",
+            # Before the punctuators, so ``/*`` never lexes as ``/`` and ``*``.
+            r"(?P<open_comment>/\*)",
+            # A directive starts in column 1 and runs to the end of its line.
+            r"(?P<directive>^#[^\n]*)",
+            r"(?P<ident>[A-Za-z_][A-Za-z0-9_]*)",
+            r"(?P<float>(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?[fF]?"
+            r"|[0-9]+[eE][+-]?[0-9]+[fF]?)",
+            r"(?P<int>[0-9]+)",
+            rf"(?P<string>{_STRING_BODY}\")",
+            "(?P<punct>" + "|".join(re.escape(p) for p in PUNCTUATORS) + ")",
+            # Reached only when the complete string above failed to match; a
+            # trailing backslash is consumed too, so the error is at the end.
+            rf"(?P<open_string>{_STRING_BODY}\\?)",
+        )
+    ),
+    re.MULTILINE,
+)
 
-    def _peek(self, offset: int = 0) -> str:
-        i = self._pos + offset
-        return self._src[i] if i < len(self._src) else ""
+_LITERAL_KINDS = {"float": TokenKind.FLOAT_LIT, "int": TokenKind.INT_LIT}
 
-    def _advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self._pos < len(self._src):
-                if self._src[self._pos] == "\n":
-                    self._line += 1
-                    self._col = 1
-                else:
-                    self._col += 1
-                self._pos += 1
 
-    def _error(self, message: str) -> LexError:
-        return LexError(message, self._line, self._col)
+def _position(source: str, offset: int) -> tuple[int, int]:
+    """1-based (line, column) of ``offset`` in ``source``."""
+    return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
 
-    # -- skipping -------------------------------------------------------------
 
-    def _skip_trivia(self) -> None:
-        while True:
-            c = self._peek()
-            if not c:
-                return
-            if c in " \t\r\n":
-                self._advance()
-            elif c == "/" and self._peek(1) == "/":
-                while self._peek() and self._peek() != "\n":
-                    self._advance()
-            elif c == "/" and self._peek(1) == "*":
-                self._advance(2)
-                while not (self._peek() == "*" and self._peek(1) == "/"):
-                    if not self._peek():
-                        raise self._error("unterminated block comment")
-                    self._advance()
-                self._advance(2)
-            elif c == "#" and self._col == 1:
-                self._directive()
-            else:
-                return
-
-    def _directive(self) -> None:
-        start_line = self._line
-        text = []
-        while self._peek() and self._peek() != "\n":
-            text.append(self._peek())
-            self._advance()
-        line = "".join(text).strip()
-        if line.startswith("#include"):
-            rest = line[len("#include"):].strip()
-            if (rest.startswith("<") and rest.endswith(">")) or (
-                rest.startswith('"') and rest.endswith('"')
-            ):
-                self.includes.append(rest[1:-1].strip())
-                return
-            raise LexError(f"malformed include: {line!r}", start_line, 1)
-        raise LexError(f"unsupported preprocessor directive: {line!r}", start_line, 1)
-
-    # -- token scanners ---------------------------------------------------------
-
-    def _ident(self) -> Token:
-        line, col = self._line, self._col
-        chars = []
-        while self._peek().isalnum() or self._peek() == "_":
-            chars.append(self._peek())
-            self._advance()
-        text = "".join(chars)
-        kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-        return Token(kind, text, line, col)
-
-    def _number(self) -> Token:
-        line, col = self._line, self._col
-        chars = []
-        is_float = False
-        # integer part
-        while self._peek().isdigit():
-            chars.append(self._peek())
-            self._advance()
-        if self._peek() == ".":
-            is_float = True
-            chars.append(".")
-            self._advance()
-            while self._peek().isdigit():
-                chars.append(self._peek())
-                self._advance()
-        if self._peek() in "eE":
-            nxt = self._peek(1)
-            nxt2 = self._peek(2)
-            if nxt.isdigit() or (nxt in "+-" and nxt2.isdigit()):
-                is_float = True
-                chars.append(self._peek())
-                self._advance()
-                if self._peek() in "+-":
-                    chars.append(self._peek())
-                    self._advance()
-                while self._peek().isdigit():
-                    chars.append(self._peek())
-                    self._advance()
-        # suffixes: f/F (float), u/l ignored for ints
-        if self._peek() in "fF" and is_float:
-            chars.append(self._peek())
-            self._advance()
-        text = "".join(chars)
-        if not text or text == ".":
-            raise self._error("malformed numeric literal")
-        kind = TokenKind.FLOAT_LIT if is_float else TokenKind.INT_LIT
-        return Token(kind, text, line, col)
-
-    def _string(self) -> Token:
-        line, col = self._line, self._col
-        self._advance()  # opening quote
-        chars = []
-        while True:
-            c = self._peek()
-            if not c or c == "\n":
-                raise self._error("unterminated string literal")
-            if c == '"':
-                self._advance()
-                break
-            if c == "\\":
-                chars.append(c)
-                self._advance()
-                chars.append(self._peek())
-                self._advance()
-                continue
-            chars.append(c)
-            self._advance()
-        return Token(TokenKind.STRING_LIT, "".join(chars), line, col)
-
-    def _punct(self) -> Token:
-        line, col = self._line, self._col
-        for p in PUNCTUATORS:
-            if self._src.startswith(p, self._pos):
-                self._advance(len(p))
-                return Token(TokenKind.PUNCT, p, line, col)
-        raise self._error(f"unexpected character {self._peek()!r}")
-
-    # -- driver --------------------------------------------------------------------
-
-    def run(self) -> LexResult:
-        tokens: list[Token] = []
-        while True:
-            self._skip_trivia()
-            c = self._peek()
-            if not c:
-                tokens.append(Token(TokenKind.EOF, "", self._line, self._col))
-                return LexResult(tokens, self.includes)
-            if c.isalpha() or c == "_":
-                tokens.append(self._ident())
-            elif c.isdigit() or (c == "." and self._peek(1).isdigit()):
-                tokens.append(self._number())
-            elif c == '"':
-                tokens.append(self._string())
-            else:
-                tokens.append(self._punct())
+def _directive(text: str, line: int) -> str:
+    """The header named by an ``#include`` line; any other directive fails."""
+    text = text.strip()
+    if text.startswith("#include"):
+        rest = text[len("#include"):].strip()
+        if (rest.startswith("<") and rest.endswith(">")) or (
+            rest.startswith('"') and rest.endswith('"')
+        ):
+            return rest[1:-1].strip()
+        raise LexError(f"malformed include: {text!r}", line, 1)
+    raise LexError(f"unsupported preprocessor directive: {text!r}", line, 1)
 
 
 def tokenize(source: str) -> LexResult:
     """Tokenize C source, returning tokens and collected includes."""
-    return Lexer(source).run()
+    tokens: list[Token] = []
+    includes: list[str] = []
+    append = tokens.append
+    match = _SCANNER.match
+    pos = 0
+    end = len(source)
+    line = 1
+    line_start = 0  # offset of the first character of ``line``
+    while pos < end:
+        m = match(source, pos)
+        if m is None:
+            raise LexError(
+                f"unexpected character {source[pos]!r}", line, pos - line_start + 1
+            )
+        group = m.lastgroup
+        stop = m.end()
+        if group == "punct":
+            append(Token(TokenKind.PUNCT, m.group(), line, pos - line_start + 1))
+        elif group == "ident":
+            text = m.group()
+            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
+            append(Token(kind, text, line, pos - line_start + 1))
+        elif group == "float" or group == "int":
+            append(Token(_LITERAL_KINDS[group], m.group(), line, pos - line_start + 1))
+        elif group == "directive":
+            includes.append(_directive(m.group(), line))
+        elif group == "string":
+            append(Token(TokenKind.STRING_LIT, source[pos + 1 : stop - 1], line,
+                         pos - line_start + 1))
+        elif group == "open_comment":
+            raise LexError("unterminated block comment", *_position(source, end))
+        elif group == "open_string":
+            raise LexError("unterminated string literal", *_position(source, stop))
+        # Spaces, block comments and strings (escaped newlines) span lines.
+        if group == "space" or group == "comment" or group == "string":
+            newlines = source.count("\n", pos, stop)
+            if newlines:
+                line += newlines
+                line_start = source.rfind("\n", pos, stop) + 1
+        pos = stop
+    append(Token(TokenKind.EOF, "", line, end - line_start + 1))
+    return LexResult(tokens, includes)

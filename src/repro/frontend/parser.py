@@ -9,6 +9,8 @@ accepted so translated programs can round-trip through the frontend.
 
 from __future__ import annotations
 
+import functools
+
 from repro.errors import ParseError
 from repro.frontend import ast
 from repro.frontend.ctypes import CType
@@ -28,6 +30,8 @@ class Parser:
     # -- token helpers --------------------------------------------------------
 
     def _peek(self, offset: int = 0) -> Token:
+        if not offset:
+            return self._tokens[self._pos]  # never past EOF: see _next
         i = min(self._pos + offset, len(self._tokens) - 1)
         return self._tokens[i]
 
@@ -413,6 +417,18 @@ class Parser:
         return tuple(args)
 
 
+@functools.lru_cache(maxsize=16)
 def parse_program(source: str) -> ast.TranslationUnit:
-    """Parse C source into a translation unit (includes + functions)."""
-    return Parser(source).parse()
+    """Parse C source into a translation unit (includes + functions).
+
+    Memoized by source text: one program's text is parsed by the generator,
+    the mutator's validity check and the engine in turn, and each gets the
+    same unit.  Sharing is safe because AST nodes are frozen and sema keeps
+    types and symbols out of band, in a :class:`~repro.frontend.sema.SemaResult`.
+    A failed parse is not cached, so every call on bad text raises.
+    """
+    parser = Parser(source)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise parser._error("program nests too deeply") from None

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class TokenKind(enum.Enum):
@@ -73,8 +73,9 @@ PUNCTUATORS = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
+    """One lexed token; a tuple, so building one is cheap."""
+
     kind: TokenKind
     text: str
     line: int

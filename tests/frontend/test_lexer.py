@@ -108,3 +108,29 @@ class TestStrings:
     def test_unterminated(self):
         with pytest.raises(LexError):
             tokenize('"oops')
+
+
+class TestAsciiOnly:
+    """Identifiers and numbers are ASCII: any other character outside a
+    string or comment is a named error at its own position."""
+
+    def test_superscript_digit(self):
+        # str.isdigit accepts '²', which int() then rejects
+        with pytest.raises(LexError, match="unexpected character '²'") as e:
+            tokenize("int x = ²;")
+        assert (e.value.line, e.value.column) == (1, 9)
+
+    def test_non_ascii_digit_does_not_extend_a_number(self):
+        # '1٣' used to lex as one literal that int() read as 13
+        with pytest.raises(LexError, match="unexpected character") as e:
+            tokenize("x = 1٣;")
+        assert (e.value.line, e.value.column) == (1, 6)
+
+    def test_non_ascii_letter(self):
+        with pytest.raises(LexError, match="unexpected character 'é'") as e:
+            tokenize("int a;\n  é = 1;")
+        assert (e.value.line, e.value.column) == (2, 3)
+
+    def test_non_ascii_inside_strings_and_comments(self):
+        toks = tokenize('// é\n/* ² */ "٣"').tokens
+        assert [t.text for t in toks[:-1]] == ["٣"]

@@ -1,8 +1,10 @@
 """Parser: program structure, statements, expression precedence."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.errors import ParseError
+from repro.errors import ParseError, ReproError
 from repro.frontend import ast
 from repro.frontend.parser import parse_program
 from repro.frontend.printer import expr_to_c
@@ -217,3 +219,30 @@ class TestRoundTrip:
         )
         init2 = unit2.functions[0].body.stmts[0].declarators[0].init
         assert expr_to_c(init2) == text
+
+
+#: Token-sized pieces, so generated text often gets past the lexer.
+C_PIECES = (
+    "void compute(double x)", "int", "double", "x", "a", "[", "]", "(", ")",
+    "{", "}", "=", "+=", ";", ",", "+", "*", "/", "-", "!", "<", "&&", "?", ":",
+    "1", "2.5", "1e3f", "for", "if", "else", "while", "return", "(double)",
+    "sin", "<<<", ">>>", '"%g"', "\n#include <math.h>\n",
+)
+
+
+class TestNamedErrorsOnly:
+    """Bad text fails with a library error, never a bare Python one."""
+
+    def test_deep_nesting(self):
+        depth = 3000
+        source = f"void compute(double x) {{ double c = {'(' * depth}x{')' * depth}; }}"
+        with pytest.raises(ParseError, match="nests too deeply"):
+            parse_program(source)
+
+    @given(st.text() | st.lists(st.sampled_from(C_PIECES), max_size=60).map(" ".join))
+    def test_arbitrary_text(self, source):
+        try:
+            unit = parse_program(source)
+        except ReproError:
+            return
+        assert isinstance(unit, ast.TranslationUnit)
