@@ -3,13 +3,13 @@
 Replays one fixed program workload (the substrate benchmark generator)
 through three engine configurations:
 
-* **serial** — ``backend=serial``, compile cache off, run sharing off:
+* **serial** — ``backend=serial``, run sharing off:
   the exact cost model of the pre-engine monolithic loop (recompile and
   re-execute every (compiler, level) cell from scratch).
-* **thread** — ``backend=thread, jobs=4`` with the content-addressed
-  compile cache and identical-binary run sharing on.  Its speedup is
-  funded by *dedup* (the GIL serializes the thread workers).
-* **process** — ``backend=process, jobs=auto`` with the same caching:
+* **thread** — ``backend=thread, jobs=4`` with level-class compile
+  sharing and identical-binary run sharing on.  Its speedup is funded
+  by *dedup* (the GIL serializes the thread workers).
+* **process** — ``backend=process, jobs=auto`` with the same sharing:
   execute tasks ship to a process pool as picklable kernel specs, adding
   real multi-core parallelism on top of the dedup.
 
@@ -21,7 +21,7 @@ but not asserted — there is no parallelism to buy).
 
 The dedup floor was 2x before the vectorization tier: splitting O2/O3
 into their own (pipeline, environment) classes (gcc/clang 3 -> 5 level
-classes) is *less* redundancy for the cache and run sharing to collapse,
+classes) is *less* redundancy for the dedup to collapse,
 so the structural speedup ceiling dropped with it.  That is a modeling
 change, not an engine regression — the measured floor is re-derived
 (~2.0x observed on a 1-CPU container; 1.6x leaves headroom for noisy
@@ -107,15 +107,15 @@ _LOOPS_BUDGET = 24
 #: attributable.
 CONFIGS = {
     "serial": EngineConfig(
-        backend="serial", jobs=1, compile_cache=False, share_runs=False,
+        backend="serial", jobs=1, share_runs=False,
         exec_mode="tree",
     ),
     "thread": EngineConfig(
-        backend="thread", jobs=4, compile_cache=True, share_runs=True,
+        backend="thread", jobs=4, share_runs=True,
         exec_mode="tree",
     ),
     "process": EngineConfig(
-        backend="process", jobs="auto", compile_cache=True, share_runs=True,
+        backend="process", jobs="auto", share_runs=True,
         exec_mode="tree",
     ),
 }
@@ -123,7 +123,7 @@ CONFIGS = {
 #: the thread leg re-run with the tape executor (same workload, same
 #: dedup): what a default campaign actually runs
 TAPE_CONFIG = EngineConfig(
-    backend="thread", jobs=4, compile_cache=True, share_runs=True,
+    backend="thread", jobs=4, share_runs=True,
     exec_mode="tape",
 )
 
@@ -133,7 +133,7 @@ _ISLAND_BUDGET = 24
 _ISLANDS = 4
 _ISLAND_MERGE_EVERY = 3
 ISLAND_CONFIG = EngineConfig(
-    backend="thread", jobs=4, compile_cache=True, share_runs=True,
+    backend="thread", jobs=4, share_runs=True,
     islands=_ISLANDS, merge_every=_ISLAND_MERGE_EVERY, exec_mode="tree",
 )
 
@@ -241,13 +241,12 @@ def _tape_microbench(programs, batch: int = _TAPE_BATCH) -> dict:
 
     Every distinct (optimized kernel, environment) of the workload runs
     ``batch`` input sets through :func:`repro.execution.batch.run_batch`
-    in both modes — the tape leg pays its compilations cold (the
-    per-process cache is cleared first) and amortizes them across the
-    batch, exactly as the engine's run groups and the reducer's ddmin
+    in both modes — the tape leg compiles one tape per task and
+    amortizes it across the batch, exactly as the engine's run groups and the reducer's ddmin
     rounds do.  Results are compared bit-for-bit.
     """
     from repro.difftest.engine import frontend_kernels
-    from repro.execution.batch import _tape_cache, result_key, run_batch
+    from repro.execution.batch import result_key, run_batch
     from repro.toolchains.cache import env_fingerprint, kernel_fingerprint
     from repro.toolchains.optlevels import ALL_LEVELS
 
@@ -274,7 +273,6 @@ def _tape_microbench(programs, batch: int = _TAPE_BATCH) -> dict:
     seconds = {}
     keys = {}
     for mode in ("tree", "tape"):
-        _tape_cache.clear()
         t0 = time.perf_counter()
         outs = [
             run_batch(kernel, env, inputs_batch, mode=mode)
@@ -413,7 +411,6 @@ def measure(budget: int = _BUDGET, loops_budget: int = _LOOPS_BUDGET) -> dict:
             all(keys[n] == keys["serial"] for n in CONFIGS) and tape_identical
         ),
         "run_share_rate": shared["thread"].run_share_rate,
-        "cache_hit_rate": shared["thread"].cache_hit_rate,
         "stage_seconds": stage_seconds,
         "execute_stage_share": stage_seconds["execute"]
         / max(sum(stage_seconds.values()), 1e-9),
@@ -445,17 +442,16 @@ def render(m: dict) -> str:
     lines = [
         f"engine throughput (substrate workload, {m['budget']} programs, "
         f"{m['cpu_count']} CPUs)",
-        f"  serial   (inline, no cache, no sharing):   "
+        f"  serial   (inline, no sharing):             "
         f"{c['serial']['throughput']:7.1f} programs/s",
-        f"  thread   (jobs=4, cache + sharing):        "
+        f"  thread   (jobs=4, sharing):                "
         f"{c['thread']['throughput']:7.1f} programs/s  "
         f"({m['thread_speedup']:.2f}x)",
-        f"  process  (jobs={c['process']['jobs']}, cache + sharing):"
-        f"        {c['process']['throughput']:7.1f} programs/s  "
+        f"  process  (jobs={c['process']['jobs']}, sharing):"
+        f"                {c['process']['throughput']:7.1f} programs/s  "
         f"({m['process_speedup']:.2f}x)",
         f"  identical results across backends: {m['identical']}",
-        f"  run share rate: {m['run_share_rate'] * 100:.1f}%"
-        f"   cache hit rate: {m['cache_hit_rate'] * 100:.1f}%",
+        f"  run share rate: {m['run_share_rate'] * 100:.1f}%",
         "  thread stage seconds:   "
         + "  ".join(f"{k}={v:.2f}" for k, v in m["stage_seconds"].items()),
         f"  loops workload ({m['loops_budget']} programs, vector+mask tier): "

@@ -12,8 +12,13 @@ Usage:
 import sys
 from collections import Counter
 
-from repro import CampaignConfig, SplittableRng, default_compilers, make_generator
-from repro.difftest.harness import DifferentialHarness
+from repro import (
+    CampaignConfig,
+    CampaignEngine,
+    SplittableRng,
+    default_compilers,
+    make_generator,
+)
 from repro.generation.prompts import mutation_prompt
 
 
@@ -24,7 +29,7 @@ def main() -> None:
     rng = SplittableRng(seed)
     generator = make_generator("llm4fp", rng)
     config = CampaignConfig(budget=budget, seed=seed)
-    harness = DifferentialHarness(default_compilers(), config)
+    engine = CampaignEngine(default_compilers(), config)
 
     strategies: Counter = Counter()
     first_success_source = None
@@ -33,7 +38,7 @@ def main() -> None:
     for i in range(budget):
         program = generator.generate()
         strategies[program.strategy] += 1
-        outcome = harness.test_program(i, program)
+        outcome = engine.test_program(i, program)
         if outcome.triggered:
             generator.notify_success(program)
             if first_success_source is None:

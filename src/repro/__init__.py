@@ -16,7 +16,7 @@ paper-vs-measured record.
 
 from repro.difftest.config import CampaignConfig
 from repro.difftest.engine import CampaignEngine, EngineConfig
-from repro.difftest.harness import DifferentialHarness, run_campaign
+from repro.difftest.harness import run_campaign
 from repro.difftest.report import CampaignReport
 from repro.experiments.approaches import ALL_APPROACHES, APPROACHES, make_generator
 from repro.fp.formats import Precision
@@ -38,7 +38,6 @@ __all__ = [
     "CampaignConfig",
     "CampaignEngine",
     "EngineConfig",
-    "DifferentialHarness",
     "run_campaign",
     "CampaignReport",
     "ALL_APPROACHES",

@@ -140,7 +140,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             return 2
     engine_kwargs = dict(
         jobs=args.jobs,
-        compile_cache=not args.no_cache,
         backend=args.backend,
         shard_index=shard_index,
         shard_count=shard_count,
@@ -187,7 +186,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"checkpoint:           {store.path}")
     if corpus_path:
         print(f"corpus replay:        {replay_seeds} seed(s) from {corpus_path}")
-    print(f"compile cache:        {'off' if args.no_cache else 'on'}")
     print(f"total comparisons:    {s['total_comparisons']:,}")
     print(f"inconsistencies:      {s['inconsistencies']:,}")
     print(f"inconsistency rate:   {s['inconsistency_rate'] * 100:.2f}%")
@@ -223,8 +221,6 @@ def _cmd_tables(args: argparse.Namespace) -> int:
         "checkpoint_dir": args.checkpoint_dir,
     }
     kwargs = {k: v for k, v in overrides.items() if v is not None}
-    if args.no_cache:
-        kwargs["compile_cache"] = False
     settings = ExperimentSettings(**kwargs)
     # Sharded table runs (REPRO_SHARD) execute every classically shardable
     # approach and append a per-approach skip note for the rest; feedback
@@ -310,7 +306,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             backend=args.backend,
             jobs=None if args.jobs is None else str(args.jobs),
             exec_mode=args.exec_mode,
-            compile_cache=not args.no_cache,
             islands=args.islands,
             merge_every=args.merge_every,
         )
@@ -563,10 +558,6 @@ def main(argv: list[str] | None = None) -> int:
         "pipeline and FP environment)",
     )
     p_run.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the content-addressed compile cache",
-    )
-    p_run.add_argument(
         "--quiet", action="store_true",
         help="suppress the streaming per-program progress line",
     )
@@ -609,10 +600,6 @@ def main(argv: list[str] | None = None) -> int:
         "--checkpoint-dir", default=None, metavar="DIR",
         help="persist per-approach JSONL checkpoints here; re-running with "
         "identical settings resumes instead of recomputing",
-    )
-    p_tab.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the content-addressed compile cache",
     )
     p_tab.set_defaults(func=_cmd_tables)
 
@@ -682,10 +669,6 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.add_argument(
         "--exec-mode", choices=EXEC_MODES, default=None, dest="exec_mode",
         help="worker execute-stage mode (default: each worker's own default)",
-    )
-    p_serve.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the compile cache in every worker",
     )
     p_serve.add_argument(
         "--queue", default=None, metavar="JOBS.jsonl",

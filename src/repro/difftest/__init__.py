@@ -30,7 +30,7 @@ from repro.difftest.engine import (
     FrontendRecord,
     STAGES,
 )
-from repro.difftest.harness import DifferentialHarness, run_campaign
+from repro.difftest.harness import run_campaign
 from repro.difftest.report import CampaignReport
 from repro.difftest.store import CampaignStore, CampaignStoreError, merge_shards
 
@@ -59,7 +59,6 @@ __all__ = [
     "CompileRecord",
     "ExecuteRecord",
     "STAGES",
-    "DifferentialHarness",
     "run_campaign",
     "CampaignReport",
 ]

@@ -13,9 +13,8 @@ decision separated from the stages themselves.  Three policies exist:
   specs (optimized IR, FP environment, input sets, step limit, exec mode)
   through the pure :func:`repro.execution.batch.run_batch_task`, chunked
   to amortize IPC.  This is real multi-core parallelism: each run is
-  independent.  Compile-stage work stays in the parent process —
-  compilations are cheap, and the campaign-wide compile cache lives in
-  parent memory where child writes would be lost.
+  independent.  Compile-stage work stays in the parent process, where
+  compilations are cheap relative to execution.
 
 Every backend returns results in task order, so the engine fills its
 records in the same deterministic sequence regardless of policy: a
@@ -159,8 +158,7 @@ class ProcessBackend(ExecutionBackend):
     """Process-pool fan-out of the execute stage (true multi-core).
 
     Compile units run inline in the parent: they are cheap relative to
-    execution, and the content-addressed compile cache must observe every
-    compilation.  Execute tasks ship to workers as picklable specs and
+    execution.  Execute tasks ship to workers as picklable specs and
     results gather in task order, so output is byte-identical to
     :class:`SerialBackend`.
     """

@@ -5,7 +5,7 @@ monolithic loop: generate a program, then serially compile and run every
 (compiler, level) pair from scratch.  This module splits that loop into
 five explicit stages with typed per-stage records and makes the
 compile+execute matrix — the embarrassingly parallel middle of the loop —
-cacheable and concurrently schedulable:
+deduplicated and concurrently schedulable:
 
 * **generate** — ask the generator for the next program.  Stays serial:
   the feedback loop (triggering programs re-seed the generator) makes
@@ -13,11 +13,9 @@ cacheable and concurrently schedulable:
 * **frontend** — parse / sema / lower once per target kind
   (:class:`~repro.toolchains.base.CompilerKind`); host compilers share the
   C parse, the device compiler gets the CUDA translation.
-* **compile** — one :class:`CompileRecord` per (compiler, level).  Work is
-  deduplicated two ways: levels whose (pipeline, environment) coincide
-  share one compilation (``Compiler.cache_token``), and a campaign-wide
-  content-addressed :class:`~repro.toolchains.cache.CompileCache` means a
-  structurally identical kernel anywhere in the campaign never recompiles.
+* **compile** — one :class:`CompileRecord` per (compiler, level).  Levels
+  whose (pipeline, environment) coincide share one compilation
+  (``Compiler.cache_token``).
 * **execute** — one :class:`ExecuteRecord` per compiled binary.  Binaries
   whose optimized kernel and FP environment are content-identical produce
   bit-identical results (the interpreter is deterministic), so each
@@ -36,8 +34,8 @@ execute tasks ship to a :class:`~concurrent.futures.ProcessPoolExecutor`
 as picklable specs through the pure ``execution/batch`` entry point).
 Results are gathered in matrix order and every record dict is filled in
 the same deterministic order as the serial loop, so a
-:class:`CampaignResult` is byte-identical across backends, job counts and
-cache configurations — only the stage timings differ.
+:class:`CampaignResult` is byte-identical across backends and job counts
+— only the stage timings differ.
 
 Two campaign-scale facilities ride on that determinism:
 
@@ -53,10 +51,11 @@ Two campaign-scale facilities ride on that determinism:
   (``EngineConfig.islands``), which partition generation itself.
 
 Note on throughput: with the ``thread`` backend the measured gains come
-from the *dedup* — level-class compilation sharing, the cross-program
-cache, and identical-binary run sharing — because the stages are pure
-Python and CPython's GIL serializes thread workers.  The ``process``
-backend adds real CPU parallelism on top for the execute stage.
+from the in-program *dedup* — level-class compilation sharing and
+identical-binary run sharing — because the stages are pure Python and
+CPython's GIL serializes thread workers.  The ``process`` backend adds
+real CPU parallelism on top for the execute stage.  Nothing is cached
+across programs: every compiled binary and tape dies with its program.
 """
 
 from __future__ import annotations
@@ -94,11 +93,7 @@ from repro.ir import nodes as ir
 from repro.ir.lower import lower_compute
 from repro.tiers import structural_tag
 from repro.toolchains.base import Binary, Compiler, CompilerKind, _flags_or
-from repro.toolchains.cache import (
-    CompileCache,
-    env_fingerprint,
-    kernel_fingerprint,
-)
+from repro.toolchains.cache import env_fingerprint, kernel_fingerprint
 from repro.toolchains.cuda import translate_to_cuda
 from repro.toolchains.optlevels import OptLevel
 from repro.utils.timing import Stopwatch
@@ -181,14 +176,11 @@ class EngineConfig:
         jobs: workers fanning out the per-program compile+execute matrix;
             ``1`` runs every stage inline, ``"auto"`` uses one worker per
             CPU.  What a worker *is* depends on ``backend``.
-        compile_cache: keep a campaign-wide content-addressed cache of
-            compiled binaries (kernel fingerprint x compiler x level class).
-        cache_capacity: LRU bound of that cache, in binaries.
         share_runs: deduplicate work *within* one program's matrix — levels
             with identical pipelines compile once, and binaries with
             content-identical (optimized kernel, environment) execute once.
-            Disabling both knobs reproduces the legacy serial cost model
-            exactly (used as the benchmark baseline).
+            Disabling it reproduces the legacy serial cost model exactly
+            (used as the benchmark baseline).
         backend: fan-out policy — ``"serial"`` (inline, requires jobs=1),
             ``"thread"`` (GIL-bound thread pool, the historical behaviour)
             or ``"process"`` (multi-core process pool for the execute
@@ -218,8 +210,6 @@ class EngineConfig:
     """
 
     jobs: int | str = 1
-    compile_cache: bool = True
-    cache_capacity: int = 4096
     share_runs: bool = True
     backend: str = "thread"
     shard_index: int = 0
@@ -244,8 +234,6 @@ class EngineConfig:
             )
         if self.backend == "serial" and resolve_jobs(self.jobs) != 1:
             raise ValueError("the serial backend runs inline; use jobs=1")
-        if self.cache_capacity < 1:
-            raise ValueError("cache_capacity must be >= 1")
         if self.shard_count < 1:
             raise ValueError("shard_count must be >= 1")
         if not 0 <= self.shard_index < self.shard_count:
@@ -280,7 +268,6 @@ class FrontendRecord:
     """Per-kind front-end artefacts of one program."""
 
     kernels: dict[CompilerKind, ir.Kernel] = field(default_factory=dict)
-    fingerprints: dict[CompilerKind, str] = field(default_factory=dict)
     errors: dict[CompilerKind, str] = field(default_factory=dict)
 
 
@@ -292,7 +279,6 @@ class CompileRecord:
     level: OptLevel
     ok: bool
     binary: Binary | None = None
-    cache_hit: bool = False
     shared: bool = False  # reused a sibling level's compilation
     error: str | None = None
 
@@ -348,8 +334,6 @@ def frontend_kernels(source: str) -> FrontendRecord:
         record.kernels[CompilerKind.DEVICE] = lower_compute(cuda_sema)
     except ReproError as e:
         record.errors[CompilerKind.DEVICE] = str(e)
-    for kind, kernel in record.kernels.items():
-        record.fingerprints[kind] = kernel_fingerprint(kernel)
     return record
 
 
@@ -387,10 +371,10 @@ class CampaignEngine:
     """Runs campaigns as explicit generate/frontend/compile/execute/compare
     stages over a fixed compiler matrix.
 
-    The engine owns the campaign-wide compile cache and the within-matrix
-    dedup; :class:`EngineConfig` selects the fan-out backend, worker
-    count, sharding and caching.  Results are byte-identical across every
-    backend/jobs/cache configuration — only stage timings differ.
+    The engine owns the within-matrix dedup; :class:`EngineConfig`
+    selects the fan-out backend, worker count and sharding.  Results are
+    byte-identical across every backend/jobs configuration — only stage
+    timings differ.
 
     Typical use::
 
@@ -412,7 +396,6 @@ class CampaignEngine:
         compilers: list[Compiler],
         config: CampaignConfig | None = None,
         engine_config: EngineConfig | None = None,
-        cache: CompileCache | None = None,
     ) -> None:
         _validate_compilers(compilers)
         self.compilers = list(compilers)
@@ -427,12 +410,6 @@ class CampaignEngine:
         self.tiers = profiles.pop()
         self.config = config or CampaignConfig()
         self.engine_config = engine_config or EngineConfig()
-        if cache is not None:
-            self.cache: CompileCache | None = cache
-        elif self.engine_config.compile_cache:
-            self.cache = CompileCache(self.engine_config.cache_capacity)
-        else:
-            self.cache = None
         #: within-program dedup counters (aggregated into CampaignResult)
         self._shared_runs = 0
         self._total_runs = 0
@@ -510,10 +487,9 @@ class CampaignEngine:
                 ),
             )
         sw = Stopwatch()
-        # Snapshot lifetime counters so a reused engine (warm shared cache,
-        # prior test_program calls) reports per-run deltas, not totals.
+        # Snapshot lifetime counters so a reused engine (prior
+        # test_program calls) reports per-run deltas, not totals.
         runs_before = (self._shared_runs, self._total_runs)
-        cache_before = self.cache.stats() if self.cache is not None else None
         with create_backend(ec.backend, ec.jobs) as backend:
             for i in range(config.budget):
                 if coordinator is None:
@@ -555,7 +531,7 @@ class CampaignEngine:
                 result.outcomes.append(outcome)
                 if progress is not None:
                     progress(i, outcome)
-        self._charge(result, sw, generator, runs_before, cache_before)
+        self._charge(result, sw, generator, runs_before)
         return result
 
     def _store_header(self, result: CampaignResult) -> dict:
@@ -589,19 +565,12 @@ class CampaignEngine:
         sw: Stopwatch,
         generator: ProgramGenerator,
         runs_before: tuple[int, int],
-        cache_before,
     ) -> None:
         result.generation_seconds = sw.buckets.get("generate", 0.0)
         result.frontend_seconds = sw.buckets.get("frontend", 0.0)
         result.compile_seconds = sw.buckets.get("compile", 0.0)
         result.execute_seconds = sw.buckets.get("execute", 0.0)
         result.compare_seconds = sw.buckets.get("compare", 0.0)
-        if self.cache is not None:
-            stats = self.cache.stats()
-            result.cache_hits = stats.hits - (cache_before.hits if cache_before else 0)
-            result.cache_misses = stats.misses - (
-                cache_before.misses if cache_before else 0
-            )
         result.shared_runs = self._shared_runs - runs_before[0]
         result.total_runs = self._total_runs - runs_before[1]
         llm = getattr(generator, "llm", None)
@@ -650,14 +619,13 @@ class CampaignEngine:
         Each (compiler, cache-token) equivalence class compiles at most
         once; follower levels rebind the leader's binary to their own
         level metadata.  Distinct leader compilations fan out through the
-        backend's in-process scheduler (compilations must stay in the
-        parent so the shared compile cache observes them).
+        backend's in-process scheduler.
         """
         share = self.engine_config.share_runs
         records: list[CompileRecord] = []
         leaders: dict[tuple[str, str], CompileRecord] = {}
         followers: list[tuple[CompileRecord, CompileRecord, Compiler]] = []
-        units: list[tuple[CompileRecord, Compiler, ir.Kernel, str, str]] = []
+        units: list[tuple[CompileRecord, Compiler, ir.Kernel]] = []
         for compiler in self.compilers:
             kernel = frontend.kernels.get(compiler.kind)
             for level in self.config.levels:
@@ -676,29 +644,12 @@ class CampaignEngine:
                     followers.append((record, leader, compiler))
                     continue
                 leaders[unit_key] = record
-                units.append(
-                    (
-                        record,
-                        compiler,
-                        kernel,
-                        frontend.fingerprints[compiler.kind],
-                        token,
-                    )
-                )
+                units.append((record, compiler, kernel))
 
-        def compile_unit(
-            unit: tuple[CompileRecord, Compiler, ir.Kernel, str, str]
-        ) -> None:
-            record, compiler, kernel, fingerprint, token = unit
+        def compile_unit(unit: tuple[CompileRecord, Compiler, ir.Kernel]) -> None:
+            record, compiler, kernel = unit
             try:
-                if self.cache is not None:
-                    binary, hit = compiler.compile_kernel_cached(
-                        kernel, record.level, self.cache, fingerprint, token
-                    )
-                    record.cache_hit = hit
-                else:
-                    binary = compiler.compile_kernel(kernel, record.level)
-                record.binary = binary
+                record.binary = compiler.compile_kernel(kernel, record.level)
                 record.ok = True
             except CompileError as e:
                 record.error = str(e)
@@ -714,7 +665,6 @@ class CampaignEngine:
             if not leader.ok:
                 continue
             record.ok = True
-            record.cache_hit = leader.cache_hit
             record.binary = self._rebind(compiler, leader.binary, record.level)
         return records
 
@@ -746,8 +696,7 @@ class CampaignEngine:
 
         Each distinct group becomes one picklable
         :data:`~repro.execution.batch.BatchTask` carrying the engine's
-        exec mode and the group's content key (seeding the per-process
-        tape cache); the backend decides whether those run inline, on
+        exec mode; the backend decides whether those run inline, on
         threads, or across processes, and always returns results in task
         order.
         """
@@ -774,13 +723,10 @@ class CampaignEngine:
         self._shared_runs += sum(len(members) - 1 for members in ordered)
 
         mode = self.engine_config.exec_mode
-        tasks = []
-        for key, members in groups.items():
-            binary = members[0].binary
-            # Label keys (share_runs off) are not content-addressed; let
-            # the batch layer derive the tape-cache key on demand.
-            cache_key = key if share else None
-            tasks.append((binary.kernel, binary.env, (inputs,), max_steps, mode, cache_key))
+        tasks = [
+            (members[0].binary.kernel, members[0].binary.env, (inputs,), max_steps, mode)
+            for members in ordered
+        ]
         if backend is not None and len(tasks) > 1:
             batches = backend.run_batches(tasks)
         else:

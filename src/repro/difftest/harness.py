@@ -1,49 +1,23 @@
-"""Compatibility facade over the staged campaign engine.
+"""One-call campaign entry point over the staged campaign engine.
 
 Historically this module held the monolithic campaign loop; the stages now
-live in :mod:`repro.difftest.engine`.  :class:`DifferentialHarness` and
-:func:`run_campaign` keep their original signatures and produce
-byte-identical results, so every table/figure reproduces unchanged —
-they are thin shims that construct a
-:class:`~repro.difftest.engine.CampaignEngine` and delegate.
+live in :mod:`repro.difftest.engine`.  :func:`run_campaign` keeps its
+original signature and produces byte-identical results, so every
+table/figure reproduces unchanged — it constructs a
+:class:`~repro.difftest.engine.CampaignEngine` and delegates.  Callers
+that test programs one at a time use
+:meth:`~repro.difftest.engine.CampaignEngine.test_program` directly.
 """
 
 from __future__ import annotations
 
 from repro.difftest.config import CampaignConfig
 from repro.difftest.engine import CampaignEngine, EngineConfig
-from repro.difftest.record import CampaignResult, ProgramOutcome
-from repro.generation.program import GeneratedProgram, ProgramGenerator
+from repro.difftest.record import CampaignResult
+from repro.generation.program import ProgramGenerator
 from repro.toolchains.base import Compiler
 
-__all__ = ["DifferentialHarness", "run_campaign"]
-
-
-class DifferentialHarness:
-    """Compiles, runs and compares one program across all configurations.
-
-    A facade over :class:`~repro.difftest.engine.CampaignEngine` for
-    callers that test programs one at a time (triage scripts, examples).
-    Raises :class:`ValueError` naming the offending compilers when the
-    matrix is degenerate (fewer than two compilers, duplicate names).
-    """
-
-    def __init__(
-        self,
-        compilers: list[Compiler],
-        config: CampaignConfig,
-        engine_config: EngineConfig | None = None,
-    ) -> None:
-        self._engine = CampaignEngine(compilers, config, engine_config)
-        self.compilers = self._engine.compilers
-        self.config = self._engine.config
-
-    @property
-    def engine(self) -> CampaignEngine:
-        return self._engine
-
-    def test_program(self, index: int, program: GeneratedProgram) -> ProgramOutcome:
-        return self._engine.test_program(index, program)
+__all__ = ["run_campaign"]
 
 
 def run_campaign(
@@ -58,10 +32,10 @@ def run_campaign(
 
     ``progress``, if given, is called as ``progress(i, outcome)`` after each
     program.  ``engine_config`` selects the execution backend, worker
-    count, sharding and caching
-    (:class:`~repro.difftest.engine.EngineConfig`); the default is a
-    single-worker engine with the compile cache on, which matches the
-    legacy serial loop bit-for-bit while skipping redundant recompiles.
+    count and sharding (:class:`~repro.difftest.engine.EngineConfig`);
+    the default is a single-worker engine, which matches the legacy
+    serial loop bit-for-bit while skipping redundant in-program
+    compilations and runs.
     ``store``, if given, is a
     :class:`~repro.difftest.store.CampaignStore` used to checkpoint and
     resume the campaign.  Returns the aggregate :class:`CampaignResult`

@@ -73,8 +73,8 @@ class CampaignResult:
 
     Time cost is attributed to the engine's five stages (generate /
     frontend / compile / execute / compare) plus simulated LLM latency;
-    the cache and run-sharing counters record how much of the compile+
-    execute matrix was deduplicated rather than recomputed.
+    the run-sharing counters record how much of the execute matrix was
+    deduplicated rather than recomputed.
     """
 
     approach: str
@@ -88,7 +88,8 @@ class CampaignResult:
     execute_seconds: float = 0.0
     compare_seconds: float = 0.0
     llm_latency_seconds: float = 0.0
-    #: content-addressed compile-cache counters (0 when the cache is off)
+    #: always 0: the engine keeps no cross-program compile cache; the
+    #: fields stay because external benchmark readers still report them
     cache_hits: int = 0
     cache_misses: int = 0
     #: executions served by an identical binary's run / total executions
@@ -149,11 +150,6 @@ class CampaignResult:
             "execute": self.execute_seconds,
             "compare": self.compare_seconds,
         }
-
-    @property
-    def cache_hit_rate(self) -> float:
-        lookups = self.cache_hits + self.cache_misses
-        return self.cache_hits / lookups if lookups else 0.0
 
     @property
     def run_share_rate(self) -> float:

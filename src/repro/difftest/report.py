@@ -77,7 +77,6 @@ class CampaignReport:
             "time_cost": format_hms(r.total_seconds),
             "time_seconds": r.total_seconds,
             "stage_seconds": r.stage_seconds,
-            "cache_hit_rate": r.cache_hit_rate,
             "run_share_rate": r.run_share_rate,
         }
 
@@ -91,9 +90,6 @@ class CampaignReport:
             "stage_seconds": r.stage_seconds,
             "llm_latency_seconds": r.llm_latency_seconds,
             "total_seconds": r.total_seconds,
-            "cache_hits": r.cache_hits,
-            "cache_misses": r.cache_misses,
-            "cache_hit_rate": r.cache_hit_rate,
             "shared_runs": r.shared_runs,
             "total_runs": r.total_runs,
             "run_share_rate": r.run_share_rate,
@@ -109,11 +105,6 @@ class CampaignReport:
             lines.append(
                 f"  {'llm':<10} {format_hms(r.llm_latency_seconds)}"
                 f"  ({r.llm_latency_seconds:8.2f}s)"
-            )
-        if r.cache_hits or r.cache_misses:
-            lines.append(
-                f"  compile cache: {r.cache_hits}/{r.cache_hits + r.cache_misses}"
-                f" hits ({r.cache_hit_rate * 100:.1f}%)"
             )
         if r.total_runs:
             lines.append(

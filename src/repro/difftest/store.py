@@ -355,7 +355,7 @@ def load_result(path: str | os.PathLike) -> CampaignResult:
     The file is self-describing (the header pins approach, budget, levels,
     compilers and shard), so this is how shard results come back together
     after running on separate machines: load each shard's JSONL and hand
-    the results to :func:`merge_shards`.  Timing and cache/dedup counters
+    the results to :func:`merge_shards`.  Timing and dedup counters
     are not checkpointed — they describe the machine that ran the shard,
     not the campaign — so they read zero on a loaded result.
     """
@@ -519,8 +519,6 @@ def merge_shards(results: list[CampaignResult]) -> CampaignResult:
         execute_seconds=sum(r.execute_seconds for r in results),
         compare_seconds=sum(r.compare_seconds for r in results),
         llm_latency_seconds=max(r.llm_latency_seconds for r in results),
-        cache_hits=sum(r.cache_hits for r in results),
-        cache_misses=sum(r.cache_misses for r in results),
         shared_runs=sum(r.shared_runs for r in results),
         total_runs=sum(r.total_runs for r in results),
         shard_index=0,

@@ -19,20 +19,18 @@ Three execution modes (``EXEC_MODES``):
   Results are compared on raw IEEE bits — never dataclass equality,
   which NaN payloads would defeat.
 
-Tapes are cached per process, keyed on (kernel fingerprint, environment
-fingerprint) content hashes, so process-pool workers compile each kernel
-at most once no matter how tasks are chunked.
+A tape lives exactly as long as its runner: there is no cross-task tape
+cache.  The engine already runs each distinct (kernel, environment) of a
+program once, so a tape would never be looked up again.
 """
 
 from __future__ import annotations
-
-from collections import OrderedDict
 
 from repro.errors import ExecutionDivergence
 from repro.execution.interp import Interpreter
 from repro.execution.limits import DEFAULT_MAX_STEPS
 from repro.execution.result import ExecutionResult
-from repro.execution.tape import Tape, compile_tape
+from repro.execution.tape import compile_tape
 from repro.fp.bits import double_to_bits
 from repro.fp.env import FPEnvironment
 from repro.ir import nodes as ir
@@ -53,36 +51,8 @@ EXEC_MODES = ("tree", "tape", "check")
 DEFAULT_EXEC_MODE = "tape"
 
 #: A picklable batched execution unit: ``(kernel, env, inputs_batch,
-#: max_steps, exec_mode, cache_key)``.  ``inputs_batch`` is a tuple of
-#: input vectors; ``cache_key`` is an optional precomputed content key
-#: for the per-process tape cache (``None`` derives it on demand).
+#: max_steps, exec_mode)``.  ``inputs_batch`` is a tuple of input vectors.
 BatchTask = tuple
-
-#: Per-process compiled-tape cache.  Bounded so a long-lived worker
-#: recycling thousands of kernels cannot grow without limit.
-_TAPE_CACHE_CAPACITY = 512
-_tape_cache: OrderedDict[tuple, Tape] = OrderedDict()
-
-
-def _content_key(kernel: ir.Kernel, env: FPEnvironment) -> tuple:
-    # Lazy import: toolchains.cache imports execution modules at package
-    # init; importing it at module scope here would cycle.
-    from repro.toolchains.cache import env_fingerprint, kernel_fingerprint
-
-    return (kernel_fingerprint(kernel), env_fingerprint(env))
-
-
-def _cached_tape(kernel: ir.Kernel, env: FPEnvironment, cache_key) -> Tape:
-    key = cache_key if cache_key is not None else _content_key(kernel, env)
-    tape = _tape_cache.get(key)
-    if tape is None:
-        tape = compile_tape(kernel, env)
-        _tape_cache[key] = tape
-        if len(_tape_cache) > _TAPE_CACHE_CAPACITY:
-            _tape_cache.popitem(last=False)
-    else:
-        _tape_cache.move_to_end(key)
-    return tape
 
 
 def result_key(r: ExecutionResult) -> tuple:
@@ -101,8 +71,8 @@ class KernelRunner:
 
     In ``tree`` mode a single :class:`Interpreter` is reused (reset
     between inputs) instead of re-instantiated per input; in ``tape``
-    mode the compiled tape comes from the per-process cache; ``check``
-    runs both and verifies bit identity.
+    mode one tape is compiled for the whole batch; ``check`` runs both
+    and verifies bit identity.
     """
 
     __slots__ = ("kernel", "env", "mode", "_interp", "_tape")
@@ -112,7 +82,6 @@ class KernelRunner:
         kernel: ir.Kernel,
         env: FPEnvironment,
         mode: str = DEFAULT_EXEC_MODE,
-        cache_key=None,
     ) -> None:
         if mode not in EXEC_MODES:
             raise ValueError(
@@ -122,7 +91,7 @@ class KernelRunner:
         self.env = env
         self.mode = mode
         self._interp = None if mode == "tape" else Interpreter(kernel, env)
-        self._tape = None if mode == "tree" else _cached_tape(kernel, env, cache_key)
+        self._tape = None if mode == "tree" else compile_tape(kernel, env)
 
     def run(self, inputs: tuple, max_steps: int = DEFAULT_MAX_STEPS) -> ExecutionResult:
         if self.mode == "tape":
@@ -149,14 +118,12 @@ def run_batch(
     inputs_batch: tuple,
     max_steps: int = DEFAULT_MAX_STEPS,
     mode: str = DEFAULT_EXEC_MODE,
-    cache_key=None,
 ) -> tuple[ExecutionResult, ...]:
     """Execute ``kernel`` on every input vector of ``inputs_batch``."""
-    runner = KernelRunner(kernel, env, mode, cache_key)
+    runner = KernelRunner(kernel, env, mode)
     return tuple(runner.run(inputs, max_steps) for inputs in inputs_batch)
 
 
 def run_batch_task(task: BatchTask) -> tuple[ExecutionResult, ...]:
     """Unpack one :data:`BatchTask` and run it (pool ``map`` entry point)."""
-    kernel, env, inputs_batch, max_steps, mode, cache_key = task
-    return run_batch(kernel, env, inputs_batch, max_steps, mode, cache_key)
+    return run_batch(*task)

@@ -41,8 +41,6 @@ class ExperimentContext:
             )
         return EngineConfig(
             jobs=s.jobs,
-            compile_cache=s.compile_cache,
-            cache_capacity=s.cache_capacity,
             backend=s.backend,
             shard_index=shard_index,
             shard_count=shard_count,

@@ -97,14 +97,6 @@ class ExperimentSettings:
     exec_mode: str = field(
         default_factory=lambda: os.environ.get("REPRO_EXEC_MODE", DEFAULT_EXEC_MODE)
     )
-    #: content-addressed compile cache (``REPRO_CACHE=0`` disables)
-    compile_cache: bool = field(
-        default_factory=lambda: _env_int("REPRO_CACHE", 1) != 0
-    )
-    #: LRU bound of the compile cache, in binaries
-    cache_capacity: int = field(
-        default_factory=lambda: _env_int("REPRO_CACHE_CAPACITY", 4096)
-    )
     #: budget shard ``"i/n"`` (``REPRO_SHARD``); empty = the whole budget
     shard: str | None = field(
         default_factory=lambda: os.environ.get("REPRO_SHARD") or None
@@ -164,8 +156,6 @@ class ExperimentSettings:
                 f"exec_mode must be one of {', '.join(EXEC_MODES)}, "
                 f"got {self.exec_mode!r}"
             )
-        if self.cache_capacity < 1:
-            raise ValueError("cache_capacity must be >= 1")
         parse_shard(self.shard)  # validates "i/n"
         if self.islands < 0:
             raise ValueError("islands must be >= 0 (0 disables the island model)")
@@ -194,8 +184,6 @@ ENV_KNOBS: dict[str, str] = {
     "jobs": "REPRO_JOBS",
     "backend": "REPRO_BACKEND",
     "exec_mode": "REPRO_EXEC_MODE",
-    "compile_cache": "REPRO_CACHE",
-    "cache_capacity": "REPRO_CACHE_CAPACITY",
     "shard": "REPRO_SHARD",
     "islands": "REPRO_ISLANDS",
     "merge_every": "REPRO_MERGE_EVERY",

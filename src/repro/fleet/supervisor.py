@@ -83,7 +83,6 @@ class CampaignSpec:
     backend: str | None = None
     jobs: str | None = None
     exec_mode: str | None = None
-    compile_cache: bool = True
     #: island-model generation: islands per campaign (None = worker
     #: default — 0, or auto-islands for a sharded feedback approach)
     islands: int | None = None
@@ -132,8 +131,6 @@ class CampaignSpec:
             argv += ["--islands", str(self.islands)]
         if self.merge_every is not None:
             argv += ["--merge-every", str(self.merge_every)]
-        if not self.compile_cache:
-            argv += ["--no-cache"]
         return argv
 
     def owned(self, shard_index: int, shard_count: int) -> int:

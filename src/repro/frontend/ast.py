@@ -7,6 +7,7 @@ so the AST stays immutable and shareable between pipelines).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Union
 
@@ -266,9 +267,24 @@ Step = tuple[str, "int | None"]
 Path = tuple[Step, ...]
 
 
-def is_node(value: object) -> bool:
-    """Whether ``value`` is an AST node (a dataclass defined in this module)."""
-    return is_dataclass(value) and type(value).__module__ == __name__
+#: Every node class of this module.
+_NODE_CLASSES = [
+    cls
+    for cls in list(globals().values())
+    if isinstance(cls, type) and is_dataclass(cls) and cls.__module__ == __name__
+]
+
+_NODE_TYPE = re.compile(
+    r"\b(%s)\b" % "|".join(["Expr", "Stmt"] + [cls.__name__ for cls in _NODE_CLASSES])
+)
+
+#: Per node class, its child fields in declaration order: the fields whose
+#: annotation names a node class or the ``Expr``/``Stmt`` unions (bare, as
+#: a tuple, or ``| None``).  Leaves map to ``()``.
+CHILD_FIELDS: dict[type, tuple[str, ...]] = {
+    cls: tuple(f.name for f in fields(cls) if _NODE_TYPE.search(f.type))
+    for cls in _NODE_CLASSES
+}
 
 
 def child_steps(node):
@@ -276,16 +292,31 @@ def child_steps(node):
 
     Children inside tuple-valued fields (block statements, call arguments,
     declarators, ...) get an indexed step; scalar fields (types, names,
-    literal values) are skipped.
+    literal values) are not child fields.
     """
-    for f in fields(node):
-        value = getattr(node, f.name)
-        if is_node(value):
-            yield (f.name, None), value
-        elif isinstance(value, tuple):
+    for name in CHILD_FIELDS[type(node)]:
+        value = getattr(node, name)
+        if type(value) is tuple:
             for i, item in enumerate(value):
-                if is_node(item):
-                    yield (f.name, i), item
+                yield (name, i), item
+        elif value is not None:
+            yield (name, None), value
+
+
+def depth(root) -> int:
+    """Levels of the tree under ``root`` (a leaf has depth 1).
+
+    Iterative, so it measures trees too deep for the recursive passes.
+    """
+    deepest = 0
+    stack = [(root, 1)]
+    while stack:
+        node, level = stack.pop()
+        if level > deepest:
+            deepest = level
+        for _, child in child_steps(node):
+            stack.append((child, level + 1))
+    return deepest
 
 
 def child_at(node, step: Step):

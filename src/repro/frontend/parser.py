@@ -17,7 +17,14 @@ from repro.frontend.ctypes import CType
 from repro.frontend.lexer import tokenize
 from repro.frontend.tokens import Token, TokenKind
 
-__all__ = ["Parser", "parse_program"]
+__all__ = ["Parser", "parse_program", "MAX_AST_DEPTH"]
+
+#: Deepest AST :func:`parse_program` accepts.  Sema, the C printer, IR
+#: lowering and the IR's dataclass ``repr``/``==`` recurse at least once per
+#: level; a 400-term ``x+x+...`` chain already overflows the interpreter
+#: stack in lowering, so the cap sits well below that.  Generated programs
+#: stay under 20 levels.
+MAX_AST_DEPTH = 200
 
 
 class Parser:
@@ -426,9 +433,15 @@ def parse_program(source: str) -> ast.TranslationUnit:
     same unit.  Sharing is safe because AST nodes are frozen and sema keeps
     types and symbols out of band, in a :class:`~repro.frontend.sema.SemaResult`.
     A failed parse is not cached, so every call on bad text raises.
+
+    A tree deeper than :data:`MAX_AST_DEPTH` is a :class:`ParseError`, so
+    no later stage meets a tree its recursion cannot handle.
     """
     parser = Parser(source)
     try:
-        return parser.parse()
+        unit = parser.parse()
     except RecursionError:
         raise parser._error("program nests too deeply") from None
+    if ast.depth(unit) > MAX_AST_DEPTH:
+        raise ParseError("program nests too deeply")
+    return unit

@@ -8,8 +8,6 @@ paper's setup: ``gcc`` 9.4 and ``clang`` 12.0 as host compilers, ``nvcc``
 
 from repro.toolchains.base import Binary, Compiler, CompilerKind
 from repro.toolchains.cache import (
-    CacheStats,
-    CompileCache,
     env_fingerprint,
     kernel_fingerprint,
     scalar_env_fingerprint,
@@ -29,9 +27,7 @@ from repro.toolchains.system import SystemGcc, system_gcc_available
 
 __all__ = [
     "Binary",
-    "CacheStats",
     "Compiler",
-    "CompileCache",
     "CompilerKind",
     "env_fingerprint",
     "kernel_fingerprint",

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.errors import CompileError, ReproError
 from repro.execution.interp import Interpreter
@@ -107,50 +107,20 @@ class Compiler:
             flags=flags_for(self.name, level),
         )
 
-    # -- compile caching ---------------------------------------------------------
+    # -- level classes -----------------------------------------------------------
 
     def cache_token(self, level: OptLevel) -> str:
-        """Cache-key component identifying this compiler's (pipeline,
-        environment) pair at ``level``.
+        """Token identifying this compiler's (pipeline, environment) pair at
+        ``level``.
 
         Levels whose pipeline *and* environment coincide may return one
-        token, letting the compile cache serve a single optimized binary
-        for the whole equivalence class (gcc's O1/O2/O3 run the same
-        passes, nvcc contracts FMA identically at every level but
+        token, letting the engine compile a single optimized binary per
+        program for the whole equivalence class (gcc's O1/O2/O3 run the
+        same passes, nvcc contracts FMA identically at every level but
         ``O0_nofma``, ...).  The default is maximally conservative — one
         token per level — which is always correct.
         """
         return str(level)
-
-    def compile_kernel_cached(
-        self,
-        kernel: ir.Kernel,
-        level: OptLevel,
-        cache,
-        kernel_key: str,
-        token: str | None = None,
-    ) -> tuple[Binary, bool]:
-        """Compile via a content-addressed cache; returns (binary, hit).
-
-        ``cache`` is a :class:`~repro.toolchains.cache.CompileCache` (or
-        anything with its get/put interface) and ``kernel_key`` the
-        kernel's content fingerprint.  ``token`` overrides the level
-        component of the key (defaults to :meth:`cache_token`).  A cached
-        binary compiled at a sibling level of the same equivalence class
-        is re-labelled with this level's metadata; its optimized kernel
-        and environment are identical by construction.
-        """
-        key = (kernel_key, self.name, token if token is not None else self.cache_token(level))
-        binary = cache.get(key)
-        if binary is not None:
-            if binary.level is not level:
-                binary = replace(
-                    binary, level=level, flags=_flags_or(self.name, level, binary.flags)
-                )
-            return binary, True
-        binary = self.compile_kernel(kernel, level)
-        cache.put(key, binary)
-        return binary, False
 
     def sema_options(self) -> SemaOptions:
         return SemaOptions()

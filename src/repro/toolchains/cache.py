@@ -1,13 +1,10 @@
-"""Content-addressed compile caching for the campaign engine.
+"""Content fingerprints of kernels and FP environments.
 
-A simulated compilation is a pure function of (lowered kernel, pass
-pipeline, FP environment), so its :class:`~repro.toolchains.base.Binary`
-can be reused whenever all three coincide — across optimization levels of
-one compiler (gcc models the same pipeline at O1/O2/O3), and across
-structurally identical kernels anywhere in a campaign (mutation-based
-generators revisit shapes constantly).
-
-Keys are *content addresses*, never object identities:
+The engine shares one execution between the binaries of a program whose
+optimized kernel and environment coincide (run sharing), the structural
+tagger compares environments, and the corpus hashes environments into
+its compiler-model fingerprint.  All need keys that address *content*,
+never object identity:
 
 * :func:`kernel_fingerprint` hashes the canonical ``repr`` of the frozen
   IR tree.  ``repr`` distinguishes ``-0.0`` from ``0.0`` (structural
@@ -16,31 +13,22 @@ Keys are *content addresses*, never object identities:
 * :func:`env_fingerprint` captures everything an
   :class:`~repro.fp.env.FPEnvironment` feeds into execution: precision,
   libm identity + perturbation parameters, FTZ and approx-unit flags.
-* The per-(compiler, level) component is the compiler's
-  ``cache_token(level)`` (see :class:`~repro.toolchains.base.Compiler`),
-  which maps levels with identical (pipeline, environment) to one token.
 
-:class:`CompileCache` is a bounded LRU safe for use from the engine's
-worker threads; eviction only ever costs a recompile, never correctness.
+Nothing here is cached across programs: a fingerprint is computed, used
+as a dict key within one program and dropped with it.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass
 
 from repro.fp.env import FPEnvironment
 from repro.ir import nodes as ir
-from repro.toolchains.base import Binary
 
 __all__ = [
     "kernel_fingerprint",
     "env_fingerprint",
     "scalar_env_fingerprint",
-    "CacheStats",
-    "CompileCache",
 ]
 
 
@@ -99,76 +87,3 @@ def scalar_env_fingerprint(env: FPEnvironment) -> tuple:
         env.approx_sqrt,
         env._salt,
     )
-
-
-@dataclass(frozen=True)
-class CacheStats:
-    """Hit/miss counters plus occupancy of one :class:`CompileCache`."""
-
-    hits: int
-    misses: int
-    size: int
-    capacity: int
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
-
-class CompileCache:
-    """Bounded LRU of compiled binaries keyed by content address.
-
-    Key: ``(kernel fingerprint, compiler name, cache token)``.  Thread
-    safe — the engine's compile stage may probe and fill it from several
-    workers at once; concurrent fills of one key are benign because the
-    pipelines are deterministic, so both writers store equal binaries.
-    """
-
-    def __init__(self, capacity: int = 4096) -> None:
-        if capacity <= 0:
-            raise ValueError("cache capacity must be positive")
-        self.capacity = capacity
-        self._entries: OrderedDict[tuple, Binary] = OrderedDict()
-        self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-
-    def get(self, key: tuple) -> Binary | None:
-        with self._lock:
-            binary = self._entries.get(key)
-            if binary is None:
-                self._misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self._hits += 1
-            return binary
-
-    def put(self, key: tuple, binary: Binary) -> None:
-        with self._lock:
-            self._entries[key] = binary
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-
-    def stats(self) -> CacheStats:
-        with self._lock:
-            return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                size=len(self._entries),
-                capacity=self.capacity,
-            )
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._hits = 0
-            self._misses = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)

@@ -92,9 +92,9 @@ class NvccCompiler(Compiler):
     def cache_token(self, level: OptLevel) -> str:
         # One FmaContract+Vectorize pipeline everywhere except O0_nofma;
         # fast math changes the environment only for single-precision
-        # kernels.  The token carries the instance knobs because cache keys
-        # include only the family name, and two NvccCompiler instances may
-        # differ.
+        # kernels.  The token carries the instance knobs because keys built
+        # from it include only the family name, and two NvccCompiler
+        # instances may differ.
         cfg = f"{self.precision.value},fmad={self.fmad_prob}"
         if self.tiers != "baseline":
             cfg += f",tiers={self.tiers}"

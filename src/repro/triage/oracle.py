@@ -130,17 +130,17 @@ class PairOracle:
     ) -> list[PairObservation]:
         """Observe many candidates at once, fanning the executions out.
 
-        Compilation stays in the calling process (the compilers' pipeline
-        caches live there); the 2x len(``sources``) kernel runs ship to
-        ``backend`` (an :class:`~repro.difftest.backend.ExecutionBackend`)
-        as batched tasks under ``exec_mode``.  Verdicts are returned in
+        Compilation stays in the calling process; the 2x
+        len(``sources``) kernel runs ship to ``backend`` (an
+        :class:`~repro.difftest.backend.ExecutionBackend`) as batched tasks
+        under ``exec_mode``.  Verdicts are returned in
         source order and are bit-identical to looping :meth:`observe` —
         runs are pure, so only the schedule differs.
         """
         self.evaluations += len(sources)
         compiled = [self._compile_pair(source) for source in sources]
         tasks = [
-            (b.kernel, b.env, (inputs,), self.max_steps, exec_mode, None)
+            (b.kernel, b.env, (inputs,), self.max_steps, exec_mode)
             for binaries in compiled
             if binaries is not None
             for b in binaries

@@ -1,5 +1,5 @@
-"""The staged campaign engine: determinism, caching, sharing, stages,
-backends, sharding."""
+"""The staged campaign engine: determinism, sharing, stages, backends,
+sharding."""
 
 import pytest
 
@@ -18,16 +18,17 @@ from repro.difftest.engine import (
     _differing_values,
     _diffing_digits,
 )
-from repro.difftest.harness import DifferentialHarness, run_campaign
+from repro.difftest.harness import run_campaign
 from repro.difftest.store import merge_shards
 from repro.experiments.approaches import make_generator
 from repro.fp.bits import double_to_hex
 from repro.generation.program import GeneratedProgram
 from repro.toolchains import (
     ClangCompiler,
-    CompileCache,
     GccCompiler,
     NvccCompiler,
+    default_compilers,
+    env_fingerprint,
     kernel_fingerprint,
 )
 from repro.utils.rng import SplittableRng
@@ -95,30 +96,21 @@ def run_with(engine_config, approach="varity", budget=8, seed=123):
 
 class TestDeterminism:
     """The acceptance property: results are byte-identical across job
-    counts and cache configurations; only timings may differ."""
+    counts and sharing configurations; only timings may differ."""
 
     def test_jobs_1_vs_4_identical(self):
         serial = run_with(EngineConfig(jobs=1))
         parallel = run_with(EngineConfig(jobs=4))
         assert result_key(serial) == result_key(parallel)
 
-    def test_cache_on_off_identical(self):
-        cold = run_with(EngineConfig(jobs=1, compile_cache=False))
-        cached = run_with(EngineConfig(jobs=1, compile_cache=True))
-        assert result_key(cold) == result_key(cached)
-
     def test_sharing_on_off_identical(self):
-        legacy = run_with(
-            EngineConfig(jobs=1, compile_cache=False, share_runs=False)
-        )
-        shared = run_with(EngineConfig(jobs=1, compile_cache=True, share_runs=True))
+        legacy = run_with(EngineConfig(jobs=1, share_runs=False))
+        shared = run_with(EngineConfig(jobs=1, share_runs=True))
         assert result_key(legacy) == result_key(shared)
 
     def test_parallel_all_knobs_identical_to_legacy(self):
-        legacy = run_with(
-            EngineConfig(jobs=1, compile_cache=False, share_runs=False)
-        )
-        full = run_with(EngineConfig(jobs=4, compile_cache=True, share_runs=True))
+        legacy = run_with(EngineConfig(jobs=1, share_runs=False))
+        full = run_with(EngineConfig(jobs=4, share_runs=True))
         assert result_key(legacy) == result_key(full)
 
     def test_shim_matches_engine(self):
@@ -283,7 +275,7 @@ class TestSharding:
 
 
 class _Repeat:
-    """Generator stub: the same program every time (cache torture test)."""
+    """Generator stub: the same program every time."""
 
     name = "repeat"
 
@@ -297,28 +289,34 @@ class _Repeat:
         pass
 
 
-class TestCompileCache:
-    def test_repeated_kernel_hits_cache(self):
+class TestRunSharing:
+    def test_matrix_dedup_counts(self):
         program = GeneratedProgram(source=TRANSCENDENTAL, inputs=(0.37, 1.91, 5))
         compilers = [GccCompiler(), ClangCompiler(), NvccCompiler()]
         engine = CampaignEngine(
-            compilers, CampaignConfig(budget=4), EngineConfig(jobs=1)
+            compilers, CampaignConfig(budget=1), EngineConfig(jobs=1)
         )
         result = engine.run(_Repeat(program))
-        # 12 distinct (compiler, level-class) units per program (gcc and
-        # clang each split O0/O1/O2+vec4/O3+vec8/fastmath, nvcc keeps two
-        # classes); programs 2..4 are pure cache hits.
-        assert result.cache_misses == 12
-        assert result.cache_hits == 36
-        assert result.cache_hit_rate == pytest.approx(0.75)
+        assert result.total_runs == 18
+        # at minimum the within-compiler level classes collapse 18 -> <= 12
+        # (the vector tier splits O2/O3 into their own classes)
+        assert result.shared_runs >= 9
+        assert result.run_share_rate >= 9 / 18
 
-    def test_cache_disabled_records_no_lookups(self):
-        result = run_with(EngineConfig(jobs=1, compile_cache=False), budget=2)
-        assert result.cache_hits == 0 and result.cache_misses == 0
+    def test_sharing_disabled_runs_everything(self):
+        program = GeneratedProgram(source=TRANSCENDENTAL, inputs=(0.37, 1.91, 5))
+        compilers = [GccCompiler(), ClangCompiler(), NvccCompiler()]
+        engine = CampaignEngine(
+            compilers,
+            CampaignConfig(budget=1),
+            EngineConfig(jobs=1, share_runs=False),
+        )
+        result = engine.run(_Repeat(program))
+        assert result.total_runs == 18 and result.shared_runs == 0
 
     def test_reused_engine_reports_per_run_counters(self):
-        # A second run on the same engine (warm cache) must report that
-        # run's own deltas, not lifetime totals.
+        # A second run on the same engine must report that run's own
+        # deltas, not lifetime totals.
         program = GeneratedProgram(source=TRANSCENDENTAL, inputs=(0.37, 1.91, 5))
         compilers = [GccCompiler(), ClangCompiler(), NvccCompiler()]
         engine = CampaignEngine(
@@ -327,23 +325,7 @@ class TestCompileCache:
         first = engine.run(_Repeat(program))
         second = engine.run(_Repeat(program))
         assert first.total_runs == second.total_runs == 2 * 18
-        assert second.cache_misses == 0  # fully warm
-        assert second.cache_hits == 24  # 12 units x 2 programs
-        assert first.cache_misses == 12 and first.cache_hits == 12
-
-    def test_lru_eviction_bounds_size(self):
-        cache = CompileCache(capacity=2)
-        gcc = GccCompiler()
-        from repro.frontend.parser import parse_program
-        from repro.frontend.sema import check_program
-        from repro.ir.lower import lower_compute
-        from repro.toolchains import OptLevel
-
-        kernel = lower_compute(check_program(parse_program(TRANSCENDENTAL)))
-        fp = kernel_fingerprint(kernel)
-        for token in ("a", "b", "c"):
-            gcc.compile_kernel_cached(kernel, OptLevel.O0, cache, fp, token)
-        assert len(cache) == 2
+        assert first.shared_runs == second.shared_runs
 
     def test_fingerprint_distinguishes_signed_zero(self):
         from repro.frontend.parser import parse_program
@@ -373,30 +355,88 @@ class TestCompileCache:
         assert kernel_fingerprint(plus) != kernel_fingerprint(minus)
 
 
-class TestRunSharing:
-    def test_matrix_dedup_counts(self):
-        program = GeneratedProgram(source=TRANSCENDENTAL, inputs=(0.37, 1.91, 5))
-        compilers = [GccCompiler(), ClangCompiler(), NvccCompiler()]
-        engine = CampaignEngine(
-            compilers, CampaignConfig(budget=1), EngineConfig(jobs=1)
-        )
-        result = engine.run(_Repeat(program))
-        assert result.total_runs == 18
-        # at minimum the within-compiler level classes collapse 18 -> <= 12
-        # (the vector tier splits O2/O3 into their own classes)
-        assert result.shared_runs >= 9
-        assert result.run_share_rate >= 9 / 18
+def _counted_loops_campaign(monkeypatch):
+    """A 20-program serial ``loops`` campaign (the approach that revisits
+    kernels across programs most often) with ``Compiler.compile_kernel`` and
+    ``compile_tape`` counted per program.
 
-    def test_sharing_disabled_runs_everything(self):
-        program = GeneratedProgram(source=TRANSCENDENTAL, inputs=(0.37, 1.91, 5))
-        compilers = [GccCompiler(), ClangCompiler(), NvccCompiler()]
-        engine = CampaignEngine(
-            compilers,
-            CampaignConfig(budget=1),
-            EngineConfig(jobs=1, compile_cache=False, share_runs=False),
-        )
-        result = engine.run(_Repeat(program))
-        assert result.total_runs == 18 and result.shared_runs == 0
+    Returns the engine, the result, one ``(outcome, compile keys, tape
+    keys)`` triple per program, and the ids of every tape compiled.
+    """
+    from repro.execution import batch
+    from repro.toolchains.base import Compiler
+
+    compiles: list[tuple[str, str]] = []
+    tapes: list[tuple[str, tuple]] = []
+    tape_ids: set[int] = set()
+    compile_kernel = Compiler.compile_kernel
+    compile_tape = batch.compile_tape
+
+    def counting_compile(compiler, kernel, level):
+        compiles.append((compiler.name, compiler.cache_token(level)))
+        return compile_kernel(compiler, kernel, level)
+
+    def counting_tape(kernel, env):
+        tapes.append((kernel_fingerprint(kernel), env_fingerprint(env)))
+        tape = compile_tape(kernel, env)
+        tape_ids.add(id(tape))
+        return tape
+
+    monkeypatch.setattr(Compiler, "compile_kernel", counting_compile)
+    monkeypatch.setattr(batch, "compile_tape", counting_tape)
+    per_program = []
+
+    def progress(index, outcome):
+        per_program.append((outcome, list(compiles), list(tapes)))
+        compiles.clear()
+        tapes.clear()
+
+    # At this seed one program lowers to a kernel an earlier program
+    # already compiled, so a cross-program cache would serve it.
+    seed = 20250919
+    engine = CampaignEngine(
+        default_compilers(),
+        CampaignConfig(budget=20, seed=seed),
+        EngineConfig(backend="serial", jobs=1, exec_mode="tape"),
+    )
+    result = engine.run(
+        make_generator("loops", SplittableRng(seed, "cli-loops")), progress=progress
+    )
+    assert len(per_program) == 20
+    return engine, result, per_program, tape_ids
+
+
+class TestNothingCachedAcrossPrograms:
+    """Only in-program dedup remains: no compilation or tape is reused
+    from an earlier program, and no tape outlives its campaign."""
+
+    def test_one_compile_per_leader_one_tape_per_group(self, monkeypatch):
+        from repro.difftest.engine import frontend_kernels
+
+        engine, result, per_program, _ = _counted_loops_campaign(monkeypatch)
+        for outcome, compiled, taped in per_program:
+            kernels = frontend_kernels(outcome.program.source).kernels
+            leaders = {
+                (c.name, c.cache_token(level))
+                for c in engine.compilers
+                if c.kind in kernels
+                for level in engine.config.levels
+            }
+            assert sorted(compiled) == sorted(leaders)
+            assert len(taped) == len(set(taped))
+        groups = result.total_runs - result.shared_runs
+        assert sum(len(taped) for _, _, taped in per_program) == groups
+
+    def test_no_tape_outlives_the_campaign(self, monkeypatch):
+        import gc
+
+        from repro.execution.tape import Tape
+
+        *_, tape_ids = _counted_loops_campaign(monkeypatch)
+        assert tape_ids
+        gc.collect()
+        alive = [o for o in gc.get_objects() if isinstance(o, Tape) and id(o) in tape_ids]
+        assert alive == []
 
 
 class TestStageAccounting:
@@ -427,12 +467,12 @@ class TestValidation:
 
     def test_duplicate_names_listed(self):
         with pytest.raises(ValueError, match="duplicate name"):
-            DifferentialHarness(
+            CampaignEngine(
                 [GccCompiler(), GccCompiler(), NvccCompiler()],
                 CampaignConfig(budget=1),
             )
         with pytest.raises(ValueError, match="gcc"):
-            DifferentialHarness(
+            CampaignEngine(
                 [GccCompiler(), GccCompiler(), NvccCompiler()],
                 CampaignConfig(budget=1),
             )
@@ -440,8 +480,6 @@ class TestValidation:
     def test_engine_config_validation(self):
         with pytest.raises(ValueError):
             EngineConfig(jobs=0)
-        with pytest.raises(ValueError):
-            EngineConfig(cache_capacity=0)
 
 
 class TestDifferingValueGuard:

@@ -1,9 +1,10 @@
-"""The differential harness and campaign loop."""
+"""Single-program testing and the campaign loop."""
 
 import pytest
 
 from repro.difftest.config import CampaignConfig
-from repro.difftest.harness import DifferentialHarness, run_campaign
+from repro.difftest.engine import CampaignEngine
+from repro.difftest.harness import run_campaign
 from repro.difftest.report import CampaignReport
 from repro.generation.program import GeneratedProgram
 from repro.toolchains import ClangCompiler, GccCompiler, NvccCompiler
@@ -56,7 +57,7 @@ int main(int argc, char **argv) {
 
 def harness(budget=4):
     compilers = [GccCompiler(), ClangCompiler(), NvccCompiler()]
-    return DifferentialHarness(compilers, CampaignConfig(budget=budget))
+    return CampaignEngine(compilers, CampaignConfig(budget=budget))
 
 
 def prog(source, inputs):
@@ -95,11 +96,11 @@ class TestHarness:
 
     def test_needs_two_compilers(self):
         with pytest.raises(ValueError):
-            DifferentialHarness([GccCompiler()], CampaignConfig(budget=1))
+            CampaignEngine([GccCompiler()], CampaignConfig(budget=1))
 
     def test_unique_names_required(self):
         with pytest.raises(ValueError):
-            DifferentialHarness(
+            CampaignEngine(
                 [GccCompiler(), GccCompiler()], CampaignConfig(budget=1)
             )
 

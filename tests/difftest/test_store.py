@@ -162,9 +162,8 @@ class TestResume:
         _engine(4).run(_generator(), store=CampaignStore(path))
         fresh = _engine(4)
         result = fresh.run(_generator(), store=CampaignStore(path))
-        # everything replayed from the store: no compiles, no executions
+        # everything replayed from the store: no program is re-tested
         assert result.total_runs == 0
-        assert result.cache_misses == 0
         assert len(result.outcomes) == 4
 
     def test_wrong_seed_store_rejected(self, tmp_path):

@@ -18,8 +18,6 @@ from repro.execution.batch import (
     DEFAULT_EXEC_MODE,
     EXEC_MODES,
     KernelRunner,
-    _cached_tape,
-    _tape_cache,
     result_key,
     run_batch,
     run_batch_task,
@@ -418,7 +416,7 @@ class TestKernelRunnerModes:
 
     def test_run_batch_task_roundtrip(self):
         kernel, env = self._kernel()
-        task = (kernel, env, ((0.5, 4), (1.0, 0)), 10_000, "tape", None)
+        task = (kernel, env, ((0.5, 4), (1.0, 0)), 10_000, "tape")
         direct = run_batch(kernel, env, ((0.5, 4), (1.0, 0)), 10_000, "tree")
         assert [result_key(r) for r in run_batch_task(task)] == [
             result_key(r) for r in direct
@@ -426,44 +424,6 @@ class TestKernelRunnerModes:
 
 
 class TestTapeCache:
-    def test_content_keyed_reuse(self):
-        _tape_cache.clear()
-        k1 = lower(
-            'void compute(double a) { printf("%g\\n", a + 1.0); }'
-            " int main() { return 0; }"
-        )
-        k2 = lower(
-            'void compute(double a) { printf("%g\\n", a + 1.0); }'
-            " int main() { return 0; }"
-        )
-        env = FPEnvironment()
-        t1 = _cached_tape(k1, env, None)
-        t2 = _cached_tape(k2, env, None)  # content-equal, distinct object
-        assert t1 is t2
-        assert len(_tape_cache) == 1
-
-    def test_distinct_env_distinct_tape(self):
-        _tape_cache.clear()
-        kernel = lower(
-            'void compute(double a) { printf("%g\\n", a / 3.0); }'
-            " int main() { return 0; }"
-        )
-        t1 = _cached_tape(kernel, FPEnvironment(), None)
-        t2 = _cached_tape(kernel, FPEnvironment(ftz=True), None)
-        assert t1 is not t2
-        assert len(_tape_cache) == 2
-
-    def test_explicit_key_skips_fingerprinting(self):
-        _tape_cache.clear()
-        kernel = lower(
-            'void compute(double a) { printf("%g\\n", a); }'
-            " int main() { return 0; }"
-        )
-        env = FPEnvironment()
-        t1 = _cached_tape(kernel, env, ("k", "e"))
-        t2 = _cached_tape(kernel, env, ("k", "e"))
-        assert t1 is t2 and ("k", "e") in _tape_cache
-
     def test_compile_tape_returns_tape(self):
         kernel = lower(
             'void compute(double a) { printf("%g\\n", a); }'

@@ -57,7 +57,7 @@ def fast_config(**overrides):
 class TestCampaignSpec:
     def test_worker_argv_is_a_real_run_invocation(self, tmp_path):
         spec = CampaignSpec(approach="varity", budget=500, seed=3, jobs="auto",
-                            backend="process", compile_cache=False)
+                            backend="process")
         argv = spec.worker_argv(2, 8, tmp_path / "s2.jsonl")
         joined = " ".join(argv)
         assert "-m repro.cli run" in joined
@@ -65,7 +65,6 @@ class TestCampaignSpec:
         assert "--resume" in joined and "s2.jsonl" in joined
         assert "--backend process" in joined
         assert "--jobs auto" in joined
-        assert "--no-cache" in joined
         assert "--progress-json" in joined
 
     def test_unpinned_fields_are_omitted(self, tmp_path):
@@ -74,7 +73,6 @@ class TestCampaignSpec:
         assert "--backend" not in joined
         assert "--jobs" not in joined
         assert "--exec-mode" not in joined
-        assert "--no-cache" not in joined
 
     def test_owned_partitions_the_budget(self):
         spec = CampaignSpec(budget=10)

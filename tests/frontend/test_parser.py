@@ -1,12 +1,14 @@
 """Parser: program structure, statements, expression precedence."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ParseError, ReproError
 from repro.frontend import ast
-from repro.frontend.parser import parse_program
+from repro.frontend.parser import MAX_AST_DEPTH, Parser, parse_program
 from repro.frontend.printer import expr_to_c
 
 PROGRAM = """
@@ -239,6 +241,19 @@ class TestNamedErrorsOnly:
         with pytest.raises(ParseError, match="nests too deeply"):
             parse_program(source)
 
+    def test_long_expression_chain(self):
+        with pytest.raises(ParseError, match="nests too deeply"):
+            parse_program(_program("comp = " + "+".join(["x"] * 2000) + ";"))
+
+    def test_frontend_records_long_chain(self):
+        from repro.difftest.engine import frontend_kernels
+        from repro.toolchains.base import CompilerKind
+
+        record = frontend_kernels(_program("comp = " + "+".join(["x"] * 2000) + ";"))
+        assert record.kernels == {}
+        for kind in CompilerKind:
+            assert "nests too deeply" in record.errors[kind]
+
     @given(st.text() | st.lists(st.sampled_from(C_PIECES), max_size=60).map(" ".join))
     def test_arbitrary_text(self, source):
         try:
@@ -246,3 +261,99 @@ class TestNamedErrorsOnly:
         except ReproError:
             return
         assert isinstance(unit, ast.TranslationUnit)
+
+
+def _program(body: str) -> str:
+    return (
+        "#include <stdio.h>\nvoid compute(double x) {\n  double comp = x;\n"
+        f"  {body}\n"
+        '  printf("%.17g\\n", comp);\n}\n'
+        "int main(int argc, char **argv) {\n  compute(atof(argv[1]));\n  return 0;\n}\n"
+    )
+
+
+#: Shapes whose depth grows by a fixed step per repetition: a left-deep
+#: operator chain (built by the parser's loops, not its recursion), a
+#: unary chain, and nested ``if`` statements.
+DEEP_SHAPES = {
+    "chain": lambda n: _program("comp = " + "+".join(["x"] * n) + ";"),
+    "unary": lambda n: _program("comp = " + "- " * n + "x;"),
+    "ifs": lambda n: _program("if (comp > 0.0) " * n + "comp = 1.0;"),
+}
+
+
+def _deepest(shape):
+    """The largest repetition count whose tree is at most MAX_AST_DEPTH deep."""
+    make = DEEP_SHAPES[shape]
+    # From 20 repetitions on, the shape is the deepest part of the program.
+    base = ast.depth(Parser(make(20)).parse())
+    step = ast.depth(Parser(make(21)).parse()) - base
+    return 20 + (MAX_AST_DEPTH - base) // step
+
+
+class TestDepthCap:
+    """The parser rejects trees deeper than MAX_AST_DEPTH, and every tree it
+    accepts goes through the whole pipeline without a RecursionError."""
+
+    @pytest.mark.parametrize("shape", sorted(DEEP_SHAPES))
+    def test_cap_is_exact(self, shape):
+        n = _deepest(shape)
+        assert ast.depth(parse_program(DEEP_SHAPES[shape](n))) <= MAX_AST_DEPTH
+        with pytest.raises(ParseError, match="nests too deeply"):
+            parse_program(DEEP_SHAPES[shape](n + 1))
+
+    @pytest.mark.parametrize("shape", sorted(DEEP_SHAPES))
+    def test_deepest_accepted_program_runs(self, shape):
+        from repro.difftest.config import CampaignConfig
+        from repro.difftest.engine import CampaignEngine
+        from repro.generation.program import GeneratedProgram
+        from repro.toolchains import default_compilers
+
+        engine = CampaignEngine(default_compilers(), CampaignConfig(budget=1))
+        program = GeneratedProgram(source=DEEP_SHAPES[shape](_deepest(shape)), inputs=(1.5,))
+        outcome = engine.test_program(0, program)
+        assert any(outcome.compiled.values())
+
+
+def _reference_child_steps(node):
+    """Children found by scanning every dataclass field for AST nodes."""
+
+    def is_node(value):
+        return dataclasses.is_dataclass(value) and type(value).__module__ == ast.__name__
+
+    for f in dataclasses.fields(node):
+        value = getattr(node, f.name)
+        if is_node(value):
+            yield (f.name, None), value
+        elif isinstance(value, tuple):
+            for i, item in enumerate(value):
+                if is_node(item):
+                    yield (f.name, i), item
+
+
+def _reference_depth(node):
+    return 1 + max((_reference_depth(c) for _, c in _reference_child_steps(node)), default=0)
+
+
+class TestChildFields:
+    """``ast.CHILD_FIELDS`` is read from field annotations; it must find
+    every child a scan of the field values finds."""
+
+    def _units(self):
+        from repro.experiments.approaches import make_generator
+        from repro.utils.rng import SplittableRng
+
+        yield parse_program(PROGRAM)
+        for approach in ("varity", "llm4fp", "loops"):
+            generator = make_generator(approach, SplittableRng(7, approach))
+            for _ in range(10):
+                yield parse_program(generator.generate().source)
+
+    def test_child_steps_match_field_scan(self):
+        for unit in self._units():
+            for _, node in ast.walk_paths(unit):
+                assert list(ast.child_steps(node)) == list(_reference_child_steps(node))
+
+    def test_depth_matches_recursive_definition(self):
+        for unit in self._units():
+            assert ast.depth(unit) == _reference_depth(unit)
