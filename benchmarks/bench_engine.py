@@ -251,6 +251,7 @@ def _tape_microbench(programs, batch: int = _TAPE_BATCH) -> dict:
     from repro.toolchains.optlevels import ALL_LEVELS
 
     units = {}
+    table: dict = {}  # one intern table: units dedup across programs
     for program in programs:
         frontend = frontend_kernels(program.source)
         for compiler in default_compilers():
@@ -260,7 +261,7 @@ def _tape_microbench(programs, batch: int = _TAPE_BATCH) -> dict:
             for level in ALL_LEVELS:
                 binary = compiler.compile_kernel(kernel, level)
                 key = (
-                    kernel_fingerprint(binary.kernel),
+                    kernel_fingerprint(binary.kernel, table),
                     env_fingerprint(binary.env),
                 )
                 units.setdefault(

@@ -510,7 +510,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_run.add_argument(
         "--jobs", type=_jobs_arg, default=1, metavar="N|auto",
-        help="workers for the compile+execute matrix (default 1; 'auto' = "
+        help="workers for the execute stage (default 1; 'auto' = "
         "one per CPU; real CPU parallelism needs --backend process)",
     )
     p_run.add_argument(
@@ -588,7 +588,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_tab.add_argument(
         "--jobs", type=_jobs_arg, default=None, metavar="N|auto",
-        help="workers for the compile+execute matrix, 'auto' = one per "
+        help="workers for the execute stage, 'auto' = one per "
         "CPU (default: REPRO_JOBS or 1)",
     )
     p_tab.add_argument(

@@ -1,20 +1,23 @@
-"""Execution backends: how the engine's per-program matrix fans out.
+"""Execution backends: how the engine's execute stage fans out.
 
 The staged engine treats "run these independent work units" as a policy
 decision separated from the stages themselves.  Three policies exist:
 
 * :class:`SerialBackend` — everything inline on the calling thread.  The
   reference cost model; zero scheduling overhead.
-* :class:`ThreadBackend` — a :class:`~concurrent.futures.ThreadPoolExecutor`.
-  Adds scheduling slack but no CPU parallelism under CPython's GIL; pays
-  off on GIL-free runtimes or once stages grow I/O sections.
+* :class:`ThreadBackend` — a :class:`~concurrent.futures.ThreadPoolExecutor`
+  for the execute stage.  Adds scheduling slack but no CPU parallelism
+  under CPython's GIL; pays off on GIL-free runtimes or once stages grow
+  I/O sections.
 * :class:`ProcessBackend` — a :class:`~concurrent.futures.ProcessPoolExecutor`
   for the execute stage.  Kernel runs are dispatched as picklable batch
   specs (optimized IR, FP environment, input sets, step limit, exec mode)
   through the pure :func:`repro.execution.batch.run_batch_task`, chunked
   to amortize IPC.  This is real multi-core parallelism: each run is
-  independent.  Compile-stage work stays in the parent process, where
-  compilations are cheap relative to execution.
+  independent.
+
+Backends schedule execution only: the engine compiles in the calling
+thread, where one per-program pass memo sees every compilation.
 
 Every backend returns results in task order, so the engine fills its
 records in the same deterministic sequence regardless of policy: a
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.execution.batch import BatchTask, run_batch_task
 from repro.execution.result import ExecutionResult
@@ -74,13 +77,12 @@ def parse_jobs(text: str) -> int | str:
 
 
 class ExecutionBackend:
-    """Ordered fan-out of independent work units.
+    """Ordered fan-out of independent kernel executions.
 
-    ``map_inline`` schedules parent-process callables (the compile stage);
-    ``run_batches`` schedules pure kernel executions and is the only hook
-    a backend may move across a process boundary.  Both preserve input
-    order.  Backends are context managers; pools are created lazily on
-    first use and torn down on exit.
+    ``run_batches`` schedules pure kernel executions, possibly across a
+    process boundary, and preserves input order.  Backends are context
+    managers; pools are created lazily on first use and torn down on
+    exit.
     """
 
     name: str = "abstract"
@@ -94,10 +96,6 @@ class ExecutionBackend:
 
     def shutdown(self) -> None:
         """Release pool resources (idempotent)."""
-
-    def map_inline(self, fn: Callable, items: Sequence) -> list:
-        """Apply ``fn`` to every item, in order, in the parent process."""
-        return [fn(item) for item in items]
 
     def run_batches(
         self, tasks: Sequence[BatchTask]
@@ -115,7 +113,7 @@ class SerialBackend(ExecutionBackend):
 
 
 class ThreadBackend(ExecutionBackend):
-    """Thread-pool fan-out of both compile and execute units."""
+    """Thread-pool fan-out of execute units."""
 
     name = "thread"
 
@@ -135,11 +133,6 @@ class ThreadBackend(ExecutionBackend):
             self._pool.shutdown(wait=True)
             self._pool = None
 
-    def map_inline(self, fn: Callable, items: Sequence) -> list:
-        if self.jobs == 1 or len(items) < 2:
-            return [fn(item) for item in items]
-        return list(self._ensure().map(fn, items))
-
     def run_batches(
         self, tasks: Sequence[BatchTask]
     ) -> list[tuple[ExecutionResult, ...]]:
@@ -157,8 +150,7 @@ def _chunksize(n_tasks: int, jobs: int) -> int:
 class ProcessBackend(ExecutionBackend):
     """Process-pool fan-out of the execute stage (true multi-core).
 
-    Compile units run inline in the parent: they are cheap relative to
-    execution.  Execute tasks ship to workers as picklable specs and
+    Execute tasks ship to workers as picklable specs and
     results gather in task order, so output is byte-identical to
     :class:`SerialBackend`.
     """

@@ -15,19 +15,23 @@ deduplicated and concurrently schedulable:
   C parse, the device compiler gets the CUDA translation.
 * **compile** — one :class:`CompileRecord` per (compiler, level).  Levels
   whose (pipeline, environment) coincide share one compilation
-  (``Compiler.cache_token``).
+  (``Compiler.cache_token``), and one pass memo per program runs each
+  distinct pass (:meth:`~repro.ir.passes.base.Pass.key`) once per input
+  kernel object across the remaining compilations.
 * **execute** — one :class:`ExecuteRecord` per compiled binary.  Binaries
   whose optimized kernel and FP environment are content-identical produce
   bit-identical results (the interpreter is deterministic), so each
   distinct (kernel, environment) group runs once and the result is shared
-  across its labels.
+  across its labels.  Kernels are keyed through one per-program intern
+  table (:func:`~repro.toolchains.cache.kernel_fingerprint`).
 * **compare** — pairwise bitwise comparison at each level, unchanged
   semantics.  Structural tier evidence (devectorized fingerprints, tier
   shapes) is computed lazily, only for the inconsistent pairs whose
   scalar environments are equal and whose devectorized kernels match —
   the only pairs that can carry a tag.
 
-Distinct compile and execute units fan out to an
+Compilation runs in the calling thread, in matrix order.  Distinct
+execute units fan out to an
 :class:`~repro.difftest.backend.ExecutionBackend` — ``serial`` (inline),
 ``thread`` (GIL-bound scheduling slack), or ``process`` (true multi-core:
 execute tasks ship to a :class:`~concurrent.futures.ProcessPoolExecutor`
@@ -51,11 +55,12 @@ Two campaign-scale facilities ride on that determinism:
   (``EngineConfig.islands``), which partition generation itself.
 
 Note on throughput: with the ``thread`` backend the measured gains come
-from the in-program *dedup* — level-class compilation sharing and
-identical-binary run sharing — because the stages are pure Python and
-CPython's GIL serializes thread workers.  The ``process`` backend adds
-real CPU parallelism on top for the execute stage.  Nothing is cached
-across programs: every compiled binary and tape dies with its program.
+from the in-program *dedup* — level-class compilation sharing, the pass
+memo and identical-binary run sharing — because the stages are pure
+Python and CPython's GIL serializes thread workers.  The ``process``
+backend adds real CPU parallelism on top for the execute stage.  Nothing
+is cached across programs: every compiled binary and tape dies with its
+program.
 """
 
 from __future__ import annotations
@@ -173,12 +178,13 @@ class EngineConfig:
     """Execution knobs of the engine (orthogonal to the campaign config).
 
     Attributes:
-        jobs: workers fanning out the per-program compile+execute matrix;
+        jobs: workers fanning out each program's execute stage;
             ``1`` runs every stage inline, ``"auto"`` uses one worker per
             CPU.  What a worker *is* depends on ``backend``.
         share_runs: deduplicate work *within* one program's matrix — levels
-            with identical pipelines compile once, and binaries with
-            content-identical (optimized kernel, environment) execute once.
+            with identical pipelines compile once, each distinct pass runs
+            once per input kernel, and binaries with content-identical
+            (optimized kernel, environment) execute once.
             Disabling it reproduces the legacy serial cost model exactly
             (used as the benchmark baseline).
         backend: fan-out policy — ``"serial"`` (inline, requires jobs=1),
@@ -594,7 +600,7 @@ class CampaignEngine:
         with sw.phase("frontend"):
             frontend = self._frontend_stage(program.source)
         with sw.phase("compile"):
-            compiles = self._compile_stage(frontend, _backend)
+            compiles = self._compile_stage(frontend)
         with sw.phase("execute"):
             executions = self._execute_stage(compiles, program.inputs, _backend)
         with sw.phase("compare"):
@@ -610,16 +616,15 @@ class CampaignEngine:
 
     # -- compile stage -----------------------------------------------------------
 
-    def _compile_stage(
-        self, frontend: FrontendRecord, backend: ExecutionBackend | None
-    ) -> list[CompileRecord]:
+    def _compile_stage(self, frontend: FrontendRecord) -> list[CompileRecord]:
         """Compile the full (compiler, level) matrix, deduplicated.
 
         Returns records in matrix order (compilers outer, levels inner).
         Each (compiler, cache-token) equivalence class compiles at most
         once; follower levels rebind the leader's binary to their own
-        level metadata.  Distinct leader compilations fan out through the
-        backend's in-process scheduler.
+        level metadata.  Leaders compile in matrix order in the calling
+        thread, through one pass memo for the program, so each distinct
+        pass runs once per input kernel across levels and compilers.
         """
         share = self.engine_config.share_runs
         records: list[CompileRecord] = []
@@ -646,19 +651,13 @@ class CampaignEngine:
                 leaders[unit_key] = record
                 units.append((record, compiler, kernel))
 
-        def compile_unit(unit: tuple[CompileRecord, Compiler, ir.Kernel]) -> None:
-            record, compiler, kernel = unit
+        memo: dict | None = {} if share else None
+        for record, compiler, kernel in units:
             try:
-                record.binary = compiler.compile_kernel(kernel, record.level)
+                record.binary = compiler.compile_kernel(kernel, record.level, memo)
                 record.ok = True
             except CompileError as e:
                 record.error = str(e)
-
-        if backend is not None and len(units) > 1:
-            backend.map_inline(compile_unit, units)
-        else:
-            for unit in units:
-                compile_unit(unit)
 
         for record, leader, compiler in followers:
             record.error = leader.error
@@ -692,7 +691,8 @@ class CampaignEngine:
         interpreter run serves all their labels (bit-identical by the
         worker's purity guarantee).  Grouping spans compilers: gcc and
         clang frequently converge to the same optimized kernel on
-        fold-free programs.
+        fold-free programs.  Kernels are keyed in one intern table for
+        the stage, so nodes the binaries share are keyed once.
 
         Each distinct group becomes one picklable
         :data:`~repro.execution.batch.BatchTask` carrying the engine's
@@ -703,17 +703,15 @@ class CampaignEngine:
         share = self.engine_config.share_runs
         max_steps = self.config.max_steps
         groups: dict[object, list[CompileRecord]] = {}
-        kernel_fps: dict[int, str] = {}
+        table: dict = {}
         for record in compiles:
             if not record.ok:
                 continue
             if share:
-                kid = id(record.binary.kernel)
-                fp = kernel_fps.get(kid)
-                if fp is None:
-                    fp = kernel_fingerprint(record.binary.kernel)
-                    kernel_fps[kid] = fp
-                key: object = (fp, env_fingerprint(record.binary.env))
+                key: object = (
+                    kernel_fingerprint(record.binary.kernel, table),
+                    env_fingerprint(record.binary.env),
+                )
             else:
                 key = record.label
             groups.setdefault(key, []).append(record)

@@ -86,7 +86,7 @@ class ExperimentSettings:
     codebleu_pairs: int = field(
         default_factory=lambda: _env_int("REPRO_CODEBLEU_PAIRS", 1500)
     )
-    #: campaign-engine workers for the per-program compile+execute matrix
+    #: campaign-engine workers for each program's execute stage
     #: (``REPRO_JOBS``: an int, or ``auto`` for one worker per CPU)
     jobs: int | str = field(default_factory=lambda: _env_jobs("REPRO_JOBS", 1))
     #: execution backend: serial / thread / process (``REPRO_BACKEND``)

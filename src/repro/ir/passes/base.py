@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.fp.mathlib import MathLibrary
 from repro.ir import nodes as ir
 
 __all__ = ["Pass", "ExprRewritePass", "PassPipeline", "rebuild_expr"]
@@ -20,13 +21,34 @@ def rebuild_expr(e: ir.Expr, fn) -> ir.Expr:
     return go(e)
 
 
+def _attrs_key(obj) -> tuple:
+    """``obj``'s class plus every instance attribute, sorted by name; a
+    nested :class:`MathLibrary` is keyed the same way."""
+    return (
+        type(obj),
+        tuple(
+            (name, _attrs_key(v) if isinstance(v, MathLibrary) else v)
+            for name, v in sorted(vars(obj).items())
+        ),
+    )
+
+
 class Pass:
-    """A kernel-to-kernel transformation."""
+    """A kernel-to-kernel transformation.
+
+    A pass must be a pure function of its configuration (its instance
+    attributes) and its input kernel: :meth:`key` names that
+    configuration, and :meth:`PassPipeline.run` reuses results by it.
+    """
 
     name: str = "pass"
 
     def run(self, kernel: ir.Kernel) -> ir.Kernel:
         raise NotImplementedError
+
+    def key(self) -> tuple:
+        """Hashable configuration: equal keys rewrite every kernel alike."""
+        return _attrs_key(self)
 
 
 class ExprRewritePass(Pass):
@@ -52,9 +74,23 @@ class PassPipeline:
     def __init__(self, passes: list[Pass] | tuple[Pass, ...] = ()) -> None:
         self.passes = list(passes)
 
-    def run(self, kernel: ir.Kernel) -> ir.Kernel:
+    def run(self, kernel: ir.Kernel, memo: dict | None = None) -> ir.Kernel:
+        """Apply every pass in order.
+
+        With a ``memo`` (one dict per program), a pass whose key already
+        ran on this very kernel object reuses that output instead of
+        running again.  Entries hold their input kernel, so its ``id``
+        cannot be reused while the memo lives.
+        """
         for p in self.passes:
-            kernel = p.run(kernel)
+            if memo is None:
+                kernel = p.run(kernel)
+                continue
+            slot = (p.key(), id(kernel))
+            hit = memo.get(slot)
+            if hit is None:
+                hit = memo[slot] = (kernel, p.run(kernel))
+            kernel = hit[1]
         return kernel
 
     @property

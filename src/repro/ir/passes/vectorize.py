@@ -120,29 +120,36 @@ class Vectorize(Pass):
         self.mixed = mixed
 
     def run(self, kernel: ir.Kernel) -> ir.Kernel:
-        self._taken: set[str] = set(kernel.var_types)
+        # Variable names in use; lane accumulators must avoid them.  Kept
+        # per run, not on the pass, so the pass stays a pure function of
+        # its configuration (see Pass.key).
+        taken: set[str] = set(kernel.var_types)
         for s in ir.walk_stmts(kernel.body):
             if isinstance(s, ir.SAssign):
-                self._taken.add(s.name)
-        return kernel.with_body(self._stmts(kernel.body))
+                taken.add(s.name)
+        return kernel.with_body(self._stmts(kernel.body, taken))
 
     # -- traversal ---------------------------------------------------------------
 
-    def _stmts(self, stmts: tuple[ir.Stmt, ...]) -> tuple[ir.Stmt, ...]:
+    def _stmts(
+        self, stmts: tuple[ir.Stmt, ...], taken: set[str]
+    ) -> tuple[ir.Stmt, ...]:
         out: list[ir.Stmt] = []
         i = 0
         while i < len(stmts):
             s = stmts[i]
             i += 1
             if isinstance(s, ir.SIf):
-                out.append(ir.SIf(s.cond, self._stmts(s.then), self._stmts(s.other)))
+                out.append(
+                    ir.SIf(s.cond, self._stmts(s.then, taken), self._stmts(s.other, taken))
+                )
                 continue
             if isinstance(s, ir.SWhile):
-                out.append(ir.SWhile(s.cond, self._stmts(s.body)))
+                out.append(ir.SWhile(s.cond, self._stmts(s.body, taken)))
                 continue
             if isinstance(s, ir.SFor):
                 following = stmts[i] if i < len(stmts) else None
-                replaced = self._loop(s, following)
+                replaced = self._loop(s, following, taken)
                 if replaced is not None:
                     out.extend(replaced)
                     # The SLP path only fires when `following` is the
@@ -155,7 +162,12 @@ class Vectorize(Pass):
                         i += 1
                 else:
                     out.append(
-                        ir.SFor(s.init, s.cond, self._stmts(s.step), self._stmts(s.body))
+                        ir.SFor(
+                            s.init,
+                            s.cond,
+                            self._stmts(s.step, taken),
+                            self._stmts(s.body, taken),
+                        )
                     )
                 continue
             out.append(s)
@@ -163,7 +175,9 @@ class Vectorize(Pass):
 
     # -- recognition -------------------------------------------------------------
 
-    def _loop(self, s: ir.SFor, following: ir.Stmt | None) -> list[ir.Stmt] | None:
+    def _loop(
+        self, s: ir.SFor, following: ir.Stmt | None, taken: set[str]
+    ) -> list[ir.Stmt] | None:
         loop = match_counted_loop(s)
         if loop is None or not loop.body:
             return None
@@ -186,7 +200,7 @@ class Vectorize(Pass):
         plan = self._plan(body, loop)
         if plan is None:
             return None
-        return self._emit(loop, body, plan)
+        return self._emit(loop, body, plan, taken)
 
     @staticmethod
     def _scalar_epilogue(loop: CountedLoop, body: tuple[ir.Stmt, ...]) -> ir.SFor:
@@ -476,14 +490,14 @@ class Vectorize(Pass):
 
     # -- emission ----------------------------------------------------------------
 
-    def _lane_var(self, acc: str) -> str:
+    def _lane_var(self, acc: str, taken: set[str]) -> str:
         base = f"{acc}__v{self.width}"
         name = base
         n = 1
-        while name in self._taken:
+        while name in taken:
             n += 1
             name = f"{base}_{n}"
-        self._taken.add(name)
+        taken.add(name)
         return name
 
     def _emit(
@@ -491,6 +505,7 @@ class Vectorize(Pass):
         loop: CountedLoop,
         body: tuple[ir.Stmt, ...],
         plan: list[tuple[str, object]],
+        taken: set[str],
     ) -> list[ir.Stmt]:
         w = self.width
         var = loop.var
@@ -520,7 +535,7 @@ class Vectorize(Pass):
                 continue
             red = payload
             lane_op, identity, reduce_op, combine_op = _REDUCTIONS[red.op]
-            vacc = self._lane_var(red.acc)
+            vacc = self._lane_var(red.acc, taken)
             lane_inits.append(
                 ir.SAssign(vacc, ir.VecConst((identity,) * w, red.ty), red.ty)
             )

@@ -91,14 +91,19 @@ class Compiler:
             raise CompileError(f"{self.name}: {e}") from e
         return self.compile_kernel(kernel, level)
 
-    def compile_kernel(self, kernel: ir.Kernel, level: OptLevel) -> Binary:
+    def compile_kernel(
+        self, kernel: ir.Kernel, level: OptLevel, memo: dict | None = None
+    ) -> Binary:
         """Back-end only: optimize an already-lowered kernel.
 
         The differential harness front-ends each program once and reuses
         the kernel across this compiler's levels, like a build farm reusing
         a parse tree — semantics are identical to :meth:`compile_unit`.
+        A per-program ``memo`` (see :meth:`PassPipeline.run`) runs each
+        distinct pass once on each distinct input kernel, across levels
+        and compilers.
         """
-        optimized = self.pipeline(level).run(kernel)
+        optimized = self.pipeline(level).run(kernel, memo)
         return Binary(
             compiler=self.name,
             level=level,

@@ -6,21 +6,27 @@ tagger compares environments, and the corpus hashes environments into
 its compiler-model fingerprint.  All need keys that address *content*,
 never object identity:
 
-* :func:`kernel_fingerprint` hashes the canonical ``repr`` of the frozen
-  IR tree.  ``repr`` distinguishes ``-0.0`` from ``0.0`` (structural
-  ``==`` would conflate them — a signed-zero print is observable) and
-  collapses all NaN literals, matching the signature canonicalization.
+* :func:`kernel_fingerprint` interns a kernel into a caller-owned table
+  and returns a small int.  Each node is interned as its class, the
+  ``repr`` of each non-child field and its children's keys (child fields
+  from :data:`repro.ir.nodes.CHILD_FIELDS`), so two kernels interned into
+  one table get equal keys exactly when their ``repr``s are equal:
+  ``-0.0`` and ``0.0`` stay distinct (structural ``==`` would conflate
+  them — a signed-zero print is observable) and all NaN literals
+  collapse, matching the signature canonicalization.  Rewrites return
+  unchanged subtrees as the same objects, so sibling kernels share most
+  nodes, and each node object is interned once per table.
 * :func:`env_fingerprint` captures everything an
   :class:`~repro.fp.env.FPEnvironment` feeds into execution: precision,
   libm identity + perturbation parameters, FTZ and approx-unit flags.
 
-Nothing here is cached across programs: a fingerprint is computed, used
-as a dict key within one program and dropped with it.
+Nothing here is cached across programs: an intern table lives for one
+program's execute stage and is dropped with it.
 """
 
 from __future__ import annotations
 
-import hashlib
+from dataclasses import fields
 
 from repro.fp.env import FPEnvironment
 from repro.ir import nodes as ir
@@ -44,15 +50,50 @@ def _libm_key(libm) -> tuple | None:
     )
 
 
-def kernel_fingerprint(kernel: ir.Kernel) -> str:
-    """A stable content address for a lowered (or optimized) kernel.
+#: Per IR class, ``(field name, ChildField or None)`` in field order;
+#: ``None`` marks a non-child field, keyed by its ``repr``.
+_FIELDS: dict[type, tuple] = {
+    cls: tuple(
+        (f.name, {c.name: c for c in children}.get(f.name)) for f in fields(cls)
+    )
+    for cls, children in ir.CHILD_FIELDS.items()
+}
 
-    The IR is a tree of frozen dataclasses whose ``repr`` is canonical and
-    deterministic, so hashing it addresses the kernel by *content*: two
-    programs that lower to the same IR share one fingerprint regardless of
-    where in the campaign they appeared.
+
+def kernel_fingerprint(kernel: ir.Kernel, table: dict) -> int:
+    """``kernel``'s content key in ``table`` (equal iff ``repr``-equal).
+
+    ``table`` maps each node shape ``(class, field keys...)`` to its int
+    key, and each interned node's ``id`` to ``(node, key)``; holding the
+    node pins its ``id`` for the table's lifetime.  Shapes are tuples and
+    ids are ints, so the two never collide in one dict.  A key means
+    nothing outside its table.
     """
-    return hashlib.sha256(repr(kernel).encode("utf-8")).hexdigest()
+    return _intern(kernel, table)
+
+
+def _intern(node, table: dict) -> int:
+    hit = table.get(id(node))
+    if hit is not None:
+        return hit[1]
+    shape = [type(node)]
+    for name, child in _FIELDS[type(node)]:
+        value = getattr(node, name)
+        if child is None:
+            shape.append(repr(value))
+        elif value is None:
+            shape.append(None)
+        elif child.seq:
+            shape.append(tuple(_intern(v, table) for v in value))
+        else:
+            shape.append(_intern(value, table))
+    shape = tuple(shape)
+    key = table.get(shape)
+    if key is None:
+        # The table only grows, so its size is a fresh key.
+        key = table[shape] = len(table)
+    table[id(node)] = (node, key)
+    return key
 
 
 def env_fingerprint(env: FPEnvironment) -> tuple:

@@ -352,7 +352,8 @@ class TestRunSharing:
                 )
             )
         )
-        assert kernel_fingerprint(plus) != kernel_fingerprint(minus)
+        table: dict = {}
+        assert kernel_fingerprint(plus, table) != kernel_fingerprint(minus, table)
 
 
 def _counted_loops_campaign(monkeypatch):
@@ -372,12 +373,14 @@ def _counted_loops_campaign(monkeypatch):
     compile_kernel = Compiler.compile_kernel
     compile_tape = batch.compile_tape
 
-    def counting_compile(compiler, kernel, level):
+    table: dict = {}  # one intern table per program, cleared by progress
+
+    def counting_compile(compiler, kernel, level, memo=None):
         compiles.append((compiler.name, compiler.cache_token(level)))
-        return compile_kernel(compiler, kernel, level)
+        return compile_kernel(compiler, kernel, level, memo)
 
     def counting_tape(kernel, env):
-        tapes.append((kernel_fingerprint(kernel), env_fingerprint(env)))
+        tapes.append((kernel_fingerprint(kernel, table), env_fingerprint(env)))
         tape = compile_tape(kernel, env)
         tape_ids.add(id(tape))
         return tape
@@ -390,6 +393,7 @@ def _counted_loops_campaign(monkeypatch):
         per_program.append((outcome, list(compiles), list(tapes)))
         compiles.clear()
         tapes.clear()
+        table.clear()
 
     # At this seed one program lowers to a kernel an earlier program
     # already compiled, so a cross-program cache would serve it.
