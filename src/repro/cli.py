@@ -505,8 +505,8 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--seed", type=int, default=20250916)
     p_run.add_argument(
         "--backend", choices=BACKENDS, default="thread",
-        help="matrix fan-out: serial (inline), thread (GIL-bound pool), "
-        "process (multi-core execute stage); results are byte-identical",
+        help="execute-stage fan-out: serial (inline), thread (GIL-bound pool), "
+        "process (multi-core); results are byte-identical",
     )
     p_run.add_argument(
         "--jobs", type=_jobs_arg, default=1, metavar="N|auto",
@@ -583,7 +583,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_tab.add_argument(
         "--backend", choices=BACKENDS, default=None,
-        help="matrix fan-out backend, byte-identical results "
+        help="execute-stage fan-out backend, byte-identical results "
         "(default: REPRO_BACKEND or thread)",
     )
     p_tab.add_argument(

@@ -611,8 +611,13 @@ CHILD_FIELDS: dict[type, tuple[ChildField, ...]] = {
     if isinstance(cls, type) and is_dataclass(cls) and cls.__module__ == __name__
 }
 
-_FIELD_NAMES: dict[type, tuple[str, ...]] = {
-    cls: tuple(f.name for f in fields(cls)) for cls in CHILD_FIELDS
+#: Per IR node class, every field in declaration order as
+#: ``(name, ChildField or None)``; ``None`` marks a non-child field.
+FIELDS: dict[type, tuple[tuple[str, ChildField | None], ...]] = {
+    cls: tuple(
+        (f.name, {c.name: c for c in children}.get(f.name)) for f in fields(cls)
+    )
+    for cls, children in CHILD_FIELDS.items()
 }
 
 
@@ -648,7 +653,7 @@ def map_children(node, fn):
             if new is old:
                 continue
         if args is None:
-            args = [getattr(node, name) for name in _FIELD_NAMES[type(node)]]
+            args = [getattr(node, name) for name, _ in FIELDS[type(node)]]
         args[c.pos] = new
     return node if args is None else type(node)(*args)
 

@@ -77,15 +77,14 @@ class PassPipeline:
     def run(self, kernel: ir.Kernel, memo: dict | None = None) -> ir.Kernel:
         """Apply every pass in order.
 
-        With a ``memo`` (one dict per program), a pass whose key already
-        ran on this very kernel object reuses that output instead of
-        running again.  Entries hold their input kernel, so its ``id``
-        cannot be reused while the memo lives.
+        A pass whose key already ran on this very kernel object reuses
+        that output instead of running again.  Pass one ``memo`` dict per
+        program to share results across pipelines; without one, a fresh
+        dict serves this call only.  Entries hold their input kernel, so
+        its ``id`` cannot be reused while the memo lives.
         """
+        memo = {} if memo is None else memo
         for p in self.passes:
-            if memo is None:
-                kernel = p.run(kernel)
-                continue
             slot = (p.key(), id(kernel))
             hit = memo.get(slot)
             if hit is None:

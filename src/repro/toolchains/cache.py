@@ -9,7 +9,7 @@ never object identity:
 * :func:`kernel_fingerprint` interns a kernel into a caller-owned table
   and returns a small int.  Each node is interned as its class, the
   ``repr`` of each non-child field and its children's keys (child fields
-  from :data:`repro.ir.nodes.CHILD_FIELDS`), so two kernels interned into
+  from :data:`repro.ir.nodes.FIELDS`), so two kernels interned into
   one table get equal keys exactly when their ``repr``s are equal:
   ``-0.0`` and ``0.0`` stay distinct (structural ``==`` would conflate
   them — a signed-zero print is observable) and all NaN literals
@@ -25,8 +25,6 @@ program's execute stage and is dropped with it.
 """
 
 from __future__ import annotations
-
-from dataclasses import fields
 
 from repro.fp.env import FPEnvironment
 from repro.ir import nodes as ir
@@ -50,16 +48,6 @@ def _libm_key(libm) -> tuple | None:
     )
 
 
-#: Per IR class, ``(field name, ChildField or None)`` in field order;
-#: ``None`` marks a non-child field, keyed by its ``repr``.
-_FIELDS: dict[type, tuple] = {
-    cls: tuple(
-        (f.name, {c.name: c for c in children}.get(f.name)) for f in fields(cls)
-    )
-    for cls, children in ir.CHILD_FIELDS.items()
-}
-
-
 def kernel_fingerprint(kernel: ir.Kernel, table: dict) -> int:
     """``kernel``'s content key in ``table`` (equal iff ``repr``-equal).
 
@@ -77,7 +65,7 @@ def _intern(node, table: dict) -> int:
     if hit is not None:
         return hit[1]
     shape = [type(node)]
-    for name, child in _FIELDS[type(node)]:
+    for name, child in ir.FIELDS[type(node)]:
         value = getattr(node, name)
         if child is None:
             shape.append(repr(value))
