@@ -1,4 +1,4 @@
-"""E-ENG: campaign throughput — serial loop vs thread vs process backends.
+"""E-ENG: campaign throughput — serial loop vs dedup engine vs process backend.
 
 Replays one fixed program workload (the substrate benchmark generator)
 through three engine configurations:
@@ -6,15 +6,15 @@ through three engine configurations:
 * **serial** — ``backend=serial``, run sharing off:
   the exact cost model of the pre-engine monolithic loop (recompile and
   re-execute every (compiler, level) cell from scratch).
-* **thread** — ``backend=thread, jobs=4`` with level-class compile
-  sharing and identical-binary run sharing on.  Its speedup is funded
-  by *dedup* (the GIL serializes the thread workers).
+* **dedup** — ``backend=serial`` with level-class compile sharing and
+  identical-binary run sharing on.  Its speedup is funded by *dedup*
+  alone.
 * **process** — ``backend=process, jobs=auto`` with the same sharing:
   execute tasks ship to a process pool as picklable kernel specs, adding
   real multi-core parallelism on top of the dedup.
 
 Asserted shape: every configuration produces a byte-identical
-CampaignResult; the thread/dedup engine sustains >= 1.6x the serial
+CampaignResult; the dedup engine sustains >= 1.6x the serial
 programs/sec on any machine; the process backend sustains >= 1.6x serial
 on multi-core hardware (on a single core its IPC overhead is reported
 but not asserted — there is no parallelism to buy).
@@ -32,8 +32,9 @@ feedback generation: the llm4fp approach run as an in-process island
 campaign (``islands=4``), whose generate stage adds the novelty census,
 SUS strategy selection and merge-point migrant exchange on top of plain
 mutation.  ``island_throughput`` is warn-only in the regression gate
-(absolute wall-clock); the serial/thread bit-identity of the island
-campaign *is* asserted — the island model's determinism contract.
+(absolute wall-clock); the bit-identity of the island campaign between
+the serial backend and a two-worker process pool *is* asserted — the
+island model's determinism contract.
 
 Two tape-executor legs ride along (schema 4): the loops campaign re-run
 under ``exec_mode=tape`` (its result must be bit-identical — part of the
@@ -101,7 +102,7 @@ _SEED = 20250916
 #: cost includes if-convert + unroll + widening at every masking level)
 _LOOPS_BUDGET = 24
 
-#: engine legs pin ``exec_mode="tree"`` so serial/thread/process keep
+#: engine legs pin ``exec_mode="tree"`` so serial/dedup/process keep
 #: measuring what they always measured (dedup + scheduling); the tape
 #: executor gets its own legs below, where its costs and gains are
 #: attributable.
@@ -110,8 +111,8 @@ CONFIGS = {
         backend="serial", jobs=1, share_runs=False,
         exec_mode="tree",
     ),
-    "thread": EngineConfig(
-        backend="thread", jobs=4, share_runs=True,
+    "dedup": EngineConfig(
+        backend="serial", jobs=1, share_runs=True,
         exec_mode="tree",
     ),
     "process": EngineConfig(
@@ -120,10 +121,10 @@ CONFIGS = {
     ),
 }
 
-#: the thread leg re-run with the tape executor (same workload, same
+#: the dedup leg re-run with the tape executor (same workload, same
 #: dedup): what a default campaign actually runs
 TAPE_CONFIG = EngineConfig(
-    backend="thread", jobs=4, share_runs=True,
+    backend="serial", jobs=1, share_runs=True,
     exec_mode="tape",
 )
 
@@ -133,7 +134,7 @@ _ISLAND_BUDGET = 24
 _ISLANDS = 4
 _ISLAND_MERGE_EVERY = 3
 ISLAND_CONFIG = EngineConfig(
-    backend="thread", jobs=4, share_runs=True,
+    backend="serial", jobs=1, share_runs=True,
     islands=_ISLANDS, merge_every=_ISLAND_MERGE_EVERY, exec_mode="tree",
 )
 
@@ -166,7 +167,7 @@ class _Replay:
         self._next += 1
         return program
 
-    def notify_success(self, program):
+    def observe(self, outcome):
         pass
 
 
@@ -313,7 +314,7 @@ def _corpus_replay_bench(programs, baseline_result, baseline_seconds) -> dict:
     engine = CampaignEngine(
         default_compilers(),
         CampaignConfig(budget=budget + len(seeds)),
-        CONFIGS["thread"],
+        CONFIGS["dedup"],
     )
     generator = CorpusReplayGenerator(seeds, _Replay(programs))
     t0 = time.perf_counter()
@@ -347,12 +348,12 @@ def measure(budget: int = _BUDGET, loops_budget: int = _LOOPS_BUDGET) -> dict:
         shared[name] = result
     serial_s = configs["serial"]["seconds"]
     # Loops workload (ROADMAP: bench coverage for the vector tier): the
-    # same thread/dedup engine over reduction + guarded kernels, whose
+    # same dedup engine over reduction + guarded kernels, whose
     # compile stage runs if-convert/unroll/widening and whose execute
     # stage interprets lane math — a budget-normalized cost tracker that
     # moves when the tier's passes or the interpreter's lane path do.
     loops_programs = _loops_workload(loops_budget)
-    loops_result, loops_seconds = _run(loops_programs, CONFIGS["thread"])
+    loops_result, loops_seconds = _run(loops_programs, CONFIGS["dedup"])
     loops_tags = sum(
         1
         for o in loops_result.outcomes
@@ -368,21 +369,21 @@ def measure(budget: int = _BUDGET, loops_budget: int = _LOOPS_BUDGET) -> dict:
     tape_identical = _result_key(loops_tape_result) == _result_key(loops_result)
     tape = _tape_microbench(programs + loops_programs)
     # Island leg: feedback generation partitioned into islands.  The
-    # serial re-run is the determinism witness (same bytes, only
-    # wall-clock may differ); throughput is tracked warn-only.
+    # two-worker process re-run is the determinism witness (same bytes,
+    # only wall-clock may differ); throughput is tracked warn-only.
     from dataclasses import replace as _replace
 
     island_result, island_seconds = _run_island(ISLAND_CONFIG)
-    island_serial_result, _ = _run_island(
-        _replace(ISLAND_CONFIG, backend="serial", jobs=1)
+    island_process_result, _ = _run_island(
+        _replace(ISLAND_CONFIG, backend="process", jobs=2)
     )
     island_identical = (
-        _result_key(island_result) == _result_key(island_serial_result)
+        _result_key(island_result) == _result_key(island_process_result)
     )
     # Corpus-replay leg: the regression prelude's per-program cost,
-    # relative to the bare thread campaign over the same stream.
+    # relative to the bare dedup campaign over the same stream.
     corpus_replay = _corpus_replay_bench(
-        programs, shared["thread"], configs["thread"]["seconds"]
+        programs, shared["dedup"], configs["dedup"]["seconds"]
     )
     # Full-tier leg: the loops generator's tier workloads through the
     # full-profile pipelines and environments.  The floor across the
@@ -390,7 +391,7 @@ def measure(budget: int = _BUDGET, loops_budget: int = _LOOPS_BUDGET) -> dict:
     # profile promises never engaged.
     tiers_programs = _tiers_workload()
     tiers_result, tiers_seconds = _run(
-        tiers_programs, CONFIGS["thread"], default_compilers(tiers="full")
+        tiers_programs, CONFIGS["dedup"], default_compilers(tiers="full")
     )
     tier_tag_counts: dict = {}
     for o in tiers_result.outcomes:
@@ -400,18 +401,18 @@ def measure(budget: int = _BUDGET, loops_budget: int = _LOOPS_BUDGET) -> dict:
     tier_tag_floor = min(
         tier_tag_counts.get(tag, 0) for tag in _NEW_TIER_TAGS
     )
-    stage_seconds = shared["thread"].stage_seconds
+    stage_seconds = shared["dedup"].stage_seconds
     return {
         "schema": 7,
         "budget": budget,
         "cpu_count": os.cpu_count() or 1,
         "configs": configs,
-        "thread_speedup": serial_s / configs["thread"]["seconds"],
+        "dedup_speedup": serial_s / configs["dedup"]["seconds"],
         "process_speedup": serial_s / configs["process"]["seconds"],
         "identical": (
             all(keys[n] == keys["serial"] for n in CONFIGS) and tape_identical
         ),
-        "run_share_rate": shared["thread"].run_share_rate,
+        "run_share_rate": shared["dedup"].run_share_rate,
         "stage_seconds": stage_seconds,
         "execute_stage_share": stage_seconds["execute"]
         / max(sum(stage_seconds.values()), 1e-9),
@@ -445,27 +446,27 @@ def render(m: dict) -> str:
         f"{m['cpu_count']} CPUs)",
         f"  serial   (inline, no sharing):             "
         f"{c['serial']['throughput']:7.1f} programs/s",
-        f"  thread   (jobs=4, sharing):                "
-        f"{c['thread']['throughput']:7.1f} programs/s  "
-        f"({m['thread_speedup']:.2f}x)",
+        f"  dedup    (inline, sharing):                "
+        f"{c['dedup']['throughput']:7.1f} programs/s  "
+        f"({m['dedup_speedup']:.2f}x)",
         f"  process  (jobs={c['process']['jobs']}, sharing):"
         f"                {c['process']['throughput']:7.1f} programs/s  "
         f"({m['process_speedup']:.2f}x)",
         f"  identical results across backends: {m['identical']}",
         f"  run share rate: {m['run_share_rate'] * 100:.1f}%",
-        "  thread stage seconds:   "
+        "  dedup stage seconds:    "
         + "  ".join(f"{k}={v:.2f}" for k, v in m["stage_seconds"].items()),
         f"  loops workload ({m['loops_budget']} programs, vector+mask tier): "
         f"{m['loops_throughput']:7.1f} programs/s, "
         f"{m['loops_structural_tags']} structural tags "
         f"(tape executor: {m['loops_tape_throughput']:.1f} programs/s)",
-        f"  execute stage share of thread campaign: "
+        f"  execute stage share of dedup campaign: "
         f"{m['execute_stage_share'] * 100:.1f}%",
         f"  island campaign ({m['island_budget']} programs, "
         f"{m['islands']} islands, merge every {m['island_merge_every']}): "
         f"{m['island_throughput']:7.1f} programs/s, "
         f"{m['island_triggers']} triggers "
-        f"(serial/thread identical: {m['island_identical']})",
+        f"(serial/process identical: {m['island_identical']})",
         f"  tape batched execution ({m['tape_bench']['units']} kernels x "
         f"{m['tape_bench']['batch']} inputs): "
         f"tree {m['tape_bench']['tree_seconds']:.2f}s -> "
@@ -487,10 +488,10 @@ def check(m: dict) -> list[str]:
     """The acceptance assertions; returns human-readable failures."""
     failures = []
     if not m["identical"]:
-        failures.append("serial/thread/process results differ (determinism broken)")
-    if m["thread_speedup"] < 1.6:
+        failures.append("serial/dedup/process results differ (determinism broken)")
+    if m["dedup_speedup"] < 1.6:
         failures.append(
-            f"thread/dedup speedup {m['thread_speedup']:.2f}x < 1.6x over serial"
+            f"dedup speedup {m['dedup_speedup']:.2f}x < 1.6x over serial"
         )
     if m["run_share_rate"] < 0.5:
         failures.append(
@@ -508,7 +509,7 @@ def check(m: dict) -> list[str]:
         )
     if not m["island_identical"]:
         failures.append(
-            "island campaign differs between serial and thread backends "
+            "island campaign differs between serial and process backends "
             "(island determinism contract broken)"
         )
     if not m["tape_bench"]["identical"]:

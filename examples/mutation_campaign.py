@@ -39,10 +39,9 @@ def main() -> None:
         program = generator.generate()
         strategies[program.strategy] += 1
         outcome = engine.test_program(i, program)
-        if outcome.triggered:
-            generator.notify_success(program)
-            if first_success_source is None:
-                first_success_source = program.source
+        generator.observe(outcome)
+        if outcome.triggered and first_success_source is None:
+            first_success_source = program.source
         if program.strategy == "mutation" and first_mutant_source is None:
             first_mutant_source = program.source
         print(

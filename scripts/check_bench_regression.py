@@ -7,11 +7,11 @@ threshold (default 30%).
 
 Gated metrics (all higher-is-better):
 
-* ``thread_speedup`` — thread/dedup engine vs the serial loop.  A pure
+* ``dedup_speedup`` — the dedup engine vs the serial loop.  A pure
   ratio, so it transfers across machines of different absolute speed.
   This is the **hard gate**: a drop below baseline x (1 - threshold)
   fails the job on any machine.
-* ``configs.thread.throughput`` — absolute programs/sec of the full
+* ``configs.dedup.throughput`` — absolute programs/sec of the full
   engine.  Catches regressions that slow serial and engine alike (which
   a ratio hides), but absolute wall-clock does not transfer across
   machines — a slow CI runner is not a code regression.  By default a
@@ -21,7 +21,7 @@ Gated metrics (all higher-is-better):
 * ``tape_speedup`` — batched tape execution vs the tree interpreter
   over the workload's kernel matrix.  A ratio of two measurements on the
   same machine, so it transfers; enforced as a hard gate alongside
-  ``thread_speedup``.
+  ``dedup_speedup``.
 * ``loops_throughput`` — absolute programs/sec of the loops workload
   (the vector + masking tier: if-convert/unroll/widening in the compile
   stage, lane math in the execute stage).  Warn-only for the same
@@ -67,10 +67,10 @@ from pathlib import Path
 DEFAULT_BASELINE = Path(__file__).parent.parent / "benchmarks" / "BENCH_engine_baseline.json"
 
 #: machine-transferable ratios: always enforced
-HARD_METRICS = ("thread_speedup", "tape_speedup")
+HARD_METRICS = ("dedup_speedup", "tape_speedup")
 #: absolute wall-clock numbers: warn-only unless --strict
 SOFT_METRICS = (
-    "configs.thread.throughput",
+    "configs.dedup.throughput",
     "loops_throughput",
     "loops_tape_throughput",
     "island_throughput",

@@ -13,7 +13,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.difftest.backend import BACKENDS, create_backend, parse_jobs
+from repro.difftest.backend import (
+    BACKENDS, DEFAULT_BACKEND, BackendError, create_backend, parse_jobs,
+)
 from repro.execution.batch import EXEC_MODES
 from repro.difftest.config import CampaignConfig
 from repro.difftest.engine import EngineConfig, JsonLineProgress
@@ -504,14 +506,14 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--budget", type=int, default=100)
     p_run.add_argument("--seed", type=int, default=20250916)
     p_run.add_argument(
-        "--backend", choices=BACKENDS, default="thread",
-        help="execute-stage fan-out: serial (inline), thread (GIL-bound pool), "
+        "--backend", choices=BACKENDS, default=DEFAULT_BACKEND,
+        help="execute-stage fan-out: serial (inline, the default) or "
         "process (multi-core); results are byte-identical",
     )
     p_run.add_argument(
         "--jobs", type=_jobs_arg, default=1, metavar="N|auto",
         help="workers for the execute stage (default 1; 'auto' = "
-        "one per CPU; real CPU parallelism needs --backend process)",
+        "one per CPU; more than one needs --backend process)",
     )
     p_run.add_argument(
         "--exec-mode", choices=EXEC_MODES, default=None, dest="exec_mode",
@@ -584,12 +586,12 @@ def main(argv: list[str] | None = None) -> int:
     p_tab.add_argument(
         "--backend", choices=BACKENDS, default=None,
         help="execute-stage fan-out backend, byte-identical results "
-        "(default: REPRO_BACKEND or thread)",
+        f"(default: REPRO_BACKEND or {DEFAULT_BACKEND})",
     )
     p_tab.add_argument(
         "--jobs", type=_jobs_arg, default=None, metavar="N|auto",
-        help="workers for the execute stage, 'auto' = one per "
-        "CPU (default: REPRO_JOBS or 1)",
+        help="workers for the execute stage, 'auto' = one per CPU; more "
+        "than one needs --backend process (default: REPRO_JOBS or 1)",
     )
     p_tab.add_argument(
         "--exec-mode", choices=EXEC_MODES, default=None, dest="exec_mode",
@@ -749,14 +751,14 @@ def main(argv: list[str] | None = None) -> int:
         "carry their own profile and are triaged under it automatically)",
     )
     p_triage.add_argument(
-        "--backend", choices=BACKENDS, default="thread",
-        help="fan-out policy for reduction candidate runs (with --jobs > 1); "
-        "the report is byte-identical across backends",
+        "--backend", choices=BACKENDS, default=DEFAULT_BACKEND,
+        help="fan-out policy for reduction candidate runs (process with "
+        "--jobs > 1); the report is byte-identical across backends",
     )
     p_triage.add_argument(
         "--jobs", type=_jobs_arg, default=1, metavar="N|auto",
         help="workers for reduction candidate runs (default 1 = serial; "
-        "real CPU parallelism needs --backend process)",
+        "more than one needs --backend process)",
     )
     p_triage.add_argument(
         "--max-reduce-tests", type=int, default=DEFAULT_MAX_TESTS, metavar="N",
@@ -823,7 +825,11 @@ def main(argv: list[str] | None = None) -> int:
     p_show.set_defaults(func=_cmd_show_prompt)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BackendError as e:
+        print(f"llm4fp {args.command}: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -27,9 +27,7 @@ from repro.corpus.store import RegressionSeed
 from repro.generation.program import (
     GeneratedProgram,
     GeneratorCapabilities,
-    bind_generator,
     generator_capabilities,
-    observe_outcome,
 )
 
 __all__ = ["CorpusReplayGenerator"]
@@ -40,8 +38,7 @@ class CorpusReplayGenerator:
 
     ``seeds`` is typically :meth:`repro.corpus.store.TriggerCorpus.
     seeds` — already deterministically ordered; the wrapper preserves
-    whatever order it is given.  ``inner`` is any lifecycle (or legacy
-    ``notify_success``-only) generator.
+    whatever order it is given.  ``inner`` is any lifecycle generator.
     """
 
     def __init__(self, seeds: Iterable[RegressionSeed], inner) -> None:
@@ -79,7 +76,7 @@ class CorpusReplayGenerator:
                 if i % shard_count == shard_index
             ]
         self._position = 0
-        bind_generator(self._inner, shard_index, shard_count, rng_seed)
+        self._inner.bind(shard_index, shard_count, rng_seed)
 
     def generate(self) -> GeneratedProgram:
         if self._position < len(self._seeds):
@@ -100,20 +97,14 @@ class CorpusReplayGenerator:
         # Seed outcomes feed the inner approach too: a feedback
         # generator starts its mutation loop from the regression sweep's
         # verdicts instead of cold.
-        observe_outcome(self._inner, outcome)
+        self._inner.observe(outcome)
 
     def export_state(self) -> dict:
-        inner_state = (
-            self._inner.export_state()
-            if hasattr(self._inner, "export_state")
-            else {}
-        )
-        return {"position": self._position, "inner": inner_state}
+        return {"position": self._position, "inner": self._inner.export_state()}
 
     def import_state(self, state: dict) -> None:
         self._position = int(state["position"])
-        if hasattr(self._inner, "import_state"):
-            self._inner.import_state(state.get("inner", {}))
+        self._inner.import_state(state["inner"])
 
     # -- passthrough -----------------------------------------------------------
 
@@ -123,8 +114,8 @@ class CorpusReplayGenerator:
 
     def __getattr__(self, name: str):
         # Everything the wrapper doesn't define (island migrant hooks,
-        # the simulated LLM handle, legacy notify_success) belongs to
-        # the inner generator.  Underscore names are never forwarded —
+        # the simulated LLM handle) belongs to the inner generator.
+        # Underscore names are never forwarded —
         # that keeps deepcopy/pickle protocol probes on the default path
         # and makes a missing private attribute an honest AttributeError.
         if name.startswith("_"):

@@ -18,7 +18,6 @@ from repro.difftest.backend import (
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     create_backend,
     resolve_jobs,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "BACKENDS",
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "create_backend",
     "resolve_jobs",

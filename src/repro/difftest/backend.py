@@ -1,20 +1,19 @@
 """Execution backends: how the engine's execute stage fans out.
 
 The staged engine treats "run these independent work units" as a policy
-decision separated from the stages themselves.  Three policies exist:
+decision separated from the stages themselves.  Two policies exist:
 
-* :class:`SerialBackend` — everything inline on the calling thread.  The
-  reference cost model; zero scheduling overhead.
-* :class:`ThreadBackend` — a :class:`~concurrent.futures.ThreadPoolExecutor`
-  for the execute stage.  Adds scheduling slack but no CPU parallelism
-  under CPython's GIL; pays off on GIL-free runtimes or once stages grow
-  I/O sections.
+* :class:`SerialBackend` — everything inline on the calling thread, the
+  default.  The reference cost model; zero scheduling overhead.
 * :class:`ProcessBackend` — a :class:`~concurrent.futures.ProcessPoolExecutor`
   for the execute stage.  Kernel runs are dispatched as picklable batch
   specs (optimized IR, FP environment, input sets, step limit, exec mode)
   through the pure :func:`repro.execution.batch.run_batch_task`, chunked
   to amortize IPC.  This is real multi-core parallelism: each run is
   independent.
+
+A thread pool is deliberately absent: the stages are pure Python, so
+under CPython's GIL it added scheduling cost and no parallelism.
 
 Backends schedule execution only: the engine compiles in the calling
 thread, where one per-program pass memo sees every compilation.
@@ -29,7 +28,7 @@ bit-exact float round-trip).
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import Sequence
 
 from repro.execution.batch import BatchTask, run_batch_task
@@ -37,17 +36,26 @@ from repro.execution.result import ExecutionResult
 
 __all__ = [
     "BACKENDS",
+    "DEFAULT_BACKEND",
+    "BackendError",
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
+    "check_backend",
     "create_backend",
     "parse_jobs",
     "resolve_jobs",
 ]
 
 #: Recognized backend names, in increasing isolation order.
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
+
+#: The backend every surface (engine, settings, CLI) uses when none is named.
+DEFAULT_BACKEND = "serial"
+
+
+class BackendError(ValueError):
+    """An unknown backend name, or a worker count the named backend cannot run."""
 
 
 def resolve_jobs(jobs: int | str) -> int:
@@ -74,6 +82,23 @@ def parse_jobs(text: str) -> int | str:
         raise ValueError(f"jobs must be an integer or 'auto', got {text!r}") from e
     resolve_jobs(jobs)  # range check
     return jobs
+
+
+def check_backend(name: str, jobs: int | str) -> None:
+    """Validate a (backend, jobs) pair: the one check every surface shares.
+
+    An unknown name, or more than one worker on the inline serial
+    backend, raises :class:`BackendError`.
+    """
+    if name not in BACKENDS:
+        raise BackendError(f"unknown backend {name!r}; expected one of {BACKENDS}")
+    resolved = resolve_jobs(jobs)
+    if name == "serial" and resolved != 1:
+        raise BackendError(
+            f"the serial backend runs inline and cannot use jobs={jobs}; "
+            "pass --backend process to run the execute stage on "
+            f"{resolved} workers"
+        )
 
 
 class ExecutionBackend:
@@ -112,41 +137,6 @@ class SerialBackend(ExecutionBackend):
     name = "serial"
 
 
-class ThreadBackend(ExecutionBackend):
-    """Thread-pool fan-out of execute units."""
-
-    name = "thread"
-
-    def __init__(self, jobs: int) -> None:
-        self.jobs = resolve_jobs(jobs)
-        self._pool: ThreadPoolExecutor | None = None
-
-    def _ensure(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.jobs, thread_name_prefix="campaign"
-            )
-        return self._pool
-
-    def shutdown(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def run_batches(
-        self, tasks: Sequence[BatchTask]
-    ) -> list[tuple[ExecutionResult, ...]]:
-        if self.jobs == 1 or len(tasks) < 2:
-            return [run_batch_task(task) for task in tasks]
-        return list(self._ensure().map(run_batch_task, tasks))
-
-
-def _chunksize(n_tasks: int, jobs: int) -> int:
-    """Tasks per IPC message: enough to amortize pickling, small enough to
-    keep all workers fed (at least two waves per worker when possible)."""
-    return max(1, n_tasks // (jobs * 2))
-
-
 class ProcessBackend(ExecutionBackend):
     """Process-pool fan-out of the execute stage (true multi-core).
 
@@ -161,11 +151,6 @@ class ProcessBackend(ExecutionBackend):
         self.jobs = resolve_jobs(jobs)
         self._pool: ProcessPoolExecutor | None = None
 
-    def _ensure(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
-        return self._pool
-
     def shutdown(self) -> None:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
@@ -176,22 +161,17 @@ class ProcessBackend(ExecutionBackend):
     ) -> list[tuple[ExecutionResult, ...]]:
         if self.jobs == 1 or len(tasks) < 2:
             return [run_batch_task(task) for task in tasks]
-        pool = self._ensure()
-        return list(
-            pool.map(
-                run_batch_task, tasks, chunksize=_chunksize(len(tasks), self.jobs)
-            )
-        )
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
+        # Tasks per IPC message: enough to amortize pickling, few enough to
+        # keep all workers fed (at least two waves per worker when possible).
+        chunksize = max(1, len(tasks) // (self.jobs * 2))
+        return list(self._pool.map(run_batch_task, tasks, chunksize=chunksize))
 
 
 def create_backend(name: str, jobs: int | str) -> ExecutionBackend:
     """Instantiate the named backend with ``jobs`` workers."""
+    check_backend(name, jobs)
     if name == "serial":
-        if resolve_jobs(jobs) != 1:
-            raise ValueError("the serial backend runs inline; use jobs=1")
         return SerialBackend()
-    if name == "thread":
-        return ThreadBackend(jobs)
-    if name == "process":
-        return ProcessBackend(jobs)
-    raise ValueError(f"unknown backend {name!r}; expected one of {BACKENDS}")
+    return ProcessBackend(jobs)

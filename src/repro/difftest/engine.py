@@ -32,10 +32,10 @@ deduplicated and concurrently schedulable:
 
 Compilation runs in the calling thread, in matrix order.  Distinct
 execute units fan out to an
-:class:`~repro.difftest.backend.ExecutionBackend` — ``serial`` (inline),
-``thread`` (GIL-bound scheduling slack), or ``process`` (true multi-core:
-execute tasks ship to a :class:`~concurrent.futures.ProcessPoolExecutor`
-as picklable specs through the pure ``execution/batch`` entry point).
+:class:`~repro.difftest.backend.ExecutionBackend` — ``serial`` (inline,
+the default) or ``process`` (true multi-core: execute tasks ship to a
+:class:`~concurrent.futures.ProcessPoolExecutor` as picklable specs
+through the pure ``execution/batch`` entry point).
 Results are gathered in matrix order and every record dict is filled in
 the same deterministic order as the serial loop, so a
 :class:`CampaignResult` is byte-identical across backends and job counts
@@ -54,11 +54,10 @@ Two campaign-scale facilities ride on that determinism:
   an unsharded run.  Feedback generators shard as islands
   (``EngineConfig.islands``), which partition generation itself.
 
-Note on throughput: with the ``thread`` backend the measured gains come
-from the in-program *dedup* — level-class compilation sharing, the pass
-memo and identical-binary run sharing — because the stages are pure
-Python and CPython's GIL serializes thread workers.  The ``process``
-backend adds real CPU parallelism on top for the execute stage.  Nothing
+Note on throughput: on the serial backend the measured gains come from
+the in-program *dedup* — level-class compilation sharing, the pass memo
+and identical-binary run sharing.  The ``process`` backend adds real CPU
+parallelism on top for the execute stage.  Nothing
 is cached across programs: every compiled binary and tape dies with its
 program.
 """
@@ -73,8 +72,9 @@ from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 from repro.difftest.backend import (
-    BACKENDS,
+    DEFAULT_BACKEND,
     ExecutionBackend,
+    check_backend,
     create_backend,
     resolve_jobs,
 )
@@ -92,7 +92,6 @@ from repro.generation.program import (
     GeneratedProgram,
     ProgramGenerator,
     generator_capabilities,
-    observe_outcome,
 )
 from repro.ir import nodes as ir
 from repro.ir.lower import lower_compute
@@ -180,17 +179,16 @@ class EngineConfig:
     Attributes:
         jobs: workers fanning out each program's execute stage;
             ``1`` runs every stage inline, ``"auto"`` uses one worker per
-            CPU.  What a worker *is* depends on ``backend``.
+            CPU.  More than one needs ``backend="process"``.
         share_runs: deduplicate work *within* one program's matrix — levels
             with identical pipelines compile once, each distinct pass runs
             once per input kernel, and binaries with content-identical
             (optimized kernel, environment) execute once.
             Disabling it reproduces the legacy serial cost model exactly
             (used as the benchmark baseline).
-        backend: fan-out policy — ``"serial"`` (inline, requires jobs=1),
-            ``"thread"`` (GIL-bound thread pool, the historical behaviour)
-            or ``"process"`` (multi-core process pool for the execute
-            stage).  Results are byte-identical across all three.
+        backend: fan-out policy — ``"serial"`` (inline, requires jobs=1;
+            the default) or ``"process"`` (multi-core process pool for the
+            execute stage).  Results are byte-identical across both.
         shard_index / shard_count: run only budget indices where
             ``index % shard_count == shard_index``; disjoint shards merge
             to the unsharded result (:func:`repro.difftest.store.merge_shards`).
@@ -217,7 +215,7 @@ class EngineConfig:
 
     jobs: int | str = 1
     share_runs: bool = True
-    backend: str = "thread"
+    backend: str = DEFAULT_BACKEND
     shard_index: int = 0
     shard_count: int = 1
     islands: int = 0
@@ -228,18 +226,12 @@ class EngineConfig:
     )
 
     def __post_init__(self) -> None:
-        resolve_jobs(self.jobs)  # validates int >= 1 or "auto"
+        check_backend(self.backend, self.jobs)
         if self.exec_mode not in EXEC_MODES:
             raise ValueError(
                 f"exec_mode must be one of {', '.join(EXEC_MODES)}, "
                 f"got {self.exec_mode!r}"
             )
-        if self.backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; expected one of {BACKENDS}"
-            )
-        if self.backend == "serial" and resolve_jobs(self.jobs) != 1:
-            raise ValueError("the serial backend runs inline; use jobs=1")
         if self.shard_count < 1:
             raise ValueError("shard_count must be >= 1")
         if not 0 <= self.shard_index < self.shard_count:
@@ -520,7 +512,7 @@ class CampaignEngine:
                         i, program, _sw=sw, _backend=backend
                     )
                 if coordinator is None:
-                    observe_outcome(generator, outcome)
+                    generator.observe(outcome)
                     island_records: list[dict] = []
                 else:
                     island_records = coordinator.observe(i, outcome)
@@ -696,9 +688,8 @@ class CampaignEngine:
 
         Each distinct group becomes one picklable
         :data:`~repro.execution.batch.BatchTask` carrying the engine's
-        exec mode; the backend decides whether those run inline, on
-        threads, or across processes, and always returns results in task
-        order.
+        exec mode; the backend decides whether those run inline or
+        across processes, and always returns results in task order.
         """
         share = self.engine_config.share_runs
         max_steps = self.config.max_steps

@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from repro.difftest.backend import BACKENDS, parse_jobs, resolve_jobs
+from repro.difftest.backend import DEFAULT_BACKEND, check_backend, parse_jobs
 from repro.execution.batch import DEFAULT_EXEC_MODE, EXEC_MODES
 from repro.toolchains.optlevels import ALL_LEVELS, OptLevel
 
@@ -89,9 +89,9 @@ class ExperimentSettings:
     #: campaign-engine workers for each program's execute stage
     #: (``REPRO_JOBS``: an int, or ``auto`` for one worker per CPU)
     jobs: int | str = field(default_factory=lambda: _env_jobs("REPRO_JOBS", 1))
-    #: execution backend: serial / thread / process (``REPRO_BACKEND``)
+    #: execution backend: serial / process (``REPRO_BACKEND``)
     backend: str = field(
-        default_factory=lambda: os.environ.get("REPRO_BACKEND", "thread")
+        default_factory=lambda: os.environ.get("REPRO_BACKEND", DEFAULT_BACKEND)
     )
     #: execute-stage mode: tree / tape / check (``REPRO_EXEC_MODE``)
     exec_mode: str = field(
@@ -146,11 +146,7 @@ class ExperimentSettings:
     def __post_init__(self) -> None:
         if self.budget <= 0:
             raise ValueError("budget must be positive")
-        resolve_jobs(self.jobs)  # validates int >= 1 or "auto"
-        if self.backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; expected one of {BACKENDS}"
-            )
+        check_backend(self.backend, self.jobs)
         if self.exec_mode not in EXEC_MODES:
             raise ValueError(
                 f"exec_mode must be one of {', '.join(EXEC_MODES)}, "

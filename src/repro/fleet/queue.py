@@ -26,6 +26,7 @@ import json
 import os
 from pathlib import Path
 
+from repro.difftest.backend import BackendError
 from repro.fleet.supervisor import (
     CampaignSpec,
     FleetConfig,
@@ -57,6 +58,8 @@ def load_jobs(path: str | os.PathLike) -> list[tuple[CampaignSpec, int]]:
             raise ValueError(f"{path}:{lineno}: job must be a JSON object")
         try:
             spec = CampaignSpec.from_json(record)
+        except BackendError as e:
+            raise BackendError(f"{path}:{lineno}: {e}") from e
         except (TypeError, ValueError) as e:
             raise ValueError(f"{path}:{lineno}: {e}") from e
         shards = record.get("shards", 1)

@@ -50,6 +50,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
+from repro.difftest.backend import DEFAULT_BACKEND, check_backend, parse_jobs
 from repro.difftest.store import merge_shard_stores, tail_outcomes
 from repro.fleet.events import FleetEventLog
 from repro.fleet.targets import LocalProcessTarget, WorkerTarget, worker_python
@@ -90,6 +91,11 @@ class CampaignSpec:
     merge_every: int | None = None
     #: label used for the campaign's directory in queue mode
     name: str = ""
+
+    def __post_init__(self) -> None:
+        # Refuse what every worker would refuse; unpinned = worker default.
+        jobs = 1 if self.jobs is None else parse_jobs(str(self.jobs))
+        check_backend(self.backend or DEFAULT_BACKEND, jobs)
 
     @classmethod
     def from_json(cls, record: dict) -> "CampaignSpec":

@@ -160,10 +160,6 @@ class LLMProgramGenerator:
                 }
             )
 
-    def notify_success(self, program: GeneratedProgram) -> None:
-        if self.use_feedback:
-            self.successes.add(program.source)
-
     def export_state(self) -> dict:
         state = {
             "counter": self._counter,

@@ -101,9 +101,6 @@ class LoopReductionGenerator:
     def observe(self, outcome) -> None:
         """Feedback-free (and therefore classically shardable), like varity."""
 
-    def notify_success(self, program: GeneratedProgram) -> None:
-        """Feedback-free (and therefore shardable), like varity."""
-
     def export_state(self) -> dict:
         return {"counter": self._counter}
 

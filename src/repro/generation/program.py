@@ -3,15 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Protocol, runtime_checkable
+from typing import Any, Protocol
 
 __all__ = [
     "GeneratedProgram",
     "GeneratorCapabilities",
     "ProgramGenerator",
-    "bind_generator",
     "generator_capabilities",
-    "observe_outcome",
 ]
 
 
@@ -55,7 +53,6 @@ class GeneratorCapabilities:
     shardable: bool = True
 
 
-@runtime_checkable
 class ProgramGenerator(Protocol):
     """A source of candidate programs — one of the paper's approaches.
 
@@ -75,6 +72,9 @@ class ProgramGenerator(Protocol):
        feedback-free approaches).
     4. ``export_state()`` / ``import_state(state)`` — snapshot/restore the
        evolution state as a JSON-serializable dict.
+
+    The engine, the island coordinator and the corpus-replay wrapper call
+    these methods directly, so every generator implements all of them.
 
     ``capabilities`` declares up front what the engine may do with the
     generator; it replaces the deprecated ``use_feedback`` attribute probe
@@ -106,13 +106,6 @@ class ProgramGenerator(Protocol):
         """Restore a snapshot produced by :meth:`export_state`."""
         ...
 
-    def notify_success(self, program: GeneratedProgram) -> None:
-        """Deprecated pre-lifecycle feedback hook, kept for one release:
-        called with the program alone when it triggered an inconsistency.
-        New code receives the whole outcome through :meth:`observe`.
-        """
-        ...
-
 
 def generator_capabilities(generator: Any) -> GeneratorCapabilities:
     """The declared :class:`GeneratorCapabilities` of ``generator``.
@@ -137,23 +130,3 @@ def generator_capabilities(generator: Any) -> GeneratorCapabilities:
         )
     return GeneratorCapabilities(feedback=False, shardable=True)
 
-
-def bind_generator(
-    generator: Any, shard_index: int, shard_count: int, rng_seed: int
-) -> None:
-    """Call :meth:`ProgramGenerator.bind`, tolerating pre-lifecycle
-    generators (for which binding the whole stream was always implicit)."""
-    bind = getattr(generator, "bind", None)
-    if bind is not None:
-        bind(shard_index, shard_count, rng_seed)
-
-
-def observe_outcome(generator: Any, outcome: Any) -> None:
-    """Deliver ``outcome`` through the richest hook the generator has:
-    ``observe(outcome)`` when present, else the legacy
-    ``notify_success(program)`` on triggering outcomes only."""
-    observe = getattr(generator, "observe", None)
-    if observe is not None:
-        observe(outcome)
-    elif outcome.triggered:
-        generator.notify_success(outcome.program)

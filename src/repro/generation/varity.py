@@ -82,9 +82,6 @@ class VarityGenerator:
     def observe(self, outcome) -> None:
         """Varity has no feedback loop — verdicts are not reused."""
 
-    def notify_success(self, program: GeneratedProgram) -> None:
-        """Varity has no feedback loop — successes are not reused."""
-
     def export_state(self) -> dict:
         return {"counter": self._counter}
 

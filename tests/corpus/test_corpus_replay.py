@@ -135,23 +135,6 @@ class TestLifecycle:
         gen.observe(outcome)
         assert seen == [outcome]
 
-    def test_legacy_notify_success_inner_still_fed(self, tmp_path):
-        fed = []
-
-        class Legacy:
-            name = "legacy-gen"
-
-            def generate(self):
-                return GeneratedProgram(source="s", inputs=())
-
-            def notify_success(self, program):
-                fed.append(program)
-
-        gen = CorpusReplayGenerator(_corpus_seeds(tmp_path), Legacy())
-        outcome = trigger_outcome(0)
-        gen.observe(outcome)
-        assert fed == [outcome.program]
-
     def test_export_import_resumes_seed_position(self, tmp_path):
         seeds = _corpus_seeds(tmp_path)
         a = CorpusReplayGenerator(seeds, _varity())

@@ -405,9 +405,7 @@ class TestByteDeterminism:
         b = _ingest_bytes(tmp_path, "b.jsonl", [(list(reversed(outcomes)), "lab")])
         assert a == b
 
-    @pytest.mark.parametrize(
-        "backend,jobs", [("thread", 2), ("process", 2)]
-    )
+    @pytest.mark.parametrize("backend,jobs", [("process", 2)])
     def test_backend_never_changes_corpus_bytes(self, tmp_path, backend, jobs):
         serial = _run_checkpoint(tmp_path, "serial.jsonl")
         other = _run_checkpoint(

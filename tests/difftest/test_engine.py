@@ -3,10 +3,11 @@ sharding."""
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.difftest.backend import (
+    BackendError,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     create_backend,
     resolve_jobs,
 )
@@ -21,6 +22,8 @@ from repro.difftest.engine import (
 from repro.difftest.harness import run_campaign
 from repro.difftest.store import merge_shards
 from repro.experiments.approaches import make_generator
+from repro.experiments.settings import ExperimentSettings
+from repro.fleet.supervisor import CampaignSpec
 from repro.fp.bits import double_to_hex
 from repro.generation.program import GeneratedProgram
 from repro.toolchains import (
@@ -100,7 +103,7 @@ class TestDeterminism:
 
     def test_jobs_1_vs_4_identical(self):
         serial = run_with(EngineConfig(jobs=1))
-        parallel = run_with(EngineConfig(jobs=4))
+        parallel = run_with(EngineConfig(backend="process", jobs=4))
         assert result_key(serial) == result_key(parallel)
 
     def test_sharing_on_off_identical(self):
@@ -110,7 +113,7 @@ class TestDeterminism:
 
     def test_parallel_all_knobs_identical_to_legacy(self):
         legacy = run_with(EngineConfig(jobs=1, share_runs=False))
-        full = run_with(EngineConfig(jobs=4, share_runs=True))
+        full = run_with(EngineConfig(backend="process", jobs=2, share_runs=True))
         assert result_key(legacy) == result_key(full)
 
     def test_shim_matches_engine(self):
@@ -122,14 +125,12 @@ class TestDeterminism:
 
 
 class TestBackendEquivalence:
-    """The tentpole property: serial, thread and process backends produce
+    """The tentpole property: the serial and process backends produce
     byte-for-byte identical campaigns; only wall-clock differs."""
 
-    def test_serial_thread_process_identical(self):
+    def test_serial_process_identical(self):
         serial = run_with(EngineConfig(backend="serial", jobs=1), budget=6)
-        thread = run_with(EngineConfig(backend="thread", jobs=4), budget=6)
         process = run_with(EngineConfig(backend="process", jobs=2), budget=6)
-        assert result_key(serial) == result_key(thread)
         assert result_key(serial) == result_key(process)
 
     def test_vector_lanes_identical_across_backends(self):
@@ -139,13 +140,9 @@ class TestBackendEquivalence:
         serial = run_with(
             EngineConfig(backend="serial", jobs=1), approach="loops", budget=8
         )
-        thread = run_with(
-            EngineConfig(backend="thread", jobs=4), approach="loops", budget=8
-        )
         process = run_with(
             EngineConfig(backend="process", jobs=2), approach="loops", budget=8
         )
-        assert result_key(serial) == result_key(thread)
         assert result_key(serial) == result_key(process)
         tags = [
             c.tag
@@ -163,13 +160,9 @@ class TestBackendEquivalence:
         serial = run_with(
             EngineConfig(backend="serial", jobs=1), approach="loops", budget=10
         )
-        thread = run_with(
-            EngineConfig(backend="thread", jobs=4), approach="loops", budget=10
-        )
         process = run_with(
             EngineConfig(backend="process", jobs=2), approach="loops", budget=10
         )
-        assert result_key(serial) == result_key(thread)
         assert result_key(serial) == result_key(process)
         patterns = [o.program.meta.get("pattern", "") for o in serial.outcomes]
         assert any("guarded" in p for p in patterns)  # workload is guarded
@@ -201,24 +194,80 @@ class TestBackendEquivalence:
         import os
 
         assert resolve_jobs("auto") == (os.cpu_count() or 1)
-        assert EngineConfig(jobs="auto").resolved_jobs == (os.cpu_count() or 1)
+        config = EngineConfig(backend="process", jobs="auto")
+        assert config.resolved_jobs == (os.cpu_count() or 1)
 
     def test_create_backend_types(self):
         assert isinstance(create_backend("serial", 1), SerialBackend)
-        assert isinstance(create_backend("thread", 2), ThreadBackend)
         assert isinstance(create_backend("process", 2), ProcessBackend)
-        with pytest.raises(ValueError, match="unknown backend"):
+        with pytest.raises(BackendError, match="unknown backend"):
             create_backend("fork-bomb", 2)
-        with pytest.raises(ValueError, match="serial backend"):
+        with pytest.raises(BackendError, match="unknown backend"):
+            create_backend("thread", 1)
+        with pytest.raises(BackendError, match="serial backend"):
             create_backend("serial", 2)
 
     def test_backend_config_validation(self):
-        with pytest.raises(ValueError, match="unknown backend"):
+        with pytest.raises(BackendError, match="unknown backend"):
             EngineConfig(backend="greenlet")
-        with pytest.raises(ValueError, match="serial backend"):
+        with pytest.raises(BackendError, match="unknown backend"):
+            EngineConfig(backend="thread")
+        with pytest.raises(BackendError, match="serial backend"):
             EngineConfig(backend="serial", jobs=4)
         with pytest.raises(ValueError, match="jobs"):
             EngineConfig(jobs="many")
+        # the default backend is serial: more workers need it named
+        for build in (
+            lambda: EngineConfig(jobs=2),
+            lambda: ExperimentSettings(jobs=2),
+            lambda: CampaignSpec(jobs="2"),
+        ):
+            with pytest.raises(BackendError, match="--backend process"):
+                build()
+
+
+def _serve_queue(tmp_path):
+    queue = tmp_path / "jobs.jsonl"
+    queue.write_text('{"approach": "loops", "budget": 2, "jobs": 2}\n')
+    return ["serve", "--dir", str(tmp_path / "fleet"), "--queue", str(queue)]
+
+
+class TestBackendRefusal:
+    """Two backends only, and the serial default takes one worker: every
+    CLI surface refuses the rest with exit status 2 and a message, before
+    any campaign work starts."""
+
+    @pytest.mark.parametrize(
+        "argv, env, message",
+        [
+            (lambda _: ["run", "--backend", "thread"], {}, "invalid choice"),
+            (lambda _: ["run", "--jobs", "2"], {}, "--backend process"),
+            (lambda _: ["triage", "--demo", "--jobs", "2"], {}, "--backend process"),
+            (lambda _: ["tables", "table2"], {"REPRO_JOBS": "2"}, "--backend process"),
+            (_serve_queue, {}, "jobs.jsonl:1: the serial backend"),
+            (
+                lambda p: ["serve", "--dir", str(p / "fleet"), "--jobs", "2"],
+                {},
+                "--backend process",
+            ),
+        ],
+        ids=[
+            "run-thread", "run-jobs", "triage-jobs", "tables-env",
+            "serve-queue", "serve-jobs",
+        ],
+    )
+    def test_cli_exits_2_with_message(
+        self, tmp_path, monkeypatch, capsys, argv, env, message
+    ):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        try:
+            code = cli_main(argv(tmp_path))
+        except SystemExit as e:  # argparse refuses an invalid choice
+            code = e.code
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "fleet").exists()  # no worker ever spawned
 
 
 class TestSharding:
@@ -285,7 +334,7 @@ class _Repeat:
     def generate(self):
         return self.program
 
-    def notify_success(self, program):
+    def observe(self, outcome):
         pass
 
 

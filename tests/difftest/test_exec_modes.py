@@ -37,7 +37,6 @@ class TestCampaignIdentity:
         [
             ("tape", "serial", 1),
             ("check", "serial", 1),
-            ("tape", "thread", 2),
             ("tape", "process", 2),
         ],
     )

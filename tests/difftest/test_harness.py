@@ -110,13 +110,13 @@ class _StubGenerator:
 
     def __init__(self, programs):
         self._programs = list(programs)
-        self.successes = []
+        self.outcomes = []
 
     def generate(self):
         return self._programs.pop(0)
 
-    def notify_success(self, program):
-        self.successes.append(program)
+    def observe(self, outcome):
+        self.outcomes.append(outcome)
 
 
 class TestRunCampaign:
@@ -128,7 +128,9 @@ class TestRunCampaign:
         gen = _StubGenerator(programs)
         compilers = [GccCompiler(), ClangCompiler(), NvccCompiler()]
         result = run_campaign(gen, compilers, CampaignConfig(budget=2))
-        assert len(gen.successes) == 1
+        assert len(gen.outcomes) == 2  # every verdict reaches the generator
+        triggered = [o.program for o in gen.outcomes if o.triggered]
+        assert triggered == programs[:1]
         assert result.budget == 2
         assert result.total_comparisons == 3 * 6 * 2
 

@@ -32,7 +32,7 @@ def _generator(seed=SEED):
     return make_generator("llm4fp", SplittableRng(seed, "cli-llm4fp"))
 
 
-def _run(path, *, budget=BUDGET, seed=SEED, backend="thread", jobs=1,
+def _run(path, *, budget=BUDGET, seed=SEED, backend="serial", jobs=1,
          shard=(0, 1), islands=ISLANDS, merge_every=MERGE_EVERY, peers=()):
     engine = CampaignEngine(
         default_compilers(),
@@ -60,7 +60,7 @@ def unsharded(tmp_path_factory):
 
 class TestBackendIdentity:
     @pytest.mark.parametrize(
-        "backend, jobs", [("serial", 1), ("thread", 4), ("process", 2)]
+        "backend, jobs", [("serial", 1), ("process", 2)]
     )
     def test_backends_agree_byte_for_byte(self, tmp_path, unsharded, backend, jobs):
         path = tmp_path / f"{backend}.jsonl"

@@ -9,13 +9,7 @@ import pytest
 
 from repro.difftest.record import ComparisonRecord, ProgramOutcome
 from repro.experiments.approaches import ALL_APPROACHES, make_generator
-from repro.generation.program import (
-    GeneratedProgram,
-    GeneratorCapabilities,
-    bind_generator,
-    generator_capabilities,
-    observe_outcome,
-)
+from repro.generation.program import GeneratorCapabilities, generator_capabilities
 from repro.toolchains import OptLevel
 from repro.utils.rng import SplittableRng
 
@@ -133,9 +127,6 @@ class TestBind:
         with pytest.raises(ValueError, match="partition"):
             _generator(approach).bind(*partition, 42)
 
-    def test_bind_generator_tolerates_pre_lifecycle_generators(self):
-        bind_generator(object(), 0, 1, 42)  # no bind attr: a no-op
-
 
 class TestStateRoundTrip:
     @pytest.mark.parametrize("approach", ALL_APPROACHES)
@@ -164,32 +155,3 @@ class TestStateRoundTrip:
         b.import_state(state)
         assert b.export_migrants(3) == a.export_migrants(3)
         assert _programs(b, 4) == _programs(a, 4)
-
-
-class TestObserveOutcome:
-    def test_observe_hook_preferred(self):
-        calls = []
-
-        class Gen:
-            def observe(self, outcome):
-                calls.append(outcome)
-
-        program = GeneratedProgram(source="s", inputs=())
-        outcome = _triggering_outcome(program)
-        observe_outcome(Gen(), outcome)
-        assert calls == [outcome]
-
-    def test_legacy_notify_success_fallback(self):
-        calls = []
-
-        class Legacy:
-            def notify_success(self, program):
-                calls.append(program)
-
-        program = GeneratedProgram(source="s", inputs=())
-        observe_outcome(Legacy(), _triggering_outcome(program))
-        assert calls == [program]
-        # non-triggering outcomes never reach the legacy hook
-        quiet = ProgramOutcome(index=1, program=program, triggered=False)
-        observe_outcome(Legacy(), quiet)
-        assert calls == [program]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.difftest.record import ProgramOutcome
 from repro.frontend import ast
 from repro.frontend.parser import parse_program
 from repro.frontend.sema import check_program
@@ -159,7 +160,7 @@ class TestLLMProgramGenerator:
             use_feedback=False,
         )
         p = gen.generate()
-        gen.notify_success(p)  # ignored
+        gen.observe(ProgramOutcome(index=0, program=p, triggered=True))  # ignored
         strategies = {gen.generate().strategy for _ in range(10)}
         assert strategies == {"direct"}
 
@@ -179,7 +180,7 @@ class TestLLMProgramGenerator:
             mutation_prob=1.0,
         )
         p = gen.generate()
-        gen.notify_success(p)
+        gen.observe(ProgramOutcome(index=0, program=p, triggered=True))
         assert gen.generate().strategy == "mutation"
 
     def test_inputs_match_signature(self):

@@ -83,9 +83,3 @@ class TestCharacter:
 
     def test_meta_strategy(self):
         assert make().generate().strategy == "varity"
-
-    def test_notify_success_is_noop(self):
-        gen = make()
-        p = gen.generate()
-        gen.notify_success(p)  # must not raise or change behaviour
-        assert gen.generate().source != p.source

@@ -65,8 +65,8 @@ def test_report_render_is_deterministic(baseline_report):
 
 
 def test_clusters_stable_across_backends(baseline_report):
-    threaded = _campaign(EngineConfig(jobs=2, backend="thread"))
-    report = triage_campaign(threaded, reduce=False)
+    pooled = _campaign(EngineConfig(jobs=2, backend="process"))
+    report = triage_campaign(pooled, reduce=False)
     assert report.render() == baseline_report.render()
 
 

@@ -165,14 +165,14 @@ class TestBackendParity:
     schedule: reduced source, accepted edits and tests spent stay
     byte-identical, in every exec mode."""
 
-    def test_thread_backend_matches_serial(self, compilers, distilled_target):
+    def test_process_backend_matches_serial(self, compilers, distilled_target):
         from repro.difftest.backend import create_backend
 
         program, target = distilled_target
         serial = reduce_program(
             PADDED, program.inputs, target, compilers
         )
-        with create_backend("thread", 4) as backend:
+        with create_backend("process", 2) as backend:
             fanned = reduce_program(
                 PADDED, program.inputs, target, compilers, backend=backend
             )
@@ -186,7 +186,7 @@ class TestBackendParity:
 
         program, target = distilled_target
         serial = reduce_program(program.source, program.inputs, target, compilers)
-        with create_backend("thread", 2) as backend:
+        with create_backend("process", 2) as backend:
             other = reduce_program(
                 program.source,
                 program.inputs,
@@ -202,11 +202,11 @@ class TestBackendParity:
         from repro.difftest.backend import create_backend
 
         program, target = distilled_target
-        for budget in (1, 5, 17, 60):
-            serial = reduce_program(
-                PADDED, program.inputs, target, compilers, max_tests=budget
-            )
-            with create_backend("thread", 4) as backend:
+        with create_backend("process", 2) as backend:
+            for budget in (1, 5, 17, 60):
+                serial = reduce_program(
+                    PADDED, program.inputs, target, compilers, max_tests=budget
+                )
                 fanned = reduce_program(
                     PADDED,
                     program.inputs,
@@ -215,5 +215,5 @@ class TestBackendParity:
                     max_tests=budget,
                     backend=backend,
                 )
-            assert fanned.tests == serial.tests <= budget
-            assert fanned.reduced_source == serial.reduced_source
+                assert fanned.tests == serial.tests <= budget
+                assert fanned.reduced_source == serial.reduced_source
