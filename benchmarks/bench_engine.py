@@ -38,11 +38,10 @@ island model's determinism contract.
 
 Two tape-executor legs ride along (schema 4): the loops campaign re-run
 under ``exec_mode=tape`` (its result must be bit-identical — part of the
-``identical`` gate), and a batched-execution microbench where every
-distinct (optimized kernel, environment) of the workload runs a batch of
-input sets in both modes.  ``tape_speedup`` is that microbench's ratio
-— the regime the tape compiler targets (ddmin rounds, repeated-input
-batches), where one compile amortizes across the batch.  In a plain
+``identical`` gate), and a tape-reuse microbench where every distinct
+(optimized kernel, environment) of the workload runs a set of inputs in
+both modes.  ``tape_speedup`` is that microbench's ratio — the regime
+where one tape compile is replayed on many input sets.  In a plain
 campaign each kernel runs once, so there the tape roughly breaks even;
 ``execute_stage_share`` records how little of campaign wall-clock the
 execute stage is (the Amdahl context for any engine-level expectation).
@@ -147,9 +146,8 @@ _TIERS_BUDGET = 60
 #: the three structural tags the full profile adds over baseline
 _NEW_TIER_TAGS = ("vec-libm", "mixed-precision", "masked-int-guard")
 
-#: input sets per kernel in the batched-execution microbench: the regime
-#: the tape compiler exists for (reduction candidate matrices, repeated
-#: difftest inputs), where one compile serves the whole batch
+#: input sets per kernel in the tape-reuse microbench, where one tape
+#: compile serves every input
 _TAPE_BATCH = 8
 
 
@@ -238,16 +236,19 @@ def _result_key(result):
 
 
 def _tape_microbench(programs, batch: int = _TAPE_BATCH) -> dict:
-    """Batched execution, tree vs tape, over the workload's real matrix.
+    """Tape reuse, tree vs tape, over the workload's real matrix.
 
     Every distinct (optimized kernel, environment) of the workload runs
-    ``batch`` input sets through :func:`repro.execution.batch.run_batch`
-    in both modes — the tape leg compiles one tape per task and
-    amortizes it across the batch, exactly as the engine's run groups and the reducer's ddmin
-    rounds do.  Results are compared bit-for-bit.
+    ``batch`` input sets in both modes: the tree leg calls
+    ``Interpreter(...).run`` once per input, the tape leg compiles one
+    :func:`~repro.execution.tape.compile_tape` per kernel and calls
+    ``Tape.run`` on each input.  Results are compared bit-for-bit.
     """
     from repro.difftest.engine import frontend_kernels
-    from repro.execution.batch import result_key, run_batch
+    from repro.execution.interp import Interpreter
+    from repro.execution.limits import DEFAULT_MAX_STEPS
+    from repro.execution.tape import compile_tape
+    from repro.execution.worker import result_key
     from repro.toolchains.cache import env_fingerprint, kernel_fingerprint
     from repro.toolchains.optlevels import ALL_LEVELS
 
@@ -272,14 +273,19 @@ def _tape_microbench(programs, batch: int = _TAPE_BATCH) -> dict:
         (kernel, env, (inputs,) * batch)
         for kernel, env, inputs in units.values()
     ]
+
+    def tree_runs(kernel, env, input_sets):
+        return [Interpreter(kernel, env).run(inputs) for inputs in input_sets]
+
+    def tape_runs(kernel, env, input_sets):
+        tape = compile_tape(kernel, env)
+        return [tape.run(inputs, DEFAULT_MAX_STEPS) for inputs in input_sets]
+
     seconds = {}
     keys = {}
-    for mode in ("tree", "tape"):
+    for mode, runs in (("tree", tree_runs), ("tape", tape_runs)):
         t0 = time.perf_counter()
-        outs = [
-            run_batch(kernel, env, inputs_batch, mode=mode)
-            for kernel, env, inputs_batch in tasks
-        ]
+        outs = [runs(*task) for task in tasks]
         seconds[mode] = time.perf_counter() - t0
         keys[mode] = [[result_key(r) for r in out] for out in outs]
     return {
@@ -362,9 +368,9 @@ def measure(budget: int = _BUDGET, loops_budget: int = _LOOPS_BUDGET) -> dict:
     )
     # Tape legs: the same loops workload under the default (tape)
     # executor — campaign identity is part of the determinism gate — and
-    # the batched microbench where one tape compile serves a whole input
-    # batch (the regime the tape executor targets; engine campaigns run
-    # each kernel once, so there it roughly breaks even).
+    # the microbench where one tape compile serves a set of inputs
+    # (engine campaigns run each kernel once, so there it roughly breaks
+    # even).
     loops_tape_result, loops_tape_seconds = _run(loops_programs, TAPE_CONFIG)
     tape_identical = _result_key(loops_tape_result) == _result_key(loops_result)
     tape = _tape_microbench(programs + loops_programs)
@@ -467,7 +473,7 @@ def render(m: dict) -> str:
         f"{m['island_throughput']:7.1f} programs/s, "
         f"{m['island_triggers']} triggers "
         f"(serial/process identical: {m['island_identical']})",
-        f"  tape batched execution ({m['tape_bench']['units']} kernels x "
+        f"  tape reuse ({m['tape_bench']['units']} kernels x "
         f"{m['tape_bench']['batch']} inputs): "
         f"tree {m['tape_bench']['tree_seconds']:.2f}s -> "
         f"tape {m['tape_bench']['tape_seconds']:.2f}s  "
@@ -519,7 +525,7 @@ def check(m: dict) -> list[str]:
         )
     if m["tape_speedup"] < 2.5:
         failures.append(
-            f"tape batched-execution speedup {m['tape_speedup']:.2f}x < 2.5x "
+            f"tape-reuse speedup {m['tape_speedup']:.2f}x < 2.5x "
             "over the tree interpreter"
         )
     if m["tier_tag_floor"] < 1:

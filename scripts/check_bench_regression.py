@@ -18,7 +18,7 @@ Gated metrics (all higher-is-better):
   drop below the floor only *warns*; pass ``--strict`` to make it fail
   (sensible when comparing runs from the same machine, e.g. against the
   previous run's artifact).
-* ``tape_speedup`` — batched tape execution vs the tree interpreter
+* ``tape_speedup`` — one reused tape per kernel vs the tree interpreter
   over the workload's kernel matrix.  A ratio of two measurements on the
   same machine, so it transfers; enforced as a hard gate alongside
   ``dedup_speedup``.

@@ -10,13 +10,17 @@ docs honest two ways:
 * every relative markdown link/image target must resolve to an existing
   file (external ``http(s)``/``mailto`` links and pure ``#`` anchors are
   skipped — CI must not depend on the network);
+* every backticked ``repro.…`` dotted name must import as a module or
+  resolve as an attribute of one, so a deleted or renamed API cannot
+  linger in prose;
 * every ``llm4fp`` subcommand registered in ``src/repro/cli.py`` and
   every ``REPRO_*`` environment knob referenced anywhere under ``src/``
   must be mentioned somewhere in the documentation — a new subcommand or
   knob that ships undocumented fails the job (the coverage sweep runs
   only on unfiltered invocations).
 
-Any doctest failure, dangling link or coverage gap fails the job.
+Any doctest failure, dangling link, stale name or coverage gap fails the
+job.
 
     python scripts/check_docs.py            # all docs
     python scripts/check_docs.py vector     # substring filter on file names
@@ -25,6 +29,7 @@ Any doctest failure, dangling link or coverage gap fails the job.
 from __future__ import annotations
 
 import doctest
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -35,6 +40,9 @@ DOC_FILES = [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]
 _FENCE = re.compile(r"```python\n(.*?)```", re.DOTALL)
 #: [text](target) and ![alt](target), ignoring images' titles
 _LINK = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
+#: a backticked dotted name in the package (also the head of
+#: ``repro.x.f(...)``)
+_REPRO_NAME = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)")
 #: subcommand registrations in the CLI module
 _SUBCOMMAND = re.compile(r"add_parser\(\s*\n?\s*\"([a-z][a-z-]*)\"")
 #: environment knobs anywhere in the package source (no trailing
@@ -71,6 +79,33 @@ def check_links(path: Path) -> list[str]:
         if not resolved.exists():
             problems.append(f"{path.relative_to(REPO)}: dangling link -> {target}")
     return problems
+
+
+def resolves(dotted: str) -> bool:
+    """Whether ``dotted`` imports as a module or resolves as an attribute
+    of its longest importable prefix."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def stale_names(path: Path) -> list[str]:
+    """Backticked ``repro.…`` names in ``path`` that no longer resolve."""
+    names = sorted(set(_REPRO_NAME.findall(path.read_text(encoding="utf-8"))))
+    return [
+        f"{path.relative_to(REPO)}: `{name}` does not resolve"
+        for name in names
+        if not resolves(name)
+    ]
 
 
 def coverage_problems() -> list[str]:
@@ -111,7 +146,7 @@ def main(argv: list[str] | None = None) -> int:
     failures = 0
     total = 0
     checked = 0
-    link_problems: list[str] = []
+    file_problems: list[str] = []
     for path in DOC_FILES:
         if needle and needle not in path.name:
             continue
@@ -123,11 +158,12 @@ def main(argv: list[str] | None = None) -> int:
         attempted, failed = doctest_blocks(path)
         total += attempted
         failures += failed
-        link_problems.extend(check_links(path))
+        file_problems.extend(check_links(path))
+        file_problems.extend(stale_names(path))
         status = "ok" if not failed else f"{failed} FAILED"
         print(f"{path.relative_to(REPO)}: {attempted} doctest example(s), {status}")
     coverage = coverage_problems() if not needle else []
-    for problem in (*link_problems, *coverage):
+    for problem in (*file_problems, *coverage):
         print(problem, file=sys.stderr)
     if not checked:
         print(f"no doc file matches {needle!r}", file=sys.stderr)
@@ -135,7 +171,7 @@ def main(argv: list[str] | None = None) -> int:
     if not total and not needle:
         print("no doctest examples found — docs missing?", file=sys.stderr)
         return 2
-    return 1 if failures or link_problems or coverage else 0
+    return 1 if failures or file_problems or coverage else 0
 
 
 if __name__ == "__main__":

@@ -16,13 +16,15 @@ import sys
 from repro.difftest.backend import (
     BACKENDS, DEFAULT_BACKEND, BackendError, create_backend, parse_jobs,
 )
-from repro.execution.batch import EXEC_MODES
+from repro.execution.worker import EXEC_MODES
 from repro.difftest.config import CampaignConfig
 from repro.difftest.engine import EngineConfig, JsonLineProgress
 from repro.difftest.harness import run_campaign
 from repro.difftest.record import ProgramOutcome
 from repro.difftest.report import CampaignReport
-from repro.difftest.store import CampaignStore, load_result, merge_shards
+from repro.difftest.store import (
+    CampaignStore, CampaignStoreError, load_result, merge_shards,
+)
 from repro.experiments import table2, table3, table4, table5, figure3, triage_summary
 from repro.experiments.approaches import ALL_APPROACHES, make_generator
 from repro.experiments.runner import ExperimentContext
@@ -261,7 +263,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """Supervise a sharded campaign fleet (or drain a queue of them)."""
     import asyncio
 
-    from repro.fleet.queue import drain_queue
+    from repro.fleet.queue import QueueError, drain_queue
     from repro.fleet.supervisor import (
         CampaignSpec,
         FleetConfig,
@@ -291,15 +293,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         args.corpus if args.corpus is not None else settings.corpus_path
     )
     if args.queue is not None:
-        results = asyncio.run(
-            drain_queue(
-                args.queue,
-                args.dir,
-                config=config,
-                chain_triage=args.triage,
-                corpus_path=corpus_path,
+        try:
+            results = asyncio.run(
+                drain_queue(
+                    args.queue,
+                    args.dir,
+                    config=config,
+                    chain_triage=args.triage,
+                    corpus_path=corpus_path,
+                )
             )
-        )
+        except QueueError as e:  # raised while vetting, before any worker
+            print(f"llm4fp serve: {e}", file=sys.stderr)
+            return 2
     else:
         spec = CampaignSpec(
             approach=args.approach,
@@ -827,7 +833,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BackendError as e:
+    except (BackendError, CampaignStoreError) as e:
         print(f"llm4fp {args.command}: {e}", file=sys.stderr)
         return 2
 

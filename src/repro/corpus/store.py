@@ -36,8 +36,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from repro.difftest.record import CampaignResult, ProgramOutcome
-from repro.difftest.store import _dec_input, _enc_input
+from repro.difftest.record import CampaignResult
+from repro.difftest.store import _dec_input, _enc_input, read_complete_lines
 from repro.corpus.fingerprint import model_fingerprint
 from repro.triage.cluster import TriageReport, outcome_signature
 
@@ -246,7 +246,7 @@ class TriggerCorpus:
         if self._file is not None:
             return self
         if self.path.exists() and self.path.stat().st_size > 0:
-            records, good, total = self._read_complete_lines()
+            records, good, total = read_complete_lines(self.path)
             self._validate_header(records)
             for record in records[1:]:
                 self._apply(record)
@@ -265,7 +265,7 @@ class TriggerCorpus:
         """Read-only snapshot; a missing path is an empty corpus."""
         corpus = cls(path)
         if corpus.path.exists() and corpus.path.stat().st_size > 0:
-            records, _good, _total = corpus._read_complete_lines()
+            records, _good, _total = read_complete_lines(corpus.path)
             corpus._validate_header(records)
             for record in records[1:]:
                 corpus._apply(record)
@@ -469,28 +469,6 @@ class TriggerCorpus:
                 f"unsupported corpus version {version!r} in {self.path} "
                 f"(this build reads {sorted(_READABLE_VERSIONS)})"
             )
-
-    def _read_complete_lines(self) -> tuple[list[dict], int, int]:
-        """All decodable leading records + the byte offset they end at.
-
-        Stops at the first partial or undecodable line (a record
-        half-written when the process died); callers truncate there.
-        """
-        records: list[dict] = []
-        good = 0
-        data = self.path.read_bytes()
-        for raw in data.splitlines(keepends=True):
-            if not raw.endswith(b"\n"):
-                break  # partial final line
-            try:
-                record = json.loads(raw)
-            except ValueError:
-                break
-            if not isinstance(record, dict):
-                break
-            records.append(record)
-            good += len(raw)
-        return records, good, len(data)
 
     def _write_line(self, record: dict) -> None:
         line = json.dumps(record, separators=(",", ":")) + "\n"

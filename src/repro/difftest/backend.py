@@ -6,11 +6,11 @@ decision separated from the stages themselves.  Two policies exist:
 * :class:`SerialBackend` — everything inline on the calling thread, the
   default.  The reference cost model; zero scheduling overhead.
 * :class:`ProcessBackend` — a :class:`~concurrent.futures.ProcessPoolExecutor`
-  for the execute stage.  Kernel runs are dispatched as picklable batch
-  specs (optimized IR, FP environment, input sets, step limit, exec mode)
-  through the pure :func:`repro.execution.batch.run_batch_task`, chunked
-  to amortize IPC.  This is real multi-core parallelism: each run is
-  independent.
+  for the execute stage.  Kernel runs are dispatched as picklable task
+  specs (optimized IR, FP environment, input vector, step limit, exec
+  mode) through the pure :func:`repro.execution.worker.run_kernel_task`,
+  chunked to amortize IPC.  This is real multi-core parallelism: each run
+  is independent.
 
 A thread pool is deliberately absent: the stages are pure Python, so
 under CPython's GIL it added scheduling cost and no parallelism.
@@ -31,7 +31,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Sequence
 
-from repro.execution.batch import BatchTask, run_batch_task
+from repro.execution.worker import KernelTask, run_kernel_task
 from repro.execution.result import ExecutionResult
 
 __all__ = [
@@ -104,10 +104,11 @@ def check_backend(name: str, jobs: int | str) -> None:
 class ExecutionBackend:
     """Ordered fan-out of independent kernel executions.
 
-    ``run_batches`` schedules pure kernel executions, possibly across a
-    process boundary, and preserves input order.  Backends are context
-    managers; pools are created lazily on first use and torn down on
-    exit.
+    ``run_batches`` schedules a batch of pure kernel executions — one
+    :data:`~repro.execution.worker.KernelTask` in, one result out —
+    possibly across a process boundary, and preserves task order.
+    Backends are context managers; pools are created lazily on first use
+    and torn down on exit.
     """
 
     name: str = "abstract"
@@ -122,13 +123,9 @@ class ExecutionBackend:
     def shutdown(self) -> None:
         """Release pool resources (idempotent)."""
 
-    def run_batches(
-        self, tasks: Sequence[BatchTask]
-    ) -> list[tuple[ExecutionResult, ...]]:
-        """Execute every batched task (one kernel, many input sets), in
-        order; one tape compile (or interpreter) per task instead of per
-        input."""
-        return [run_batch_task(task) for task in tasks]
+    def run_batches(self, tasks: Sequence[KernelTask]) -> list[ExecutionResult]:
+        """Execute every task (one kernel on one input vector), in order."""
+        return [run_kernel_task(task) for task in tasks]
 
 
 class SerialBackend(ExecutionBackend):
@@ -156,17 +153,15 @@ class ProcessBackend(ExecutionBackend):
             self._pool.shutdown(wait=True)
             self._pool = None
 
-    def run_batches(
-        self, tasks: Sequence[BatchTask]
-    ) -> list[tuple[ExecutionResult, ...]]:
+    def run_batches(self, tasks: Sequence[KernelTask]) -> list[ExecutionResult]:
         if self.jobs == 1 or len(tasks) < 2:
-            return [run_batch_task(task) for task in tasks]
+            return [run_kernel_task(task) for task in tasks]
         if self._pool is None:
             self._pool = ProcessPoolExecutor(max_workers=self.jobs)
         # Tasks per IPC message: enough to amortize pickling, few enough to
         # keep all workers fed (at least two waves per worker when possible).
         chunksize = max(1, len(tasks) // (self.jobs * 2))
-        return list(self._pool.map(run_batch_task, tasks, chunksize=chunksize))
+        return list(self._pool.map(run_kernel_task, tasks, chunksize=chunksize))
 
 
 def create_backend(name: str, jobs: int | str) -> ExecutionBackend:

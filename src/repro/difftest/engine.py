@@ -35,7 +35,7 @@ execute units fan out to an
 :class:`~repro.difftest.backend.ExecutionBackend` — ``serial`` (inline,
 the default) or ``process`` (true multi-core: execute tasks ship to a
 :class:`~concurrent.futures.ProcessPoolExecutor` as picklable specs
-through the pure ``execution/batch`` entry point).
+through the pure :func:`~repro.execution.worker.run_kernel_task`).
 Results are gathered in matrix order and every record dict is filled in
 the same deterministic order as the serial loop, so a
 :class:`CampaignResult` is byte-identical across backends and job counts
@@ -82,7 +82,7 @@ from repro.difftest.compare import digit_difference
 from repro.difftest.config import CampaignConfig
 from repro.difftest.record import CampaignResult, ComparisonRecord, ProgramOutcome
 from repro.errors import CompileError, ReproError
-from repro.execution.batch import DEFAULT_EXEC_MODE, EXEC_MODES, run_batch_task
+from repro.execution.worker import DEFAULT_EXEC_MODE, check_exec_mode, run_kernel_task
 from repro.execution.result import ExecutionResult, _value_hex
 from repro.fp.env import FPEnvironment
 from repro.frontend.parser import parse_program
@@ -227,11 +227,7 @@ class EngineConfig:
 
     def __post_init__(self) -> None:
         check_backend(self.backend, self.jobs)
-        if self.exec_mode not in EXEC_MODES:
-            raise ValueError(
-                f"exec_mode must be one of {', '.join(EXEC_MODES)}, "
-                f"got {self.exec_mode!r}"
-            )
+        check_exec_mode(self.exec_mode)
         if self.shard_count < 1:
             raise ValueError("shard_count must be >= 1")
         if not 0 <= self.shard_index < self.shard_count:
@@ -687,7 +683,7 @@ class CampaignEngine:
         the stage, so nodes the binaries share are keyed once.
 
         Each distinct group becomes one picklable
-        :data:`~repro.execution.batch.BatchTask` carrying the engine's
+        :data:`~repro.execution.worker.KernelTask` carrying the engine's
         exec mode; the backend decides whether those run inline or
         across processes, and always returns results in task order.
         """
@@ -713,16 +709,16 @@ class CampaignEngine:
 
         mode = self.engine_config.exec_mode
         tasks = [
-            (members[0].binary.kernel, members[0].binary.env, (inputs,), max_steps, mode)
+            (members[0].binary.kernel, members[0].binary.env, inputs, max_steps, mode)
             for members in ordered
         ]
         if backend is not None and len(tasks) > 1:
-            batches = backend.run_batches(tasks)
+            results = backend.run_batches(tasks)
         else:
-            batches = [run_batch_task(task) for task in tasks]
+            results = [run_kernel_task(task) for task in tasks]
 
         executions: dict[str, ExecuteRecord] = {}
-        for members, (result,) in zip(ordered, batches):
+        for members, result in zip(ordered, results):
             for pos, record in enumerate(members):
                 executions[record.label] = ExecuteRecord(
                     label=record.label, result=result, shared=pos > 0

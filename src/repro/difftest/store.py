@@ -30,6 +30,7 @@ import json
 import os
 from dataclasses import replace
 from pathlib import Path
+from typing import Iterator
 
 from repro.difftest.record import CampaignResult, ComparisonRecord, ProgramOutcome
 from repro.fp.bits import double_to_hex, hex_to_double
@@ -44,6 +45,7 @@ __all__ = [
     "merge_shards",
     "merge_shard_stores",
     "read_island_records",
+    "read_complete_lines",
     "tail_outcomes",
     "encode_outcome",
     "decode_outcome",
@@ -91,7 +93,42 @@ _HEADER_DEFAULTS = {**_ISLAND_DEFAULTS, "tiers": "baseline"}
 
 
 class CampaignStoreError(ValueError):
-    """The checkpoint file does not match the campaign being run."""
+    """The checkpoint file is malformed or belongs to another campaign."""
+
+
+# -- the complete-line reader ----------------------------------------------------
+
+
+def _complete_lines(data: bytes) -> Iterator[tuple[bytes, dict]]:
+    """Yield ``(raw line, record)`` for each leading complete JSON object.
+
+    Stops at the first line that is partial, undecodable or not a JSON
+    object (a record half-written when the process died); writers
+    truncate the file there.  Every append-only JSONL log of the package
+    — checkpoints, the trigger corpus, fleet events — reads through it.
+    """
+    for raw in data.splitlines(keepends=True):
+        if not raw.endswith(b"\n"):
+            return  # partial final line
+        try:
+            record = json.loads(raw.decode("utf-8"))
+        except ValueError:  # also UnicodeDecodeError
+            return
+        if not isinstance(record, dict):
+            return
+        yield raw, record
+
+
+def read_complete_lines(path: str | os.PathLike) -> tuple[list[dict], int, int]:
+    """``path``'s complete leading records, the byte offset they end at,
+    and the file size (see :func:`_complete_lines`)."""
+    data = Path(path).read_bytes()
+    records: list[dict] = []
+    good = 0
+    for raw, record in _complete_lines(data):
+        records.append(record)
+        good += len(raw)
+    return records, good, len(data)
 
 
 # -- bit-exact scalar encoding --------------------------------------------------
@@ -223,7 +260,7 @@ class CampaignStore:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._write_line(expected, mode="w")
             return {}
-        lines, good_bytes, total_bytes = self._read_complete_lines()
+        lines, good_bytes, total_bytes = read_complete_lines(self.path)
         if not lines:
             # A non-empty file with no decodable header is NOT ours to
             # reinitialize — --resume may have been pointed at the wrong
@@ -256,20 +293,8 @@ class CampaignStore:
             # stay trusted as recorded (that is what resuming an old
             # nightly asks for), their bytes untouched.
             self._rewrite_header(expected)
-        done: dict[int, ProgramOutcome] = {}
-        self.island_records = []
-        for record in lines[1:]:
-            kind = record.get("kind")
-            if kind == "island":
-                self.island_records.append(record)
-                continue
-            if kind != "outcome":
-                raise CampaignStoreError(
-                    f"unexpected record kind {kind!r} in {self.path}"
-                )
-            outcome = decode_outcome(record)
-            done[outcome.index] = outcome
-        return done
+        outcomes, self.island_records = _decode_records(lines[1:], self.path)
+        return {outcome.index: outcome for outcome in outcomes}
 
     def append(self, outcome: ProgramOutcome) -> None:
         """Durably checkpoint one completed program."""
@@ -329,24 +354,31 @@ class CampaignStore:
             f.flush()
             os.fsync(f.fileno())
 
-    def _read_complete_lines(self) -> tuple[list[dict], int, int]:
-        """All decodable leading records + the byte offset they end at.
 
-        Stops at the first line that fails to decode (a record half-written
-        when the process died); callers truncate the file there.
-        """
-        records: list[dict] = []
-        good = 0
-        data = self.path.read_bytes()
-        for raw in data.splitlines(keepends=True):
-            if not raw.endswith(b"\n"):
-                break  # partial final line
-            try:
-                records.append(json.loads(raw.decode("utf-8")))
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                break
-            good += len(raw)
-        return records, good, len(data)
+def _decode_records(
+    records: list[dict], path: str | os.PathLike
+) -> tuple[list[ProgramOutcome], list[dict]]:
+    """Split a checkpoint's body into decoded outcomes and island records.
+
+    Raises :class:`CampaignStoreError` naming ``path`` on an unknown
+    record kind or an outcome record missing or mistyping a field.
+    """
+    outcomes: list[ProgramOutcome] = []
+    islands: list[dict] = []
+    for record in records:
+        kind = record.get("kind")
+        if kind == "island":
+            islands.append(record)
+            continue
+        if kind != "outcome":
+            raise CampaignStoreError(f"unexpected record kind {kind!r} in {path}")
+        try:
+            outcomes.append(decode_outcome(record))
+        except (KeyError, TypeError, ValueError, AttributeError) as e:
+            raise CampaignStoreError(
+                f"malformed outcome record in {path}: {type(e).__name__}: {e}"
+            ) from e
+    return outcomes, islands
 
 
 def load_result(path: str | os.PathLike) -> CampaignResult:
@@ -359,8 +391,7 @@ def load_result(path: str | os.PathLike) -> CampaignResult:
     are not checkpointed — they describe the machine that ran the shard,
     not the campaign — so they read zero on a loaded result.
     """
-    store = CampaignStore(path)
-    lines, _, _ = store._read_complete_lines()
+    lines, _, _ = read_complete_lines(path)
     if not lines or lines[0].get("kind") != "campaign":
         raise CampaignStoreError(f"{path} is not a campaign checkpoint")
     header = lines[0]
@@ -368,16 +399,7 @@ def load_result(path: str | os.PathLike) -> CampaignResult:
         raise CampaignStoreError(
             f"{path}: unsupported checkpoint version {header.get('version')!r}"
         )
-    outcomes = []
-    for record in lines[1:]:
-        kind = record.get("kind")
-        if kind == "island":
-            continue  # merge-point metadata, not a program outcome
-        if kind != "outcome":
-            raise CampaignStoreError(
-                f"unexpected record kind {kind!r} in {path}"
-            )
-        outcomes.append(decode_outcome(record))
+    outcomes, _ = _decode_records(lines[1:], path)
     outcomes.sort(key=lambda o: o.index)
     return CampaignResult(
         approach=header["approach"],
@@ -415,10 +437,8 @@ def read_island_records(path: str | os.PathLike) -> list[dict]:
     p = Path(path)
     if not p.exists():
         return []
-    lines, _, _ = CampaignStore(p)._read_complete_lines()
-    return [
-        r for r in lines if isinstance(r, dict) and r.get("kind") == "island"
-    ]
+    lines, _, _ = read_complete_lines(p)
+    return [r for r in lines if r.get("kind") == "island"]
 
 
 # -- incremental progress reads ---------------------------------------------------
@@ -451,15 +471,9 @@ def tail_outcomes(
         return [], 0
     indices: list[int] = []
     good = offset
-    for raw in data.splitlines(keepends=True):
-        if not raw.endswith(b"\n"):
-            break  # partial final line: mid-append or crash tail
-        try:
-            record = json.loads(raw.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            break
+    for raw, record in _complete_lines(data):
         good += len(raw)
-        if isinstance(record, dict) and record.get("kind") == "outcome":
+        if record.get("kind") == "outcome":
             indices.append(record["index"])
     return indices, good
 
@@ -554,13 +568,8 @@ def merge_shard_stores(
     for path in paths:
         data = Path(path).read_bytes()
         header: dict | None = None
-        for raw in data.splitlines(keepends=True):
-            if not raw.endswith(b"\n"):
-                break  # crash tail: the complete prefix is what resume trusts
-            try:
-                record = json.loads(raw.decode("utf-8"))
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                break
+        # A crash tail is skipped: the complete prefix is what resume trusts.
+        for raw, record in _complete_lines(data):
             if header is None:
                 if record.get("kind") != "campaign":
                     raise CampaignStoreError(f"{path} is not a campaign checkpoint")

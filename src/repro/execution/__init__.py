@@ -3,14 +3,8 @@
 from repro.execution.interp import Interpreter
 from repro.execution.result import ExecutionResult, ExecStatus
 from repro.execution.limits import DEFAULT_MAX_STEPS
-from repro.execution.worker import run_kernel
+from repro.execution.worker import DEFAULT_EXEC_MODE, EXEC_MODES, run_kernel
 from repro.execution.tape import Tape, compile_tape
-from repro.execution.batch import (
-    DEFAULT_EXEC_MODE,
-    EXEC_MODES,
-    KernelRunner,
-    run_batch,
-)
 
 __all__ = [
     "Interpreter",
@@ -19,9 +13,7 @@ __all__ = [
     "DEFAULT_MAX_STEPS",
     "DEFAULT_EXEC_MODE",
     "EXEC_MODES",
-    "KernelRunner",
     "Tape",
     "compile_tape",
     "run_kernel",
-    "run_batch",
 ]

@@ -48,14 +48,6 @@ class Interpreter:
 
     # -- public API ---------------------------------------------------------
 
-    def reset(self) -> None:
-        """Clear per-run state so one instance can serve many input sets."""
-        self._steps = 0
-        self._scalars = {}
-        self._arrays = {}
-        self._printed = []
-        self._stdout = []
-
     def run(self, inputs: tuple) -> ExecutionResult:
         """Execute the kernel on one input vector.
 

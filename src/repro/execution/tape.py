@@ -1,8 +1,8 @@
-"""Tape compiler: lower an IR kernel once, run many input sets fast.
+"""Tape compiler: lower an IR kernel to a flat register machine.
 
 The tree-walk :class:`~repro.execution.interp.Interpreter` pays per-step
 AST dispatch (isinstance chains, dict lookups, numpy-boxed arithmetic)
-for every input set.  A :class:`Tape` is compiled once per ``(kernel,
+on every node visit.  A :class:`Tape` is compiled once per ``(kernel,
 environment)`` and replays as a flat register machine: a linear list of
 instructions over pre-resolved scalar-register and array slots, with all
 floating-point operation *sites* pre-bound to the environment's

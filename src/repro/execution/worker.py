@@ -1,26 +1,81 @@
-"""Worker-safe single-run execution entry point.
+"""Worker-safe single-run execution: the one way to run a kernel.
 
-:func:`run_kernel` builds a fresh :class:`~repro.execution.interp.Interpreter`
-per call and touches nothing global, so it is safe from any thread or
-process (triage bisection runs every pipeline prefix through it; the
-campaign engine's batched path is :mod:`repro.execution.batch`).  Given
-equal arguments it returns a bit-identical
+:func:`run_kernel` executes one kernel under one FP environment on one
+input vector — in the paper every (compiler, optimization level) binary
+runs once on its program's input set — and touches nothing global, so it
+is safe from any thread or process.  :func:`run_kernel_task` is its
+picklable one-argument form, the entry point the execution backends map
+over a pool.  Given equal arguments it returns a bit-identical
 :class:`~repro.execution.result.ExecutionResult` — the property the
 engine's run-sharing and determinism guarantees rest on (every FP
 operation routes through the deterministic
 :class:`~repro.fp.env.FPEnvironment`, and libm perturbations are keyed
 hashes, not RNG draws).
+
+Three execution modes (``EXEC_MODES``):
+
+* ``tree`` — the reference tree-walk interpreter;
+* ``tape`` — the compiled tape executor (the campaign default;
+  bit-identical);
+* ``check`` — run both and raise
+  :class:`~repro.errors.ExecutionDivergence` on any bit of difference
+  (status, error message, step count, stdout, printed-value bits).
+  Results are compared on raw IEEE bits — never dataclass equality,
+  which NaN payloads would defeat.
+
+A tape lives exactly as long as its call: there is no cross-task tape
+cache.  The engine already runs each distinct (kernel, environment) of a
+program once, so a tape would never be looked up again.
 """
 
 from __future__ import annotations
 
+from repro.errors import ExecutionDivergence
 from repro.execution.interp import Interpreter
 from repro.execution.limits import DEFAULT_MAX_STEPS
 from repro.execution.result import ExecutionResult
+from repro.execution.tape import compile_tape
+from repro.fp.bits import double_to_bits
 from repro.fp.env import FPEnvironment
 from repro.ir import nodes as ir
 
-__all__ = ["run_kernel"]
+__all__ = [
+    "EXEC_MODES",
+    "DEFAULT_EXEC_MODE",
+    "KernelTask",
+    "check_exec_mode",
+    "result_key",
+    "run_kernel",
+    "run_kernel_task",
+]
+
+#: Valid execute-stage modes, in reference-first order.
+EXEC_MODES = ("tree", "tape", "check")
+
+#: The mode campaigns use when none is named (``REPRO_EXEC_MODE`` overrides).
+DEFAULT_EXEC_MODE = "tape"
+
+#: A picklable execution unit: ``(kernel, env, inputs, max_steps, mode)``.
+KernelTask = tuple
+
+
+def check_exec_mode(mode: str) -> None:
+    """Reject an unknown exec mode: the one check every surface shares."""
+    if mode not in EXEC_MODES:
+        raise ValueError(
+            f"exec_mode must be one of {', '.join(EXEC_MODES)}, got {mode!r}"
+        )
+
+
+def result_key(r: ExecutionResult) -> tuple:
+    """Strict bitwise identity key for an execution result."""
+    return (
+        r.status,
+        r.error,
+        r.steps,
+        r.stdout,
+        tuple(double_to_bits(v) for v in r.printed),
+    )
 
 
 def run_kernel(
@@ -28,11 +83,31 @@ def run_kernel(
     env: FPEnvironment,
     inputs: tuple,
     max_steps: int = DEFAULT_MAX_STEPS,
+    mode: str = "tree",
 ) -> ExecutionResult:
     """Execute ``kernel`` under ``env`` on one input vector.
 
-    Safe to call concurrently from any thread or process: every invocation
-    uses a private interpreter and the result depends only on the
-    arguments.
+    ``mode`` picks the executor (see :data:`EXEC_MODES`); a direct call
+    defaults to the reference interpreter.  Safe to call concurrently
+    from any thread or process: every invocation uses a private
+    interpreter or tape and the result depends only on the arguments.
     """
-    return Interpreter(kernel, env, max_steps).run(inputs)
+    if mode == "tape":
+        return compile_tape(kernel, env).run(inputs, max_steps)
+    check_exec_mode(mode)
+    tree = Interpreter(kernel, env, max_steps).run(inputs)
+    if mode == "tree":
+        return tree
+    tape = compile_tape(kernel, env).run(inputs, max_steps)
+    if result_key(tree) != result_key(tape):
+        raise ExecutionDivergence(
+            f"tape result diverges from interpreter for kernel "
+            f"{kernel.name!r}: tree={result_key(tree)!r} "
+            f"tape={result_key(tape)!r}"
+        )
+    return tree
+
+
+def run_kernel_task(task: KernelTask) -> ExecutionResult:
+    """Unpack one :data:`KernelTask` and run it (pool ``map`` entry point)."""
+    return run_kernel(*task)

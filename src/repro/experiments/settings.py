@@ -6,7 +6,7 @@ import os
 from dataclasses import dataclass, field
 
 from repro.difftest.backend import DEFAULT_BACKEND, check_backend, parse_jobs
-from repro.execution.batch import DEFAULT_EXEC_MODE, EXEC_MODES
+from repro.execution.worker import DEFAULT_EXEC_MODE, check_exec_mode
 from repro.toolchains.optlevels import ALL_LEVELS, OptLevel
 
 __all__ = ["ExperimentSettings", "ENV_KNOBS", "parse_shard"]
@@ -147,11 +147,7 @@ class ExperimentSettings:
         if self.budget <= 0:
             raise ValueError("budget must be positive")
         check_backend(self.backend, self.jobs)
-        if self.exec_mode not in EXEC_MODES:
-            raise ValueError(
-                f"exec_mode must be one of {', '.join(EXEC_MODES)}, "
-                f"got {self.exec_mode!r}"
-            )
+        check_exec_mode(self.exec_mode)
         parse_shard(self.shard)  # validates "i/n"
         if self.islands < 0:
             raise ValueError("islands must be >= 0 (0 disables the island model)")

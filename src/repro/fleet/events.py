@@ -21,6 +21,8 @@ import time
 from pathlib import Path
 from typing import Callable
 
+from repro.difftest.store import read_complete_lines
+
 __all__ = ["EVENT_KINDS", "FleetEventLog", "read_events"]
 
 #: Every event kind the supervisor emits, in rough lifecycle order.
@@ -81,13 +83,5 @@ def read_events(path: str | os.PathLike) -> list[dict]:
     mirroring the checkpoint store's crash-tail rule: everything before
     it is trusted.
     """
-    events: list[dict] = []
-    data = Path(path).read_bytes()
-    for raw in data.splitlines(keepends=True):
-        if not raw.endswith(b"\n"):
-            break
-        try:
-            events.append(json.loads(raw.decode("utf-8")))
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            break
+    events, _, _ = read_complete_lines(path)
     return events

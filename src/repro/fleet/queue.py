@@ -35,42 +35,50 @@ from repro.fleet.supervisor import (
 )
 from repro.fleet.targets import WorkerTarget
 
-__all__ = ["load_jobs", "job_dirname", "drain_queue"]
+__all__ = ["QueueError", "load_jobs", "job_dirname", "drain_queue"]
+
+
+class QueueError(ValueError):
+    """A queue file that cannot be read, or a job line that is malformed."""
 
 
 def load_jobs(path: str | os.PathLike) -> list[tuple[CampaignSpec, int]]:
     """Parse a queue file into ``(spec, shard_count)`` jobs, validated.
 
-    Raises :class:`ValueError` naming the offending line on the first
-    malformed job — the whole file is vetted before anything runs.
+    Raises :class:`QueueError` (:class:`BackendError` for a backend/jobs
+    mismatch) naming ``path:line`` on the first malformed job — the whole
+    file is vetted before anything runs.
     """
     jobs: list[tuple[CampaignSpec, int]] = []
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
+    data = Path(path).read_bytes()
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        try:
+            stripped = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as e:
+            raise QueueError(f"{path}:{lineno}: not UTF-8 text: {e}") from e
         if not stripped or stripped.startswith("#"):
             continue
         try:
             record = json.loads(stripped)
         except json.JSONDecodeError as e:
-            raise ValueError(f"{path}:{lineno}: not valid JSON: {e}") from e
+            raise QueueError(f"{path}:{lineno}: not valid JSON: {e}") from e
         if not isinstance(record, dict):
-            raise ValueError(f"{path}:{lineno}: job must be a JSON object")
+            raise QueueError(f"{path}:{lineno}: job must be a JSON object")
         try:
             spec = CampaignSpec.from_json(record)
         except BackendError as e:
             raise BackendError(f"{path}:{lineno}: {e}") from e
         except (TypeError, ValueError) as e:
-            raise ValueError(f"{path}:{lineno}: {e}") from e
+            raise QueueError(f"{path}:{lineno}: {e}") from e
         shards = record.get("shards", 1)
         if not isinstance(shards, int) or shards < 1:
-            raise ValueError(
+            raise QueueError(
                 f"{path}:{lineno}: 'shards' must be a positive integer, "
                 f"got {shards!r}"
             )
         jobs.append((spec, shards))
     if not jobs:
-        raise ValueError(f"{path}: queue file contains no jobs")
+        raise QueueError(f"{path}: queue file contains no jobs")
     return jobs
 
 

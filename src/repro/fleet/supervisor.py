@@ -52,6 +52,7 @@ from typing import Callable
 
 from repro.difftest.backend import DEFAULT_BACKEND, check_backend, parse_jobs
 from repro.difftest.store import merge_shard_stores, tail_outcomes
+from repro.execution.worker import check_exec_mode
 from repro.fleet.events import FleetEventLog
 from repro.fleet.targets import LocalProcessTarget, WorkerTarget, worker_python
 
@@ -96,6 +97,8 @@ class CampaignSpec:
         # Refuse what every worker would refuse; unpinned = worker default.
         jobs = 1 if self.jobs is None else parse_jobs(str(self.jobs))
         check_backend(self.backend or DEFAULT_BACKEND, jobs)
+        if self.exec_mode is not None:
+            check_exec_mode(self.exec_mode)
 
     @classmethod
     def from_json(cls, record: dict) -> "CampaignSpec":

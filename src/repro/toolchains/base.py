@@ -6,9 +6,9 @@ import enum
 from dataclasses import dataclass
 
 from repro.errors import CompileError, ReproError
-from repro.execution.interp import Interpreter
 from repro.execution.limits import DEFAULT_MAX_STEPS
 from repro.execution.result import ExecutionResult
+from repro.execution.worker import run_kernel
 from repro.fp.env import FPEnvironment
 from repro.frontend import ast
 from repro.frontend.parser import parse_program
@@ -49,8 +49,8 @@ class Binary:
         return f"{self.compiler}/{self.level}"
 
     def run(self, inputs: tuple, max_steps: int = DEFAULT_MAX_STEPS) -> ExecutionResult:
-        """Execute on one input vector; a fresh interpreter per run."""
-        return Interpreter(self.kernel, self.env, max_steps).run(inputs)
+        """Execute on one input vector with the reference interpreter."""
+        return run_kernel(self.kernel, self.env, inputs, max_steps)
 
 
 class Compiler:

@@ -148,7 +148,6 @@ def _triage_one(
     max_reduce_tests: int,
     bisect_cache: dict,
     backend=None,
-    exec_mode: str = "tree",
 ) -> TriageEntry:
     sigs = signatures_of(outcome)
     canonical = canonical_signature(outcome)
@@ -196,7 +195,6 @@ def _triage_one(
             max_steps=max_steps,
             max_tests=max_reduce_tests,
             backend=backend,
-            exec_mode=exec_mode,
         )
     return TriageEntry(
         source_label=source_label,
@@ -219,12 +217,11 @@ def triage_outcomes(
     max_steps: int = DEFAULT_MAX_STEPS,
     max_reduce_tests: int = DEFAULT_MAX_TESTS,
     backend=None,
-    exec_mode: str = "tree",
     _bisect_cache: dict | None = None,
 ) -> list[TriageEntry]:
     """Triage every triggering outcome (non-triggering ones are skipped).
 
-    ``backend`` / ``exec_mode`` fan each reduction's ddmin rounds out via
+    ``backend`` fans each reduction's ddmin rounds out via
     :func:`~repro.triage.reduce.reduce_program`; the report is
     byte-identical with or without them.
     """
@@ -244,7 +241,6 @@ def triage_outcomes(
                 max_reduce_tests,
                 cache,
                 backend,
-                exec_mode,
             )
         )
     return entries
@@ -346,7 +342,6 @@ def triage_results(
     max_steps: int = DEFAULT_MAX_STEPS,
     max_reduce_tests: int = DEFAULT_MAX_TESTS,
     backend=None,
-    exec_mode: str = "tree",
 ) -> TriageReport:
     """Triage several labelled campaign results into one ranked report.
 
@@ -382,7 +377,6 @@ def triage_results(
                 max_steps=max_steps,
                 max_reduce_tests=max_reduce_tests,
                 backend=backend,
-                exec_mode=exec_mode,
                 _bisect_cache=cache,
             )
         )
@@ -402,7 +396,6 @@ def triage_single(
     max_steps: int = DEFAULT_MAX_STEPS,
     max_reduce_tests: int = DEFAULT_MAX_TESTS,
     backend=None,
-    exec_mode: str = "tree",
 ) -> TriageReport:
     """Triage one already-tested outcome into a one-campaign report.
 
@@ -418,7 +411,6 @@ def triage_single(
         max_steps=max_steps,
         max_reduce_tests=max_reduce_tests,
         backend=backend,
-        exec_mode=exec_mode,
     )
     return TriageReport(
         clusters=cluster_entries(entries),
@@ -435,7 +427,6 @@ def triage_campaign(
     max_steps: int = DEFAULT_MAX_STEPS,
     max_reduce_tests: int = DEFAULT_MAX_TESTS,
     backend=None,
-    exec_mode: str = "tree",
 ) -> TriageReport:
     """Triage one campaign result into a ranked report."""
     return triage_results(
@@ -445,5 +436,4 @@ def triage_campaign(
         max_steps=max_steps,
         max_reduce_tests=max_reduce_tests,
         backend=backend,
-        exec_mode=exec_mode,
     )

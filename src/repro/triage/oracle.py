@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from repro.difftest.classify import inconsistency_kind, kind_label
 from repro.difftest.engine import _differing_values, _BinaryRun, frontend_kernels
 from repro.errors import CompileError
-from repro.execution.batch import run_batch_task
+from repro.execution.worker import run_kernel_task
 from repro.execution.limits import DEFAULT_MAX_STEPS
 from repro.tiers import structural_tag
 from repro.toolchains.base import Compiler
@@ -126,36 +126,35 @@ class PairOracle:
         sources: list[str],
         inputs: tuple,
         backend=None,
-        exec_mode: str = "tree",
     ) -> list[PairObservation]:
         """Observe many candidates at once, fanning the executions out.
 
         Compilation stays in the calling process; the 2x
-        len(``sources``) kernel runs ship to ``backend`` (an
-        :class:`~repro.difftest.backend.ExecutionBackend`) as batched tasks
-        under ``exec_mode``.  Verdicts are returned in
-        source order and are bit-identical to looping :meth:`observe` —
-        runs are pure, so only the schedule differs.
+        len(``sources``) tree-interpreter runs ship to ``backend`` (an
+        :class:`~repro.difftest.backend.ExecutionBackend`) as one task
+        each.  Verdicts are returned in source order and are
+        bit-identical to looping :meth:`observe` — runs are pure, so only
+        the schedule differs.
         """
         self.evaluations += len(sources)
         compiled = [self._compile_pair(source) for source in sources]
         tasks = [
-            (b.kernel, b.env, (inputs,), self.max_steps, exec_mode)
+            (b.kernel, b.env, inputs, self.max_steps, "tree")
             for binaries in compiled
             if binaries is not None
             for b in binaries
         ]
         if backend is not None and len(tasks) > 1:
-            batches = backend.run_batches(tasks)
+            executed = backend.run_batches(tasks)
         else:
-            batches = [run_batch_task(task) for task in tasks]
-        results = iter(batches)
+            executed = [run_kernel_task(task) for task in tasks]
+        results = iter(executed)
         observations = []
         for binaries in compiled:
             if binaries is None:
                 observations.append(PairObservation(ok=False))
                 continue
-            (ra,), (rb,) = next(results), next(results)
+            ra, rb = next(results), next(results)
             observations.append(self._verdict(binaries, ra, rb))
         return observations
 

@@ -79,13 +79,11 @@ class _Reducer:
         inputs: tuple,
         budget: _Budget,
         backend=None,
-        exec_mode: str = "tree",
     ) -> None:
         self.oracle = oracle
         self.inputs = inputs
         self.budget = budget
         self.backend = backend
-        self.exec_mode = exec_mode
         self.accepted = 0
 
     # -- the predicate -----------------------------------------------------------
@@ -140,7 +138,6 @@ class _Reducer:
                     [s for s in sources if s is not None],
                     self.inputs,
                     self.backend,
-                    self.exec_mode,
                 )
             )
             for (i, cand), source in zip(window, sources):
@@ -314,7 +311,6 @@ def reduce_program(
     max_steps: int | None = None,
     max_tests: int = DEFAULT_MAX_TESTS,
     backend=None,
-    exec_mode: str = "tree",
 ) -> ReductionResult:
     """Shrink ``source`` while it keeps exhibiting ``target``.
 
@@ -325,10 +321,10 @@ def reduce_program(
     produce the same reduced program.
 
     ``backend`` (an :class:`~repro.difftest.backend.ExecutionBackend`)
-    fans each ddmin round's candidate executions out concurrently;
-    ``exec_mode`` picks the executor (``tree`` by default — reduction
-    kernels mostly run once, so tape compilation rarely amortizes).
-    Both knobs change only the schedule, never the result.
+    fans each ddmin round's candidate executions out concurrently; it
+    changes only the schedule, never the result.  Candidates run on the
+    tree interpreter: each kernel runs once, so a tape compile would not
+    pay for itself.
     """
     by_name = compilers_by_name(compilers)
     try:
@@ -351,7 +347,7 @@ def reduce_program(
         step_cap = min(step_cap, max_steps)
     oracle = PairOracle(ca, cb, target.level, max_steps=step_cap)
     budget = _Budget(max_tests)
-    reducer = _Reducer(oracle, inputs, budget, backend=backend, exec_mode=exec_mode)
+    reducer = _Reducer(oracle, inputs, budget, backend=backend)
 
     try:
         unit = parse_program(source)

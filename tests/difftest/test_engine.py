@@ -413,14 +413,14 @@ def _counted_loops_campaign(monkeypatch):
     Returns the engine, the result, one ``(outcome, compile keys, tape
     keys)`` triple per program, and the ids of every tape compiled.
     """
-    from repro.execution import batch
+    from repro.execution import worker
     from repro.toolchains.base import Compiler
 
     compiles: list[tuple[str, str]] = []
     tapes: list[tuple[str, tuple]] = []
     tape_ids: set[int] = set()
     compile_kernel = Compiler.compile_kernel
-    compile_tape = batch.compile_tape
+    compile_tape = worker.compile_tape
 
     table: dict = {}  # one intern table per program, cleared by progress
 
@@ -435,7 +435,7 @@ def _counted_loops_campaign(monkeypatch):
         return tape
 
     monkeypatch.setattr(Compiler, "compile_kernel", counting_compile)
-    monkeypatch.setattr(batch, "compile_tape", counting_tape)
+    monkeypatch.setattr(worker, "compile_tape", counting_tape)
     per_program = []
 
     def progress(index, outcome):

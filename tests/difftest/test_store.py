@@ -98,6 +98,42 @@ class TestStoreFile:
             CampaignStore(path).open(HEADER)
         assert path.read_text() == "important non-JSON notes\n"
 
+    def test_non_object_header_is_not_a_checkpoint(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text("[1,2]\n")
+        with pytest.raises(CampaignStoreError, match="not a campaign checkpoint"):
+            load_result(path)
+        with pytest.raises(CampaignStoreError, match="refusing to overwrite"):
+            CampaignStore(path).open(HEADER)
+        assert path.read_text() == "[1,2]\n"
+
+    def test_outcome_without_index_names_the_file(self, tmp_path):
+        store = CampaignStore(tmp_path / "c.jsonl")
+        store.open(HEADER)
+        record = encode_outcome(make_outcome(0))
+        del record["index"]
+        with store.path.open("a", encoding="utf-8") as f:
+            f.write(json.dumps(record) + "\n")
+        with pytest.raises(CampaignStoreError, match="malformed outcome.*c.jsonl"):
+            load_result(store.path)
+        with pytest.raises(CampaignStoreError, match="malformed outcome.*c.jsonl"):
+            CampaignStore(store.path).open(HEADER)
+
+    @pytest.mark.parametrize("command", ["triage", "run"])
+    def test_cli_exits_2_on_a_malformed_checkpoint(self, tmp_path, capsys, command):
+        from repro.cli import main as cli_main
+
+        path = tmp_path / "garbage.jsonl"
+        path.write_text("[1,2]\n")
+        argv = (
+            ["triage", str(path)]
+            if command == "triage"
+            else ["run", "--budget", "1", "--quiet", "--resume", str(path)]
+        )
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.count("\n") == 0 and "garbage.jsonl" in err
+
     def test_unknown_record_kind_rejected(self, tmp_path):
         store = CampaignStore(tmp_path / "c.jsonl")
         store.open(HEADER)

@@ -7,23 +7,23 @@ input, and every step limit — including runs that trap or hit the budget
 mid-expression.  These tests sweep randomly generated programs (scalar,
 vector and masked kernels via the real optimization pipelines) plus
 directed trap/printf cases, always comparing on
-:func:`repro.execution.batch.result_key`, never on dataclass equality
+:func:`repro.execution.worker.result_key`, never on dataclass equality
 (NaN payloads would defeat ``==``).
 """
 
 import pytest
 
 from repro.errors import ExecutionDivergence
-from repro.execution.batch import (
-    DEFAULT_EXEC_MODE,
-    EXEC_MODES,
-    KernelRunner,
-    result_key,
-    run_batch,
-    run_batch_task,
-)
+from repro.execution import worker
 from repro.execution.interp import Interpreter
 from repro.execution.tape import Tape, compile_tape
+from repro.execution.worker import (
+    DEFAULT_EXEC_MODE,
+    EXEC_MODES,
+    result_key,
+    run_kernel,
+    run_kernel_task,
+)
 from repro.fp.env import FPEnvironment
 from repro.frontend.parser import parse_program
 from repro.frontend.sema import check_program
@@ -205,9 +205,9 @@ class TestTierNodeParity:
 
         kernel = self._vector_kernel()
         env = FPEnvironment(libm=CudaLibm(), veclibm=NvccVecLibm())
-        tree = run_batch(kernel, env, (self.INPUTS,), 200000, "tree")
-        check = run_batch(kernel, env, (self.INPUTS,), 200000, "check")
-        assert [result_key(r) for r in check] == [result_key(r) for r in tree]
+        tree = run_kernel(kernel, env, self.INPUTS, 200000, "tree")
+        check = run_kernel(kernel, env, self.INPUTS, 200000, "check")
+        assert result_key(check) == result_key(tree)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_full_tier_pipeline_programs(self, seed):
@@ -363,7 +363,7 @@ class TestDirectedParity:
         assert not tree.ok and tree.stdout == ""
 
 
-class TestKernelRunnerModes:
+class TestRunKernelModes:
     def _kernel(self):
         kernel = lower(
             "void compute(double a, int n) {"
@@ -375,13 +375,12 @@ class TestKernelRunnerModes:
 
     def test_modes_agree(self):
         kernel, env = self._kernel()
-        batches = {
-            mode: run_batch(kernel, env, ((0.1, 10), (2.5, 3)), 10_000, mode)
-            for mode in EXEC_MODES
-        }
         keys = {
-            mode: [result_key(r) for r in results]
-            for mode, results in batches.items()
+            mode: [
+                result_key(run_kernel(kernel, env, inputs, 10_000, mode))
+                for inputs in ((0.1, 10), (2.5, 3))
+            ]
+            for mode in EXEC_MODES
         }
         assert keys["tape"] == keys["tree"] == keys["check"]
 
@@ -391,17 +390,18 @@ class TestKernelRunnerModes:
 
     def test_bad_mode_rejected(self):
         kernel, env = self._kernel()
-        with pytest.raises(ValueError, match="exec mode"):
-            KernelRunner(kernel, env, "jit")
+        with pytest.raises(ValueError, match="exec_mode"):
+            run_kernel(kernel, env, (1.0, 2), 10_000, "jit")
 
-    def test_check_mode_raises_on_divergence(self):
+    def test_check_mode_raises_on_divergence(self, monkeypatch):
         kernel, env = self._kernel()
-        runner = KernelRunner(kernel, env, "check")
-        genuine = runner._tape
 
         class Tampered:
+            def __init__(self, genuine):
+                self.genuine = genuine
+
             def run(self, inputs, max_steps):
-                result = genuine.run(inputs, max_steps)
+                result = self.genuine.run(inputs, max_steps)
                 return type(result)(
                     status=result.status,
                     printed=result.printed,
@@ -410,17 +410,18 @@ class TestKernelRunnerModes:
                     error=result.error,
                 )
 
-        runner._tape = Tampered()  # Tape has __slots__; swap whole object
+        monkeypatch.setattr(
+            worker, "compile_tape", lambda k, e: Tampered(compile_tape(k, e))
+        )
         with pytest.raises(ExecutionDivergence, match="diverges"):
-            runner.run((1.0, 2), 10_000)
+            run_kernel(kernel, env, (1.0, 2), 10_000, "check")
 
-    def test_run_batch_task_roundtrip(self):
+    def test_run_kernel_task_roundtrip(self):
         kernel, env = self._kernel()
-        task = (kernel, env, ((0.5, 4), (1.0, 0)), 10_000, "tape")
-        direct = run_batch(kernel, env, ((0.5, 4), (1.0, 0)), 10_000, "tree")
-        assert [result_key(r) for r in run_batch_task(task)] == [
-            result_key(r) for r in direct
-        ]
+        for inputs in ((0.5, 4), (1.0, 0)):
+            task = (kernel, env, inputs, 10_000, "tape")
+            direct = run_kernel(kernel, env, inputs, 10_000, "tree")
+            assert result_key(run_kernel_task(task)) == result_key(direct)
 
 
 class TestTapeCache:

@@ -192,11 +192,14 @@ class TestQueueFile:
         assert len(jobs) == 1
         assert jobs[0][0].approach == "loops" and jobs[0][1] == 2
 
-    def test_malformed_line_fails_fast_with_location(self, tmp_path):
+    def test_malformed_line_fails_fast_with_location(self, tmp_path, capsys):
         path = tmp_path / "jobs.jsonl"
         path.write_text('{"approach": "loops"}\n{not json}\n')
         with pytest.raises(ValueError, match="jobs.jsonl:2"):
             load_jobs(path)
+        fleet = tmp_path / "fleet"
+        assert cli_main(["serve", "--dir", str(fleet), "--queue", str(path)]) == 2
+        assert "jobs.jsonl:2: not valid JSON" in capsys.readouterr().err
 
     def test_bad_shard_count_rejected(self, tmp_path):
         path = tmp_path / "jobs.jsonl"
@@ -209,6 +212,29 @@ class TestQueueFile:
         path.write_text("# nothing here\n")
         with pytest.raises(ValueError, match="no jobs"):
             load_jobs(path)
+
+    def test_unknown_exec_mode_rejected_before_any_worker(self, tmp_path, capsys):
+        path = tmp_path / "jobs.jsonl"
+        path.write_text(
+            '{"approach": "loops", "budget": 2}\n'
+            '{"approach": "varity", "budget": 2, "exec_mode": "jit"}\n'
+        )
+        with pytest.raises(ValueError, match="jobs.jsonl:2: exec_mode"):
+            load_jobs(path)
+        fleet = tmp_path / "fleet"
+        assert cli_main(["serve", "--dir", str(fleet), "--queue", str(path)]) == 2
+        assert not fleet.exists() or not any(fleet.iterdir())
+        err = capsys.readouterr().err.strip()
+        assert err.count("\n") == 0 and "jobs.jsonl:2" in err
+
+    def test_not_utf8_queue_exits_2_naming_the_line(self, tmp_path, capsys):
+        path = tmp_path / "jobs.jsonl"
+        path.write_bytes(b'{"approach": "loops"}\n\xff\n')
+        with pytest.raises(ValueError, match="jobs.jsonl:2: not UTF-8"):
+            load_jobs(path)
+        fleet = tmp_path / "fleet"
+        assert cli_main(["serve", "--dir", str(fleet), "--queue", str(path)]) == 2
+        assert "jobs.jsonl:2" in capsys.readouterr().err
 
     def test_job_dirname_sanitizes(self):
         assert job_dirname(3, CampaignSpec(name="a b/c")) == "003-a-b-c"

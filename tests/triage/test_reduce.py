@@ -180,24 +180,6 @@ class TestBackendParity:
         assert fanned.tests == serial.tests
         assert fanned.accepted_edits == serial.accepted_edits
 
-    @pytest.mark.parametrize("exec_mode", ["tape", "check"])
-    def test_exec_modes_match_tree(self, compilers, distilled_target, exec_mode):
-        from repro.difftest.backend import create_backend
-
-        program, target = distilled_target
-        serial = reduce_program(program.source, program.inputs, target, compilers)
-        with create_backend("process", 2) as backend:
-            other = reduce_program(
-                program.source,
-                program.inputs,
-                target,
-                compilers,
-                backend=backend,
-                exec_mode=exec_mode,
-            )
-        assert other.reduced_source == serial.reduced_source
-        assert other.tests == serial.tests
-
     def test_budget_charging_matches_serial(self, compilers, distilled_target):
         from repro.difftest.backend import create_backend
 
