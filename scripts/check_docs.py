@@ -13,14 +13,18 @@ docs honest two ways:
 * every backticked ``repro.…`` dotted name must import as a module or
   resolve as an attribute of one, so a deleted or renamed API cannot
   linger in prose;
+* every ``*.md`` file named in the docs or in a ``src/`` module must
+  exist, relative to the naming file's directory or to the repo root,
+  so prose cannot point at a document that was never written or has
+  since been deleted;
 * every ``llm4fp`` subcommand registered in ``src/repro/cli.py`` and
   every ``REPRO_*`` environment knob referenced anywhere under ``src/``
   must be mentioned somewhere in the documentation — a new subcommand or
   knob that ships undocumented fails the job (the coverage sweep runs
   only on unfiltered invocations).
 
-Any doctest failure, dangling link, stale name or coverage gap fails the
-job.
+Any doctest failure, dangling link, missing document, stale name or
+coverage gap fails the job.
 
     python scripts/check_docs.py            # all docs
     python scripts/check_docs.py vector     # substring filter on file names
@@ -43,6 +47,8 @@ _LINK = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 #: a backticked dotted name in the package (also the head of
 #: ``repro.x.f(...)``)
 _REPRO_NAME = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)")
+#: a markdown file named in prose or a link (``fleet.md``, ``docs/fleet.md``)
+_MD_NAME = re.compile(r"[\w./-]*\w\.md\b")
 #: subcommand registrations in the CLI module
 _SUBCOMMAND = re.compile(r"add_parser\(\s*\n?\s*\"([a-z][a-z-]*)\"")
 #: environment knobs anywhere in the package source (no trailing
@@ -78,6 +84,18 @@ def check_links(path: Path) -> list[str]:
         resolved = (path.parent / target.split("#", 1)[0]).resolve()
         if not resolved.exists():
             problems.append(f"{path.relative_to(REPO)}: dangling link -> {target}")
+    return problems
+
+
+def missing_documents(path: Path) -> list[str]:
+    """``*.md`` names in ``path`` that exist neither next to ``path`` nor
+    under the repo root."""
+    problems = []
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for lineno, line in enumerate(lines, start=1):
+        for name in _MD_NAME.findall(line):
+            if not ((path.parent / name).exists() or (REPO / name).exists()):
+                problems.append(f"{path.relative_to(REPO)}:{lineno}: no such document {name}")
     return problems
 
 
@@ -159,9 +177,13 @@ def main(argv: list[str] | None = None) -> int:
         total += attempted
         failures += failed
         file_problems.extend(check_links(path))
+        file_problems.extend(missing_documents(path))
         file_problems.extend(stale_names(path))
         status = "ok" if not failed else f"{failed} FAILED"
         print(f"{path.relative_to(REPO)}: {attempted} doctest example(s), {status}")
+    if not needle:
+        for path in sorted((REPO / "src").rglob("*.py")):
+            file_problems.extend(missing_documents(path))
     coverage = coverage_problems() if not needle else []
     for problem in (*file_problems, *coverage):
         print(problem, file=sys.stderr)

@@ -10,8 +10,8 @@ Quickstart::
     result = run_campaign(generator, default_compilers(), CampaignConfig(budget=50))
     print(CampaignReport(result).summary())
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record.
+See ``docs/architecture.md`` for the module map and the data flow of a
+campaign.
 """
 
 from repro.difftest.config import CampaignConfig

@@ -246,10 +246,7 @@ class TriggerCorpus:
         if self._file is not None:
             return self
         if self.path.exists() and self.path.stat().st_size > 0:
-            records, good, total = read_complete_lines(self.path)
-            self._validate_header(records)
-            for record in records[1:]:
-                self._apply(record)
+            good, total = self._replay()
             if good < total:
                 # crash tail: drop the partial record, keep the prefix
                 with self.path.open("r+b") as f:
@@ -265,10 +262,7 @@ class TriggerCorpus:
         """Read-only snapshot; a missing path is an empty corpus."""
         corpus = cls(path)
         if corpus.path.exists() and corpus.path.stat().st_size > 0:
-            records, _good, _total = read_complete_lines(corpus.path)
-            corpus._validate_header(records)
-            for record in records[1:]:
-                corpus._apply(record)
+            corpus._replay()
         return corpus
 
     def close(self) -> None:
@@ -405,6 +399,23 @@ class TriggerCorpus:
 
     # -- record replay ---------------------------------------------------------
 
+    def _replay(self) -> tuple[int, int]:
+        """Fold the file's complete records into memory; returns the byte
+        offset they end at and the file size.  A record of unknown kind,
+        or missing or mistyping a field, raises :class:`CorpusError`
+        naming the file and line."""
+        records, good, total = read_complete_lines(self.path)
+        self._validate_header(records)
+        for line, record in enumerate(records[1:], start=2):
+            try:
+                self._apply(record)
+            except (KeyError, TypeError, ValueError, AttributeError) as e:
+                raise CorpusError(
+                    f"{self.path}:{line}: bad corpus record "
+                    f"({type(e).__name__}: {e})"
+                ) from e
+        return good, total
+
     def _apply(self, record: dict) -> None:
         """Fold one record into memory — the single code path shared by
         file replay and live ingest, so state after a reload is exactly
@@ -420,6 +431,7 @@ class TriggerCorpus:
             }
         elif kind == "sig":
             key = record["key"]
+            parse_key(key)
             meta = self._ingest_meta
             entry = self.entries.get(key)
             if entry is None:
@@ -438,14 +450,15 @@ class TriggerCorpus:
             entry.last_model = meta.get("model", "")
             seed = record.get("seed")
             if seed is not None:
+                if not isinstance(seed["source"], str):
+                    raise TypeError("seed source is not a string")
                 entry.seed_source = seed["source"]
                 entry.seed_inputs = tuple(_dec_input(v) for v in seed["inputs"])
                 entry.seed_origin_label = seed.get("label", "")
                 entry.seed_origin_index = int(seed.get("index", -1))
         else:
             raise CorpusError(
-                f"corpus {self.path} contains an unknown record kind "
-                f"{kind!r} — written by a newer version?"
+                f"unknown record kind {kind!r} — written by a newer version?"
             )
 
     # -- file plumbing ---------------------------------------------------------
@@ -464,7 +477,7 @@ class TriggerCorpus:
                 "refusing to touch it"
             )
         version = header.get("version")
-        if version not in _READABLE_VERSIONS:
+        if type(version) is not int or version not in _READABLE_VERSIONS:
             raise CorpusError(
                 f"unsupported corpus version {version!r} in {self.path} "
                 f"(this build reads {sorted(_READABLE_VERSIONS)})"

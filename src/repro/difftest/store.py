@@ -401,16 +401,21 @@ def load_result(path: str | os.PathLike) -> CampaignResult:
         )
     outcomes, _ = _decode_records(lines[1:], path)
     outcomes.sort(key=lambda o: o.index)
-    return CampaignResult(
-        approach=header["approach"],
-        budget=header["budget"],
-        levels=tuple(OptLevel(s) for s in header["levels"]),
-        compilers=tuple(header["compilers"]),
-        outcomes=outcomes,
-        shard_index=header["shard_index"],
-        shard_count=header["shard_count"],
-        tiers=header.get("tiers", "baseline"),
-    )
+    try:
+        return CampaignResult(
+            approach=header["approach"],
+            budget=header["budget"],
+            levels=tuple(OptLevel(s) for s in header["levels"]),
+            compilers=tuple(header["compilers"]),
+            outcomes=outcomes,
+            shard_index=header["shard_index"],
+            shard_count=header["shard_count"],
+            tiers=header.get("tiers", "baseline"),
+        )
+    except (KeyError, TypeError, ValueError) as e:
+        raise CampaignStoreError(
+            f"malformed checkpoint header in {path}: {type(e).__name__}: {e}"
+        ) from e
 
 
 def load_triggers(path: str | os.PathLike) -> list[ProgramOutcome]:

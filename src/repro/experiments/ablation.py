@@ -1,4 +1,4 @@
-"""Ablations on DESIGN.md's called-out design choices.
+"""Ablations on the reproduction's called-out design choices.
 
 * strategy mix — the §3.1.4 grammar/mutation split (0.3/0.7): sweep the
   mutation probability and measure the inconsistency rate;

@@ -177,7 +177,8 @@ class CorrectlyRoundedLibm(MathLibrary):
 
     Real compilers fold constant libm calls with MPFR-grade evaluation,
     which is how a folded call can disagree with the runtime library —
-    one of the host-side inconsistency mechanisms in DESIGN.md.
+    one of the host-side inconsistency mechanisms the host compiler
+    models enable (see :mod:`repro.toolchains.gcc`).
     """
 
     name = "cr"

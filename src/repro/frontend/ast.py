@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, fields, is_dataclass, replace
+from operator import is_
 from typing import Union
 
 from repro.frontend.ctypes import CType
@@ -190,27 +191,17 @@ class TranslationUnit:
 def walk_exprs(e: Expr):
     """Yield ``e`` and every sub-expression, pre-order."""
     yield e
-    if isinstance(e, Unary):
-        yield from walk_exprs(e.operand)
-    elif isinstance(e, Binary):
-        yield from walk_exprs(e.left)
-        yield from walk_exprs(e.right)
-    elif isinstance(e, Ternary):
-        yield from walk_exprs(e.cond)
-        yield from walk_exprs(e.then)
-        yield from walk_exprs(e.other)
-    elif isinstance(e, Call):
-        for a in e.args:
-            yield from walk_exprs(a)
-    elif isinstance(e, Index):
-        yield from walk_exprs(e.base)
-        yield from walk_exprs(e.index)
-    elif isinstance(e, Cast):
-        yield from walk_exprs(e.operand)
+    for _, child in child_steps(e):
+        yield from walk_exprs(child)
 
 
 def walk_stmts(s: Stmt):
-    """Yield ``s`` and every nested statement, pre-order."""
+    """Yield ``s`` and every nested statement, pre-order.
+
+    Hand-written rather than derived from :data:`CHILD_FIELDS`: it enters
+    a ``for`` initializer but not its step, and the CodeBLEU AST-match
+    and data-flow numbers are computed over exactly that statement set.
+    """
     yield s
     if isinstance(s, Block):
         for inner in s.stmts:
@@ -226,29 +217,13 @@ def walk_stmts(s: Stmt):
 
 
 def stmt_exprs(s: Stmt):
-    """Yield the top-level expressions appearing directly in statement ``s``."""
-    if isinstance(s, Decl):
-        for d in s.declarators:
-            if d.init is not None:
-                yield d.init
-            if d.array_init is not None:
-                yield from d.array_init
-    elif isinstance(s, Assign):
-        yield s.target
-        yield s.value
-    elif isinstance(s, IncDec):
-        yield s.target
-    elif isinstance(s, ExprStmt):
-        yield s.expr
-    elif isinstance(s, If):
-        yield s.cond
-    elif isinstance(s, For):
-        if s.cond is not None:
-            yield s.cond
-    elif isinstance(s, While):
-        yield s.cond
-    elif isinstance(s, Return) and s.value is not None:
-        yield s.value
+    """Yield the top-level expressions appearing directly in statement ``s``
+    (a declaration's through its declarators; none from nested statements)."""
+    for _, child in child_steps(s):
+        if isinstance(child, Declarator):
+            yield from stmt_exprs(child)
+        elif isinstance(child, EXPR_TYPES):
+            yield child
 
 
 # --------------------------------------------------------------------------- structural editing
@@ -301,6 +276,29 @@ def child_steps(node):
                 yield (name, i), item
         elif value is not None:
             yield (name, None), value
+
+
+def map_children(node, fn):
+    """``node`` rebuilt with ``fn`` applied to each direct child.
+
+    Returns ``node`` itself when every child comes back as the same
+    object, like :func:`repro.ir.nodes.map_children`.
+    """
+    changes = {}
+    for name in CHILD_FIELDS[type(node)]:
+        old = getattr(node, name)
+        if type(old) is tuple:
+            new = tuple(map(fn, old))
+            if all(map(is_, new, old)):
+                continue
+        elif old is None:
+            continue
+        else:
+            new = fn(old)
+            if new is old:
+                continue
+        changes[name] = new
+    return replace(node, **changes) if changes else node
 
 
 def depth(root) -> int:

@@ -5,7 +5,7 @@
 strategies build, honours only what the prompt states, and emits plain C.
 Sampling hyperparameters (temperature 1.2, frequency penalty 0.5, presence
 penalty 0.6) map onto its pattern-sampling entropy and anti-repetition
-weights.  See DESIGN.md "Substitutions".
+weights.
 """
 
 from repro.generation.llm.base import GenerationConfig, LatencyModel, LLMClient, SuccessSet

@@ -12,7 +12,8 @@ more diverse than regeneration from scratch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from operator import is_
 
 from repro.errors import ReproError
 from repro.frontend import ast
@@ -227,7 +228,7 @@ class Mutator:
                 return ast.FloatLit(round(v, 6), "", e.is_single)
             return e
 
-        return _rewrite_block_exprs(block, rewrite)
+        return _rewrite(block, rewrite)
 
     def _swap_functions(self, state: _MutState, block: ast.Block) -> ast.Block:
         state.applied.append("swap-math-functions")
@@ -238,7 +239,7 @@ class Mutator:
                 return ast.Call(rng.choice(_FUNC_SWAPS[e.name]), e.args)
             return e
 
-        return _rewrite_block_exprs(block, rewrite)
+        return _rewrite(block, rewrite)
 
     def _nest_expression(self, state: _MutState, block: ast.Block) -> ast.Block:
         state.applied.append("nest-arithmetic")
@@ -254,7 +255,7 @@ class Mutator:
             nested = ast.Binary("+", ast.Binary("*", s.value, k), b)
             return [ast.Assign(s.target, s.op, nested)]
 
-        return _rewrite_block_stmts(block, rewrite_stmt)
+        return _splice(block, rewrite_stmt)
 
     # -- statement-level mutations ------------------------------------------------
 
@@ -296,7 +297,7 @@ class Mutator:
             )
             return [loop]
 
-        return _rewrite_block_stmts(block, rewrite_stmt)
+        return _splice(block, rewrite_stmt)
 
     def _wrap_in_conditional(self, state: _MutState, block: ast.Block) -> ast.Block:
         state.applied.append("add-conditional")
@@ -321,7 +322,7 @@ class Mutator:
             alt = ast.Assign(s.target, alt_op if alt_op != "=" else "=", s.value)
             return [ast.If(guard, ast.Block((s,)), ast.Block((alt,)))]
 
-        return _rewrite_block_stmts(block, rewrite_stmt)
+        return _splice(block, rewrite_stmt)
 
     def _insert_transcendental(self, state: _MutState, block: ast.Block) -> ast.Block:
         """Add a guarded transcendental update of ``comp`` before the print.
@@ -580,7 +581,7 @@ class Mutator:
             decl = ast.Decl(DOUBLE, (ast.Declarator(t, None, s.value),))
             return [decl, ast.Assign(s.target, s.op, ast.Ident(t))]
 
-        return _rewrite_block_stmts(block, rewrite_stmt)
+        return _splice(block, rewrite_stmt)
 
     # -- renaming ----------------------------------------------------------------------
 
@@ -604,42 +605,16 @@ class Mutator:
                     mapping[old] = f"v_{len(mapping)}"
             return mapping[old]
 
-        def rewrite_expr(e: ast.Expr) -> ast.Expr:
-            if isinstance(e, ast.Ident) and e.name not in protected:
-                return ast.Ident(name_for(e.name))
-            return e
+        def rename(node):
+            if isinstance(node, (ast.Declarator, ast.Ident)) and node.name not in protected:
+                return replace(node, name=name_for(node.name))
+            return node
 
-        def rename_decl(s: ast.Decl) -> ast.Decl:
-            ds = tuple(
-                ast.Declarator(name_for(d.name), d.array_size, d.init, d.array_init)
-                for d in s.declarators
-            )
-            return ast.Decl(s.base, ds)
-
-        def rename_stmt(s: ast.Stmt) -> ast.Stmt:
-            # Declarator names live outside the expression tree, including
-            # the declaration in a for-initializer; walk them explicitly.
-            if isinstance(s, ast.Decl):
-                return rename_decl(s)
-            if isinstance(s, ast.For):
-                init = s.init
-                if isinstance(init, ast.Decl):
-                    init = rename_decl(init)
-                return ast.For(init, s.cond, s.step, rename_block(s.body))
-            if isinstance(s, ast.If):
-                other = rename_block(s.other) if s.other is not None else None
-                return ast.If(s.cond, rename_block(s.then), other)
-            if isinstance(s, ast.While):
-                return ast.While(s.cond, rename_block(s.body))
-            if isinstance(s, ast.Block):
-                return rename_block(s)
-            return s
-
-        def rename_block(b: ast.Block) -> ast.Block:
-            return ast.Block(tuple(rename_stmt(s) for s in b.stmts))
-
-        body = rename_block(compute.body)
-        body = _rewrite_block_exprs(body, rewrite_expr)
+        # Declarator names live outside the expression tree: every
+        # declared name draws from the pool first, then names only read.
+        for d in _declarators(compute.body):
+            name_for(d.name)
+        body = _rewrite(compute.body, rename)
         return self._on_compute(unit, lambda _: body)
 
 
@@ -758,96 +733,37 @@ def _swappable(a: ast.Stmt, b: ast.Stmt) -> bool:
 # ------------------------------------------------------------------ AST rewriting
 
 
-def _rewrite_expr(e: ast.Expr, fn) -> ast.Expr:
-    """Bottom-up expression rewrite for the frontend AST."""
-    if isinstance(e, ast.Unary):
-        e = ast.Unary(e.op, _rewrite_expr(e.operand, fn))
-    elif isinstance(e, ast.Binary):
-        e = ast.Binary(e.op, _rewrite_expr(e.left, fn), _rewrite_expr(e.right, fn))
-    elif isinstance(e, ast.Ternary):
-        e = ast.Ternary(
-            _rewrite_expr(e.cond, fn),
-            _rewrite_expr(e.then, fn),
-            _rewrite_expr(e.other, fn),
-        )
-    elif isinstance(e, ast.Call):
-        e = ast.Call(e.name, tuple(_rewrite_expr(a, fn) for a in e.args))
-    elif isinstance(e, ast.Index):
-        e = ast.Index(_rewrite_expr(e.base, fn), _rewrite_expr(e.index, fn))
-    elif isinstance(e, ast.Cast):
-        e = ast.Cast(e.type, _rewrite_expr(e.operand, fn))
-    return fn(e)
+def _declarators(node):
+    """Every declarator under ``node``, in the order renaming draws pool
+    names for them: pre-order, except that an ``if`` statement's else
+    branch comes before its then branch."""
+    if isinstance(node, ast.Declarator):
+        yield node
+        return
+    children = [child for _, child in ast.child_steps(node)]
+    if isinstance(node, ast.If):
+        children.reverse()
+    for child in children:
+        yield from _declarators(child)
 
 
-def _map_stmt_exprs(s: ast.Stmt, fn) -> ast.Stmt:
-    if isinstance(s, ast.Decl):
-        ds = []
-        for d in s.declarators:
-            init = _rewrite_expr(d.init, fn) if d.init is not None else None
-            arr = (
-                tuple(_rewrite_expr(e, fn) for e in d.array_init)
-                if d.array_init is not None
-                else None
-            )
-            ds.append(ast.Declarator(d.name, d.array_size, init, arr))
-        return ast.Decl(s.base, tuple(ds))
-    if isinstance(s, ast.Assign):
-        return ast.Assign(
-            _rewrite_expr(s.target, fn), s.op, _rewrite_expr(s.value, fn)
-        )
-    if isinstance(s, ast.IncDec):
-        return ast.IncDec(_rewrite_expr(s.target, fn), s.op)
-    if isinstance(s, ast.ExprStmt):
-        return ast.ExprStmt(_rewrite_expr(s.expr, fn))
-    if isinstance(s, ast.If):
-        return ast.If(
-            _rewrite_expr(s.cond, fn),
-            _rewrite_block_exprs(s.then, fn),
-            _rewrite_block_exprs(s.other, fn) if s.other is not None else None,
-        )
-    if isinstance(s, ast.For):
-        init = _map_stmt_exprs(s.init, fn) if s.init is not None else None
-        cond = _rewrite_expr(s.cond, fn) if s.cond is not None else None
-        step = _map_stmt_exprs(s.step, fn) if s.step is not None else None
-        return ast.For(init, cond, step, _rewrite_block_exprs(s.body, fn))
-    if isinstance(s, ast.While):
-        return ast.While(_rewrite_expr(s.cond, fn), _rewrite_block_exprs(s.body, fn))
-    if isinstance(s, ast.Return):
-        return ast.Return(_rewrite_expr(s.value, fn) if s.value is not None else None)
-    if isinstance(s, ast.Block):
-        return _rewrite_block_exprs(s, fn)
-    return s
+def _rewrite(node, fn):
+    """Bottom-up rewrite: ``fn`` applied to every node after its children,
+    in field order.  Subtrees ``fn`` leaves alone come back as the same
+    objects."""
+    return fn(ast.map_children(node, lambda child: _rewrite(child, fn)))
 
 
-def _rewrite_block_exprs(block: ast.Block, fn) -> ast.Block:
-    """Apply an expression rewriter to every expression in a block."""
-    return ast.Block(tuple(_map_stmt_exprs(s, fn) for s in block.stmts))
-
-
-def _rewrite_block_stmts(block: ast.Block, fn) -> ast.Block:
-    """Apply a statement rewriter (one stmt -> list of stmts), recursing."""
-    out: list[ast.Stmt] = []
-    for s in block.stmts:
-        replaced = fn(s)
-        rec: list[ast.Stmt] = []
-        for r in replaced:
-            if isinstance(r, ast.Block):
-                rec.append(_rewrite_block_stmts(r, fn))
-            elif isinstance(r, ast.If):
-                rec.append(
-                    ast.If(
-                        r.cond,
-                        _rewrite_block_stmts(r.then, fn),
-                        _rewrite_block_stmts(r.other, fn) if r.other is not None else None,
-                    )
-                )
-            elif isinstance(r, ast.For):
-                rec.append(
-                    ast.For(r.init, r.cond, r.step, _rewrite_block_stmts(r.body, fn))
-                )
-            elif isinstance(r, ast.While):
-                rec.append(ast.While(r.cond, _rewrite_block_stmts(r.body, fn)))
-            else:
-                rec.append(r)
-        out.extend(rec)
-    return ast.Block(tuple(out))
+def _splice(node, fn):
+    """Statement rewrite: ``fn`` maps each member of every ``Block`` to a
+    list of statements, pre-order, and each replacement is spliced in
+    turn before the next member is seen.  ``for`` initializers and steps
+    are not block members, so ``fn`` never sees them."""
+    if isinstance(node, ast.Block):
+        stmts = tuple(_splice(r, fn) for s in node.stmts for r in fn(s))
+        if len(stmts) == len(node.stmts) and all(map(is_, stmts, node.stmts)):
+            return node
+        return ast.Block(stmts)
+    if isinstance(node, ast.STMT_TYPES):
+        return ast.map_children(node, lambda child: _splice(child, fn))
+    return node

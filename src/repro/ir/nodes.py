@@ -578,9 +578,6 @@ class Kernel:
     body: tuple[Stmt, ...]
     var_types: dict[str, str] = field(default_factory=dict, hash=False, compare=False)
 
-    def with_body(self, body: tuple[Stmt, ...]) -> "Kernel":
-        return Kernel(self.name, self.params, body, self.var_types)
-
 
 # ----------------------------------------------------------------------- traversal
 #
@@ -658,6 +655,33 @@ def map_children(node, fn):
     return node if args is None else type(node)(*args)
 
 
+def splice(node, fn):
+    """``node`` with each statement of its bodies replaced one-to-many.
+
+    ``fn(s, following)`` sees every statement of every body, pre-order,
+    together with the statement after it in the same body (``None`` at
+    the end).  It returns the statements that stand in for ``s``, which
+    the walk does not enter, or ``None`` to keep ``s`` and splice its own
+    bodies.  ``node`` is a kernel or a statement, and comes back as the
+    same object when no statement changed.
+    """
+    args = None
+    for c in CHILD_FIELDS[type(node)]:
+        if not c.stmt:
+            continue
+        old = getattr(node, c.name)
+        new = []
+        for i, s in enumerate(old):
+            out = fn(s, old[i + 1] if i + 1 < len(old) else None)
+            new.extend((splice(s, fn),) if out is None else out)
+        if len(new) == len(old) and all(map(is_, new, old)):
+            continue
+        if args is None:
+            args = [getattr(node, name) for name, _ in FIELDS[type(node)]]
+        args[c.pos] = tuple(new)
+    return node if args is None else type(node)(*args)
+
+
 def walk(node):
     """Yield ``node`` and every node below it, pre-order."""
     yield node
@@ -679,3 +703,13 @@ def stmt_exprs(s: Stmt):
     for c in CHILD_FIELDS[type(s)]:
         if not c.stmt:
             yield from _field_nodes(s, c)
+
+
+def assigned_names(stmts: tuple[Stmt, ...]) -> set[str]:
+    """Every scalar variable some statement in ``stmts`` assigns."""
+    return {s.name for s in walk_stmts(stmts) if isinstance(s, SAssign)}
+
+
+def reads_scalar(e: Expr, names) -> bool:
+    """Whether ``e`` reads one of the scalar variables ``names``."""
+    return any(isinstance(sub, Load) and sub.name in names for sub in walk(e))

@@ -4,8 +4,8 @@ Folding arithmetic on constants is semantics-preserving here (compile-time
 IEEE equals run-time IEEE).  The interesting knob is ``fold_calls``: a real
 compiler folds ``sin(0.5)`` with an MPFR-grade (correctly rounded)
 evaluator, while at run time the linked libm is only faithfully rounded —
-so folding *changes the printed result* whenever the two disagree.  That is
-a documented host-side inconsistency mechanism (DESIGN.md mechanism 3).
+so folding *changes the printed result* whenever the two disagree: a
+host-side inconsistency mechanism of the gcc and clang models.
 
 ``propagate`` additionally pushes const-initialized scalars into use sites
 (a model of clang's more aggressive constant propagation), which reaches
@@ -16,6 +16,7 @@ misses.
 from __future__ import annotations
 
 import math
+from operator import is_
 
 import numpy as np
 
@@ -29,17 +30,19 @@ __all__ = ["ConstantFold"]
 
 _CONST = (ir.FConst, ir.IConst)
 
+#: The leaf statements whose expressions fold.
+_FOLDED = (ir.SAssign, ir.SDeclArray, ir.SStoreElem, ir.SPrint)
+
 
 def _f32(x: float) -> float:
     return float(np.float32(x))
 
 
-def _assigned_names(stmts: tuple[ir.Stmt, ...]) -> set[str]:
-    names = set()
-    for s in ir.walk_stmts(stmts):
-        if isinstance(s, ir.SAssign):
-            names.add(s.name)
-    return names
+def _rebuilt(s: ir.Stmt, *values) -> ir.Stmt:
+    """``s`` itself when ``values`` are its own fields, else a new node of them."""
+    if all(map(is_, values, (getattr(s, name) for name, _ in ir.FIELDS[type(s)]))):
+        return s
+    return type(s)(*values)
 
 
 class ConstantFold(Pass):
@@ -69,36 +72,21 @@ class ConstantFold(Pass):
 
     def run(self, kernel: ir.Kernel) -> ir.Kernel:
         env: dict[str, ir.Expr] = {}
-        return kernel.with_body(self._stmts(kernel.body, env))
+        return ir.map_children(kernel, lambda s: self._stmt(s, env))
 
-    def _stmts(
+    def _body(
         self, stmts: tuple[ir.Stmt, ...], env: dict[str, ir.Expr]
     ) -> tuple[ir.Stmt, ...]:
-        return tuple(self._stmt(s, env) for s in stmts)
+        out = tuple(self._stmt(s, env) for s in stmts)
+        return stmts if all(map(is_, out, stmts)) else out
 
     def _stmt(self, s: ir.Stmt, env: dict[str, ir.Expr]) -> ir.Stmt:
-        if isinstance(s, ir.SAssign):
-            value = self._fold(s.value, env)
-            if self.propagate and isinstance(value, _CONST):
-                env[s.name] = value
-            else:
-                env.pop(s.name, None)
-            return ir.SAssign(s.name, value, s.ty)
-        if isinstance(s, ir.SDeclArray):
-            init = (
-                tuple(self._fold(e, env) for e in s.init) if s.init is not None else None
-            )
-            return ir.SDeclArray(s.name, s.size, s.elem_ty, init)
-        if isinstance(s, ir.SStoreElem):
-            return ir.SStoreElem(
-                s.name, self._fold(s.index, env), self._fold(s.value, env), s.elem_ty
-            )
         if isinstance(s, ir.SIf):
             cond = self._fold(s.cond, env)
             then_env = dict(env)
             other_env = dict(env)
-            then = self._stmts(s.then, then_env)
-            other = self._stmts(s.other, other_env)
+            then = self._body(s.then, then_env)
+            other = self._body(s.other, other_env)
             merged = {
                 k: then_env[k]
                 for k in then_env.keys() & other_env.keys()
@@ -106,28 +94,32 @@ class ConstantFold(Pass):
             }
             env.clear()
             env.update(merged)
-            return ir.SIf(cond, then, other)
+            return _rebuilt(s, cond, then, other)
         if isinstance(s, ir.SFor):
-            init = self._stmts(s.init, env)
-            killed = _assigned_names(s.body) | _assigned_names(s.step) | _assigned_names(s.init)
-            for k in killed:
+            init = self._body(s.init, env)
+            for k in ir.assigned_names(s.body + s.step + s.init):
                 env.pop(k, None)
             loop_env = dict(env)
             cond = self._fold(s.cond, loop_env) if s.cond is not None else None
-            body = self._stmts(s.body, dict(loop_env))
-            step = self._stmts(s.step, dict(loop_env))
-            return ir.SFor(init, cond, step, body)
+            body = self._body(s.body, dict(loop_env))
+            step = self._body(s.step, dict(loop_env))
+            return _rebuilt(s, init, cond, step, body)
         if isinstance(s, ir.SWhile):
-            killed = _assigned_names(s.body)
-            for k in killed:
+            for k in ir.assigned_names(s.body):
                 env.pop(k, None)
             loop_env = dict(env)
             cond = self._fold(s.cond, loop_env)
-            body = self._stmts(s.body, dict(loop_env))
-            return ir.SWhile(cond, body)
-        if isinstance(s, ir.SPrint):
-            return ir.SPrint(s.fmt, tuple(self._fold(v, env) for v in s.values))
-        return s
+            body = self._body(s.body, dict(loop_env))
+            return _rebuilt(s, cond, body)
+        if not isinstance(s, _FOLDED):
+            return s
+        out = ir.map_children(s, lambda e: self._fold(e, env))
+        if isinstance(s, ir.SAssign):
+            if self.propagate and isinstance(out.value, _CONST):
+                env[s.name] = out.value
+            else:
+                env.pop(s.name, None)
+        return out
 
     # -- expression folding ----------------------------------------------------------
 

@@ -35,6 +35,8 @@ therefore stays scalar.
 
 from __future__ import annotations
 
+from operator import is_
+
 from repro.ir import nodes as ir
 from repro.ir.passes.base import Pass
 from repro.ir.passes.loop_unroll import match_counted_loop
@@ -43,12 +45,6 @@ __all__ = ["IfConvert"]
 
 #: Accumulation operators with the identity used for an absent arm.
 _ACC_IDENTITY = {"+": 0.0, "-": 0.0, "*": 1.0, "/": 1.0}
-
-
-def _reads_scalar(e: ir.Expr, names: set[str]) -> bool:
-    return any(
-        isinstance(sub, ir.Load) and sub.name in names for sub in ir.walk(e)
-    )
 
 
 def _reads_array(e: ir.Expr, names: set[str]) -> bool:
@@ -68,42 +64,21 @@ class IfConvert(Pass):
     name = "if-convert"
 
     def run(self, kernel: ir.Kernel) -> ir.Kernel:
-        return kernel.with_body(self._stmts(kernel.body))
+        return ir.splice(kernel, self._loop)
 
-    # -- traversal ---------------------------------------------------------------
-
-    def _stmts(self, stmts: tuple[ir.Stmt, ...]) -> tuple[ir.Stmt, ...]:
-        out: list[ir.Stmt] = []
-        for s in stmts:
-            if isinstance(s, ir.SIf):
-                out.append(ir.SIf(s.cond, self._stmts(s.then), self._stmts(s.other)))
-            elif isinstance(s, ir.SWhile):
-                out.append(ir.SWhile(s.cond, self._stmts(s.body)))
-            elif isinstance(s, ir.SFor):
-                out.append(self._loop(s))
-            else:
-                out.append(s)
-        return tuple(out)
-
-    def _loop(self, s: ir.SFor) -> ir.Stmt:
-        innermost = not any(
-            isinstance(sub, (ir.SFor, ir.SWhile))
-            for sub in ir.walk_stmts(s.body)
-        )
-        if innermost and match_counted_loop(s) is not None:
-            body: list[ir.Stmt] = []
-            for st in s.body:
-                converted = (
-                    self._convert(st) if isinstance(st, ir.SIf) else None
-                )
-                if converted is not None:
-                    body.extend(converted)
-                else:
-                    body.append(st)
-            return ir.SFor(s.init, s.cond, s.step, tuple(body))
-        return ir.SFor(
-            self._stmts(s.init), s.cond, self._stmts(s.step), self._stmts(s.body)
-        )
+    def _loop(self, s: ir.Stmt, following: ir.Stmt | None) -> tuple[ir.Stmt, ...] | None:
+        """The converted form of an innermost counted loop, else ``None``."""
+        if not isinstance(s, ir.SFor) or match_counted_loop(s) is None:
+            return None
+        if any(isinstance(sub, (ir.SFor, ir.SWhile)) for sub in ir.walk_stmts(s.body)):
+            return None
+        body: list[ir.Stmt] = []
+        for st in s.body:
+            converted = self._convert(st) if isinstance(st, ir.SIf) else None
+            body.extend((st,) if converted is None else converted)
+        if len(body) == len(s.body) and all(map(is_, body, s.body)):
+            return (s,)
+        return (ir.SFor(s.init, s.cond, s.step, tuple(body)),)
 
     # -- one conditional ---------------------------------------------------------
 
@@ -139,18 +114,18 @@ class IfConvert(Pass):
         # re-evaluates it: scalar assignments emit first, so every
         # evaluation before that last store still sees pre-store memory,
         # exactly like the original's single entry evaluation.
-        if _reads_scalar(s.cond, assigned):
+        if ir.reads_scalar(s.cond, assigned):
             return None
         if len(stored) > 1 and _reads_array(s.cond, stored):
             return None
         for name, st in (*then_a.items(), *else_a.items()):
-            if _reads_scalar(st.value, assigned - {name}) or _reads_array(
+            if ir.reads_scalar(st.value, assigned - {name}) or _reads_array(
                 st.value, stored
             ):
                 return None
         for st in (*then_s.values(), *else_s.values()):
             for e in (st.index, st.value):
-                if _reads_scalar(e, assigned) or _reads_array(
+                if ir.reads_scalar(e, assigned) or _reads_array(
                     e, stored - {st.name}
                 ):
                     return None
@@ -190,7 +165,7 @@ class IfConvert(Pass):
                 and v.op in _ACC_IDENTITY
                 and isinstance(v.left, ir.Load)
                 and v.left.name == name
-                and not _reads_scalar(v.right, {name})
+                and not ir.reads_scalar(v.right, {name})
             ):
                 return (v.op, v.right)
             return None

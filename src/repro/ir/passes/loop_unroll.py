@@ -49,14 +49,6 @@ class CountedLoop:
     step: tuple[ir.Stmt, ...]
 
 
-def _assigned_names(stmts: tuple[ir.Stmt, ...]) -> set[str]:
-    out: set[str] = set()
-    for s in ir.walk_stmts(stmts):
-        if isinstance(s, ir.SAssign):
-            out.add(s.name)
-    return out
-
-
 def match_counted_loop(s: ir.Stmt) -> CountedLoop | None:
     """Recognize the canonical counted loop produced by lowering.
 
@@ -105,7 +97,7 @@ def match_counted_loop(s: ir.Stmt) -> CountedLoop | None:
         guard_offset = left.right.value
     else:
         return None
-    assigned = _assigned_names(s.body)
+    assigned = ir.assigned_names(s.body)
     if var in assigned:
         return None
     if isinstance(bound, ir.Load):
@@ -161,24 +153,10 @@ class LoopUnroll(Pass):
         self.factor = factor
 
     def run(self, kernel: ir.Kernel) -> ir.Kernel:
-        return kernel.with_body(self._stmts(kernel.body))
+        return ir.splice(kernel, self._loop)
 
-    def _stmts(self, stmts: tuple[ir.Stmt, ...]) -> tuple[ir.Stmt, ...]:
-        out: list[ir.Stmt] = []
-        for s in stmts:
-            if isinstance(s, ir.SIf):
-                out.append(ir.SIf(s.cond, self._stmts(s.then), self._stmts(s.other)))
-                continue
-            if isinstance(s, ir.SWhile):
-                out.append(ir.SWhile(s.cond, self._stmts(s.body)))
-                continue
-            if isinstance(s, ir.SFor):
-                out.extend(self._loop(s))
-                continue
-            out.append(s)
-        return tuple(out)
-
-    def _loop(self, s: ir.SFor) -> list[ir.Stmt]:
+    def _loop(self, s: ir.Stmt, following: ir.Stmt | None) -> list[ir.Stmt] | None:
+        """The unrolled main loop and its scalar epilogue, else ``None``."""
         loop = match_counted_loop(s)
         if (
             loop is None
@@ -187,9 +165,7 @@ class LoopUnroll(Pass):
             or not loop.body
             or not _straight_line(loop.body)
         ):
-            # Not unrollable as-is; still recurse into nested loop bodies.
-            cond = s.cond
-            return [ir.SFor(self._stmts(s.init), cond, self._stmts(s.step), self._stmts(s.body))]
+            return None
         k = self.factor
         var = loop.var
         unrolled = tuple(

@@ -123,60 +123,13 @@ class Vectorize(Pass):
         # Variable names in use; lane accumulators must avoid them.  Kept
         # per run, not on the pass, so the pass stays a pure function of
         # its configuration (see Pass.key).
-        taken: set[str] = set(kernel.var_types)
-        for s in ir.walk_stmts(kernel.body):
-            if isinstance(s, ir.SAssign):
-                taken.add(s.name)
-        return kernel.with_body(self._stmts(kernel.body, taken))
-
-    # -- traversal ---------------------------------------------------------------
-
-    def _stmts(
-        self, stmts: tuple[ir.Stmt, ...], taken: set[str]
-    ) -> tuple[ir.Stmt, ...]:
-        out: list[ir.Stmt] = []
-        i = 0
-        while i < len(stmts):
-            s = stmts[i]
-            i += 1
-            if isinstance(s, ir.SIf):
-                out.append(
-                    ir.SIf(s.cond, self._stmts(s.then, taken), self._stmts(s.other, taken))
-                )
-                continue
-            if isinstance(s, ir.SWhile):
-                out.append(ir.SWhile(s.cond, self._stmts(s.body, taken)))
-                continue
-            if isinstance(s, ir.SFor):
-                following = stmts[i] if i < len(stmts) else None
-                replaced = self._loop(s, following, taken)
-                if replaced is not None:
-                    out.extend(replaced)
-                    # The SLP path only fires when `following` is the
-                    # unroller's scalar epilogue — identical to our own
-                    # emitted epilogue (the last replaced statement), so
-                    # the duplicate is consumed and unroll(W) ->
-                    # vectorize(W) rebuilds the very kernel vectorize(W)
-                    # alone produces.
-                    if following is not None and following == replaced[-1]:
-                        i += 1
-                else:
-                    out.append(
-                        ir.SFor(
-                            s.init,
-                            s.cond,
-                            self._stmts(s.step, taken),
-                            self._stmts(s.body, taken),
-                        )
-                    )
-                continue
-            out.append(s)
-        return tuple(out)
+        taken = set(kernel.var_types) | ir.assigned_names(kernel.body)
+        return ir.splice(kernel, lambda s, following: self._loop(s, following, taken))
 
     # -- recognition -------------------------------------------------------------
 
     def _loop(
-        self, s: ir.SFor, following: ir.Stmt | None, taken: set[str]
+        self, s: ir.Stmt, following: ir.Stmt | None, taken: set[str]
     ) -> list[ir.Stmt] | None:
         loop = match_counted_loop(s)
         if loop is None or not loop.body:
@@ -185,22 +138,25 @@ class Vectorize(Pass):
             body = loop.body
         elif loop.stride == self.width and loop.guard_offset == self.width - 1:
             body = self._reroll(loop)
-            if body is None:
-                return None
             # Only genuine LoopUnroll output may re-roll: the unroller
             # always emits its scalar epilogue right after the strided
-            # loop, and our rewrite consumes that epilogue.  A *source*
+            # loop, and our rewrite takes that epilogue over.  A *source*
             # loop that happens to be stride-W has no epilogue — adding
             # one would execute tail trips the original program skipped,
             # changing semantics, so such loops stay scalar.
-            if following != self._scalar_epilogue(loop, body):
+            if body is None or following != self._scalar_epilogue(loop, body):
                 return None
         else:
             return None
         plan = self._plan(body, loop)
         if plan is None:
             return None
-        return self._emit(loop, body, plan, taken)
+        out = self._emit(loop, body, plan, taken)
+        # When the statement after the loop already is the scalar epilogue
+        # (the unroller's), it stays where it is and stands in for ours,
+        # so unroll(W) -> vectorize(W) rebuilds the very kernel
+        # vectorize(W) alone produces.
+        return out[:-1] if following == out[-1] else out
 
     @staticmethod
     def _scalar_epilogue(loop: CountedLoop, body: tuple[ir.Stmt, ...]) -> ir.SFor:
@@ -322,17 +278,11 @@ class Vectorize(Pass):
             return None
         left_is_acc = isinstance(v.left, ir.Load) and v.left.name == st.name
         right_is_acc = isinstance(v.right, ir.Load) and v.right.name == st.name
-        if left_is_acc and not self._reads(v.right, st.name):
+        if left_is_acc and not ir.reads_scalar(v.right, (st.name,)):
             return _Reduction(st.name, v.op, v.right, st.ty)
-        if right_is_acc and v.op in ("+", "*") and not self._reads(v.left, st.name):
+        if right_is_acc and v.op in ("+", "*") and not ir.reads_scalar(v.left, (st.name,)):
             return _Reduction(st.name, v.op, v.left, st.ty)
         return None
-
-    @staticmethod
-    def _reads(e: ir.Expr, name: str) -> bool:
-        return any(
-            isinstance(sub, ir.Load) and sub.name == name for sub in ir.walk(e)
-        )
 
     # -- widening ----------------------------------------------------------------
 
@@ -342,8 +292,8 @@ class Vectorize(Pass):
         if isinstance(e, ir.Load) and e.name == var:
             return e
         if isinstance(e, ir.IBin) and e.op in ("+", "-"):
-            li = self._uses_var(e.left, var)
-            ri = self._uses_var(e.right, var)
+            li = ir.reads_scalar(e.left, (var,))
+            ri = ir.reads_scalar(e.right, (var,))
             if li and not ri:
                 base = self._affine(e.left, var)
                 if base is None:
@@ -355,12 +305,6 @@ class Vectorize(Pass):
                     return None
                 return ir.IBin("+", e.left, base)
         return None
-
-    @staticmethod
-    def _uses_var(e: ir.Expr, var: str) -> bool:
-        return any(
-            isinstance(sub, ir.Load) and sub.name == var for sub in ir.walk(e)
-        )
 
     def _widen_mask(self, cond: ir.Expr, var: str) -> ir.Expr | None:
         """The ``width``-lane predicate vector of a scalar condition.
@@ -392,7 +336,7 @@ class Vectorize(Pass):
         """The lane form of an *integer* guard operand (int-guards tier):
         loop-invariant ints broadcast, affine uses of the induction
         variable become iota vectors, everything else rejects."""
-        if not self._uses_var(e, var):
+        if not ir.reads_scalar(e, (var,)):
             if isinstance(e, ir.ANY_VECTOR_NODES) or ir.expr_type(e) != "int":
                 return None
             return ir.VecSplat(e, self.width, "int")
@@ -422,7 +366,7 @@ class Vectorize(Pass):
         selects) rejects the loop.
         """
         w = self.width
-        if not self._uses_var(e, var):
+        if not ir.reads_scalar(e, (var,)):
             # Loop-invariant: broadcast the whole subtree unwidened.  Only
             # valid for scalar expressions of known element type.  Inside
             # a masked arm the broadcast still evaluates once per vector

@@ -1,6 +1,6 @@
 """The gcc 9.4 host-compiler model.
 
-Mechanisms (see DESIGN.md "mechanism map"):
+Mechanisms:
 
 * links the glibc math library at O0..O3 (:func:`~repro.fp.mathlib.HostLibm`)
   and its finite/fast entry points under ``-ffast-math``;

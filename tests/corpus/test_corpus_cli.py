@@ -161,6 +161,14 @@ class TestCorpusIngest:
         assert main(["corpus", "ingest", str(foreign), str(ckpt)]) == 2
         assert "not a trigger corpus" in capsys.readouterr().err
 
+    def test_malformed_corpus_record_exits_2_with_one_line(self, tmp_path, capsys):
+        corpus = tmp_path / "bad.jsonl"
+        corpus.write_text('{"kind":"corpus","version":1}\n{"kind":"sig"}\n')
+        assert main(["corpus", "seeds", str(corpus)]) == 2
+        assert main(["run", "--approach", "varity", "--budget", "1", "--corpus", str(corpus)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"{corpus}:2: bad corpus record (KeyError: 'key')"] * 2
+
     def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"
         missing = tmp_path / "nope.jsonl"

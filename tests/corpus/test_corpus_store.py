@@ -68,9 +68,10 @@ class TestLifecycle:
 
     def test_refuses_future_version(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
-        path.write_text('{"kind":"corpus","version":99}\n')
-        with pytest.raises(CorpusError, match="unsupported corpus version"):
-            TriggerCorpus.load(path)
+        for version in ("99", "[1]"):
+            path.write_text('{"kind":"corpus","version":%s}\n' % version)
+            with pytest.raises(CorpusError, match="unsupported corpus version"):
+                TriggerCorpus.load(path)
 
     def test_unknown_record_kind_rejected(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
@@ -80,6 +81,27 @@ class TestLifecycle:
             f.write('{"kind":"archipelago"}\n')
         with pytest.raises(CorpusError, match="archipelago"):
             TriggerCorpus.load(path)
+
+    @pytest.mark.parametrize(
+        "record, error",
+        [
+            ('{"kind":"sig"}', "KeyError: 'key'"),
+            ('{"kind":"sig","key":"[[],[]]","seed":{"inputs":[]}}', "KeyError: 'source'"),
+            ('{"kind":"sig","key":"[[],[]]","seed":{"source":"x"}}', "KeyError: 'inputs'"),
+            (
+                '{"kind":"sig","key":"[[],[]]","seed":{"source":"x","inputs":[{"f":"zz"}]}}',
+                "ValueError",
+            ),
+            ('{"kind":"sig","key":"[[],[]]","seed":{"source":5,"inputs":[]}}', "not a string"),
+            ('{"kind":"sig","key":"[[],"}', "malformed signature key"),
+        ],
+    )
+    def test_malformed_record_names_file_and_line(self, tmp_path, record, error):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"kind":"corpus","version":1}\n' + record + "\n")
+        for read in (TriggerCorpus.load, lambda p: TriggerCorpus(p).open().close()):
+            with pytest.raises(CorpusError, match=f"corpus.jsonl:2: .*{error}"):
+                read(path)
 
 
 class TestIngest:
