@@ -10,9 +10,9 @@ deduplicated and concurrently schedulable:
 * **generate** — ask the generator for the next program.  Stays serial:
   the feedback loop (triggering programs re-seed the generator) makes
   program *i+1* depend on the verdict for program *i*.
-* **frontend** — parse / sema / lower once per target kind
+* **frontend** — parse once, then sema / lower once per target kind
   (:class:`~repro.toolchains.base.CompilerKind`); host compilers share the
-  C parse, the device compiler gets the CUDA translation.
+  C unit, the device compiler gets its CUDA translation.
 * **compile** — one :class:`CompileRecord` per (compiler, level).  Levels
   whose (pipeline, environment) coincide share one compilation
   (``Compiler.cache_token``), and one pass memo per program runs each
@@ -307,9 +307,11 @@ class _BinaryRun:
 def frontend_kernels(source: str) -> FrontendRecord:
     """Front-end ``source`` once per target kind (§2.4).
 
-    Host compilers share the C parse/sema/lowering; the device compiler
-    gets the CUDA translation of the same unit.  A front-end failure for a
-    kind fails all its compilations, recorded per-kind in ``errors``.
+    The source is parsed once.  Host compilers share its sema and
+    lowering; the device compiler gets its own sema and lowering of the
+    CUDA translation, an AST rewrite of the same unit.  A front-end
+    failure for a kind fails all its compilations, recorded per-kind in
+    ``errors``.
     Shared by the engine's frontend stage and by the triage subsystem
     (reduction re-validation and pass-pipeline bisection replay).
     """

@@ -272,38 +272,26 @@ def compile_tape(kernel: ir.Kernel, env: FPEnvironment) -> Tape:
     return _Compiler(kernel, env).compile()
 
 
+class _Slots(dict):
+    """Name -> slot table that numbers a name on its first lookup."""
+
+    def __missing__(self, name: str) -> int:
+        slot = self[name] = len(self)
+        return slot
+
+
 class _Compiler:
     def __init__(self, kernel: ir.Kernel, env: FPEnvironment) -> None:
         self.kernel = kernel
         self.env = env
-        self.scalars: dict[str, int] = {}
-        self.arrays: dict[str, int] = {}
+        # Slots are numbered as compilation first meets each name.  The
+        # params are touched first, so binders keep slots 0..k and a
+        # param the body never reads still has one.
+        self.scalars = _Slots()
+        self.arrays = _Slots()
         self.code: list[list] = []
-        self._collect_slots()
-
-    # -- slot allocation ---------------------------------------------------------
-
-    def _collect_slots(self) -> None:
-        def scalar(name: str) -> None:
-            self.scalars.setdefault(name, len(self.scalars))
-
-        def array(name: str) -> None:
-            self.arrays.setdefault(name, len(self.arrays))
-
-        for p in self.kernel.params:
-            array(p.name) if p.is_pointer else scalar(p.name)
-        stack = list(self.kernel.body)
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (ir.Load, ir.SAssign)):
-                scalar(node.name)
-            elif isinstance(
-                node,
-                (ir.LoadElem, ir.SDeclArray, ir.SStoreElem, ir.SVecStore,
-                 ir.SMaskedStore, ir.VecLoad, ir.VecMaskedLoad),
-            ):
-                array(node.name)
-            stack.extend(ir.children(node))
+        for p in kernel.params:
+            (self.arrays if p.is_pointer else self.scalars)[p.name]
 
     # -- compilation entry -------------------------------------------------------
 

@@ -433,3 +433,93 @@ class TestTapeCache:
         tape = compile_tape(kernel, FPEnvironment())
         assert isinstance(tape, Tape)
         assert tape.n_regs >= 1 and len(tape.code) >= 2
+
+
+class TestSlotNumbering:
+    """Slots are numbered as compilation first meets each name."""
+
+    def test_params_keep_slots_in_declaration_order(self):
+        # The body meets q, n, z, p, a in that order; the params still
+        # bind to scalar slots 0..1 and array slots 0..1.
+        kernel = lower(
+            "void compute(double a, double *p, int n, float *q) {"
+            " double z = q[0] + n; p[0] = z + a;"
+            ' printf("%.17g\\n", p[0]); }'
+            " int main() { return 0; }"
+        )
+        tape = compile_tape(kernel, FPEnvironment())
+        R = [None] * tape.n_regs
+        A = [None] * tape.n_arrays
+        for bind, value in zip(tape.binders, (1.5, [2.0], 3, [4.0])):
+            bind(value, R, A)
+        assert R == [1.5, 3, None]
+        assert A == [[2.0], [4.0]]
+        assert_parity(kernel, FPEnvironment(), (1.5, [2.0], 3, [4.0]))
+
+    def test_local_read_before_assignment_traps_like_tree(self):
+        from repro.ir import nodes as ir
+
+        # "late" gets its slot at the read, before the assignment that
+        # follows it is compiled.
+        kernel = ir.Kernel(
+            name="compute",
+            params=(ir.Param("a", "double"),),
+            body=(
+                ir.SPrint("%.17g\n", (ir.Load("a", "double"),)),
+                ir.SPrint("%.17g\n", (ir.Load("late", "double"),)),
+                ir.SAssign("late", ir.Load("a", "double"), "double"),
+                ir.SReturn(),
+            ),
+        )
+        env = FPEnvironment()
+        tree = tree_run(kernel, env, (1.0,))
+        tape = tape_run(kernel, env, (1.0,))
+        assert tape.error == tree.error == "read of unset variable 'late'"
+        assert tape.steps == tree.steps
+        for limit in range(0, tree.steps + 2):
+            assert_parity(kernel, env, (1.0,), limit)
+
+    def test_names_only_in_an_untaken_branch(self):
+        from repro.ir import nodes as ir
+
+        kernel = ir.Kernel(
+            name="compute",
+            params=(ir.Param("n", "int"),),
+            body=(
+                ir.SIf(
+                    ir.Compare("<", ir.Load("n", "int"), ir.IConst(0), False),
+                    (
+                        ir.SDeclArray("dead_arr", 2, "double"),
+                        ir.SAssign("dead", ir.Load("n", "int"), "int"),
+                        ir.SPrint("%d\n", (ir.Load("dead", "int"),)),
+                    ),
+                ),
+                ir.SPrint("%d\n", (ir.Load("n", "int"),)),
+                ir.SReturn(),
+            ),
+        )
+        tape = compile_tape(kernel, FPEnvironment())
+        assert (tape.n_regs, tape.n_arrays) == (2, 1)
+        assert tape.run((4,)).ok
+        assert_parity(kernel, FPEnvironment(), (4,))
+        assert_parity(kernel, FPEnvironment(), (-4,))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_slot_per_distinct_name(self, seed):
+        from repro.ir import nodes as ir
+
+        array_nodes = (ir.LoadElem, ir.SDeclArray, ir.SStoreElem, ir.SVecStore,
+                       ir.SMaskedStore, ir.VecLoad, ir.VecMaskedLoad)
+        program = LoopReductionGenerator(SplittableRng(seed, "tape-slots")).generate()
+        for _, binary in compiled_matrix(program, tiers="full"):
+            kernel = binary.kernel
+            scalars = {p.name for p in kernel.params if not p.is_pointer}
+            arrays = {p.name for p in kernel.params if p.is_pointer}
+            for s in kernel.body:
+                for node in ir.walk(s):
+                    if isinstance(node, (ir.Load, ir.SAssign)):
+                        scalars.add(node.name)
+                    elif isinstance(node, array_nodes):
+                        arrays.add(node.name)
+            tape = compile_tape(kernel, binary.env)
+            assert (tape.n_regs, tape.n_arrays) == (len(scalars), len(arrays))

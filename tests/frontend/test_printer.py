@@ -2,6 +2,7 @@
 
 from repro.frontend.parser import parse_program
 from repro.frontend.printer import expr_to_c, print_c, print_cuda
+from repro.toolchains.cuda import translate_to_cuda
 
 SRC = """#include <stdio.h>
 #include <math.h>
@@ -92,6 +93,5 @@ class TestCudaTranslation:
         assert "atof(argv[1])" in cuda
 
     def test_cuda_parses_back(self):
-        cuda = print_cuda(parse_program(SRC))
-        unit = parse_program(cuda)
-        assert unit.function("compute")
+        unit = parse_program(SRC)
+        assert parse_program(print_cuda(unit)) == translate_to_cuda(unit)

@@ -87,8 +87,9 @@ class TestCompilerWiring:
             assert c.tiers == "full"
 
     def test_baseline_cache_tokens_are_unchanged(self):
-        # The compile cache (and the triage bisect memo) key on these;
-        # baseline must reproduce the pre-registry tokens byte-for-byte.
+        # The engine's level sharing, corpus/fingerprint.py and
+        # triage/cluster.py key on these; baseline must reproduce the
+        # pre-registry tokens byte-for-byte.
         gcc = GccCompiler()
         assert gcc.cache_token(OptLevel.O2) == "O2+vec4"
         assert gcc.cache_token(OptLevel.O3_FASTMATH) == "O3_fastmath"
