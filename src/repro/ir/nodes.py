@@ -658,12 +658,11 @@ def map_children(node, fn):
 def splice(node, fn):
     """``node`` with each statement of its bodies replaced one-to-many.
 
-    ``fn(s, following)`` sees every statement of every body, pre-order,
-    together with the statement after it in the same body (``None`` at
-    the end).  It returns the statements that stand in for ``s``, which
-    the walk does not enter, or ``None`` to keep ``s`` and splice its own
-    bodies.  ``node`` is a kernel or a statement, and comes back as the
-    same object when no statement changed.
+    ``fn(s)`` sees every statement of every body, pre-order.  It returns
+    the statements that stand in for ``s``, which the walk does not
+    enter, or ``None`` to keep ``s`` and splice its own bodies.  ``node``
+    is a kernel or a statement, and comes back as the same object when no
+    statement changed.
     """
     args = None
     for c in CHILD_FIELDS[type(node)]:
@@ -671,8 +670,8 @@ def splice(node, fn):
             continue
         old = getattr(node, c.name)
         new = []
-        for i, s in enumerate(old):
-            out = fn(s, old[i + 1] if i + 1 < len(old) else None)
+        for s in old:
+            out = fn(s)
             new.extend((splice(s, fn),) if out is None else out)
         if len(new) == len(old) and all(map(is_, new, old)):
             continue

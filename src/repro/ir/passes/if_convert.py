@@ -66,7 +66,7 @@ class IfConvert(Pass):
     def run(self, kernel: ir.Kernel) -> ir.Kernel:
         return ir.splice(kernel, self._loop)
 
-    def _loop(self, s: ir.Stmt, following: ir.Stmt | None) -> tuple[ir.Stmt, ...] | None:
+    def _loop(self, s: ir.Stmt) -> tuple[ir.Stmt, ...] | None:
         """The converted form of an innermost counted loop, else ``None``."""
         if not isinstance(s, ir.SFor) or match_counted_loop(s) is None:
             return None

@@ -10,15 +10,15 @@ loop for the remaining trips.  Unrolling alone is **semantics-preserving**
 — every FP operation still executes in the original order with the
 original operands — which is why triage bisection attributes a
 vector-reduction flip to ``vectorize``, never to ``loop-unroll``: the
-unrolled prefix replays bit-identically.  Its role is *enabling*: the
-SLP half of :class:`~repro.ir.passes.vectorize.Vectorize` packs the ``k``
-isomorphic statement copies into ``k``-lane vector operations.
+unrolled prefix replays bit-identically.  It runs *after*
+:class:`~repro.ir.passes.vectorize.Vectorize` in the host pipelines and
+unrolls the loops that stayed scalar; the loops the vectorizer emits have
+no ``init`` statement, so :func:`match_counted_loop` never matches them.
 
 Modeling notes:
 
-* Only innermost, straight-line counted loops unroll (the forms the
-  vectorizer can widen); loops containing branches, prints or nested
-  loops are left alone, mirroring a vectorizer-driven unroller.
+* Only innermost, straight-line counted loops unroll; loops containing
+  branches, prints or nested loops are left alone.
 * The main-loop guard evaluates ``i + (k-1) < B``.  For bounds within
   ``k`` of ``INT_MAX`` that addition would overflow (a trap in this
   interpreter); generated programs bound trips at tens, so the corner is
@@ -58,7 +58,8 @@ def match_counted_loop(s: ir.Stmt) -> CountedLoop | None:
     single step ``i += stride``, and a body that never writes ``i``.
     Returns ``None`` for anything else.  The ``i + g < bound`` condition
     shape (with ``g == stride - 1``) matches loops already unrolled by
-    :class:`LoopUnroll`, which is how the vectorizer re-rolls them.
+    :class:`LoopUnroll`; callers that only transform source loops reject
+    a ``stride`` or ``guard_offset`` other than ``1`` and ``0``.
     """
     if not isinstance(s, ir.SFor) or s.cond is None:
         return None
@@ -133,7 +134,7 @@ def substitute_induction(s: ir.Stmt, var: str, offset: int) -> ir.Stmt:
 
 
 def _straight_line(stmts: tuple[ir.Stmt, ...]) -> bool:
-    """Only plain assignments and element stores (what SLP can pack)."""
+    """Only plain assignments and element stores (what unrolling copies)."""
     return all(isinstance(s, (ir.SAssign, ir.SStoreElem)) for s in stmts)
 
 
@@ -155,7 +156,7 @@ class LoopUnroll(Pass):
     def run(self, kernel: ir.Kernel) -> ir.Kernel:
         return ir.splice(kernel, self._loop)
 
-    def _loop(self, s: ir.Stmt, following: ir.Stmt | None) -> list[ir.Stmt] | None:
+    def _loop(self, s: ir.Stmt) -> list[ir.Stmt] | None:
         """The unrolled main loop and its scalar epilogue, else ``None``."""
         loop = match_counted_loop(s)
         if (

@@ -27,12 +27,13 @@ ones (and from each other across widths and reduction styles).  Map
 stores, by contrast, are lane-wise identical to scalar execution and
 introduce no divergence.
 
-SLP packing: when the loop was already unrolled by
-:class:`~repro.ir.passes.loop_unroll.LoopUnroll` with factor ``W`` (a
-stride-``W`` loop of ``W`` isomorphic statement copies), the vectorizer
-re-rolls the copies and widens the canonical one, so
-``unroll(W) -> vectorize(W)`` produces exactly the kernel that
-``vectorize(W)`` alone would — the pass-ordering property the tests pin.
+Pass order: the host pipelines vectorize first and then run
+:class:`~repro.ir.passes.loop_unroll.LoopUnroll` with factor ``W`` over
+what stayed scalar.  Only unit-stride source loops widen, and neither
+loop this pass emits has an ``init`` statement, so the unroller never
+matches vectorized output: ``unroll(W)`` after ``vectorize(W)`` leaves a
+widened loop exactly as ``vectorize(W)`` built it — the pass-ordering
+property the tests pin.
 
 Masked (if-converted) tier: ``Vectorize(width, style, masked=True)``
 additionally widens the select form
@@ -52,12 +53,7 @@ from __future__ import annotations
 
 from repro.ir import nodes as ir
 from repro.ir.passes.base import Pass
-from repro.ir.passes.loop_unroll import (
-    CountedLoop,
-    _straight_line,
-    match_counted_loop,
-    substitute_induction,
-)
+from repro.ir.passes.loop_unroll import CountedLoop, match_counted_loop
 
 __all__ = ["Vectorize"]
 
@@ -83,7 +79,7 @@ class _Reduction:
 
 
 class Vectorize(Pass):
-    """SLP-style widening of innermost reduction/map loops.
+    """Widening of innermost reduction/map loops.
 
     >>> from repro.ir.passes.vectorize import Vectorize
     >>> Vectorize(width=4, style="adjacent").name
@@ -124,76 +120,25 @@ class Vectorize(Pass):
         # per run, not on the pass, so the pass stays a pure function of
         # its configuration (see Pass.key).
         taken = set(kernel.var_types) | ir.assigned_names(kernel.body)
-        return ir.splice(kernel, lambda s, following: self._loop(s, following, taken))
+        return ir.splice(kernel, lambda s: self._loop(s, taken))
 
     # -- recognition -------------------------------------------------------------
 
-    def _loop(
-        self, s: ir.Stmt, following: ir.Stmt | None, taken: set[str]
-    ) -> list[ir.Stmt] | None:
+    def _loop(self, s: ir.Stmt, taken: set[str]) -> list[ir.Stmt] | None:
         loop = match_counted_loop(s)
-        if loop is None or not loop.body:
+        # Lanes ``i .. i+W-1`` assume a unit stride and an ``i < B`` bound.
+        if loop is None or not loop.body or loop.stride != 1 or loop.guard_offset:
             return None
-        if loop.stride == 1 and loop.guard_offset == 0:
-            body = loop.body
-        elif loop.stride == self.width and loop.guard_offset == self.width - 1:
-            body = self._reroll(loop)
-            # Only genuine LoopUnroll output may re-roll: the unroller
-            # always emits its scalar epilogue right after the strided
-            # loop, and our rewrite takes that epilogue over.  A *source*
-            # loop that happens to be stride-W has no epilogue — adding
-            # one would execute tail trips the original program skipped,
-            # changing semantics, so such loops stay scalar.
-            if body is None or following != self._scalar_epilogue(loop, body):
-                return None
-        else:
-            return None
-        plan = self._plan(body, loop)
+        plan = self._plan(loop)
         if plan is None:
             return None
-        out = self._emit(loop, body, plan, taken)
-        # When the statement after the loop already is the scalar epilogue
-        # (the unroller's), it stays where it is and stands in for ours,
-        # so unroll(W) -> vectorize(W) rebuilds the very kernel
-        # vectorize(W) alone produces.
-        return out[:-1] if following == out[-1] else out
+        return self._emit(loop, plan, taken)
 
-    @staticmethod
-    def _scalar_epilogue(loop: CountedLoop, body: tuple[ir.Stmt, ...]) -> ir.SFor:
-        """The canonical remainder loop — both what :class:`LoopUnroll`
-        emits after a strided main loop and what :meth:`_emit` appends."""
-        var = loop.var
-        return ir.SFor(
-            init=(),
-            cond=ir.Compare("<", ir.Load(var, "int"), loop.bound, fp=False),
-            step=(
-                ir.SAssign(var, ir.IBin("+", ir.Load(var, "int"), ir.IConst(1)), "int"),
-            ),
-            body=body,
-        )
-
-    def _reroll(self, loop: CountedLoop) -> tuple[ir.Stmt, ...] | None:
-        """Undo a factor-``width`` unroll: ``width`` isomorphic copies of a
-        canonical group collapse back to the group (SLP pack detection)."""
-        w = self.width
-        if len(loop.body) % w or not _straight_line(loop.body):
-            return None
-        group = len(loop.body) // w
-        canonical = loop.body[:group]
-        for j in range(1, w):
-            copy = loop.body[j * group : (j + 1) * group]
-            expected = tuple(substitute_induction(st, loop.var, j) for st in canonical)
-            if copy != expected:
-                return None
-        return canonical
-
-    def _plan(
-        self, body: tuple[ir.Stmt, ...], loop: CountedLoop
-    ) -> list[tuple[str, object]] | None:
+    def _plan(self, loop: CountedLoop) -> list[tuple[str, object]] | None:
         """Classify every body statement as a reduction or a map store."""
         accs: set[str] = set()
         plan: list[tuple[str, object]] = []
-        for st in body:
+        for st in loop.body:
             if isinstance(st, ir.SAssign):
                 red = self._as_reduction(st)
                 if red is None or red.acc in accs or red.acc == loop.var:
@@ -445,11 +390,7 @@ class Vectorize(Pass):
         return name
 
     def _emit(
-        self,
-        loop: CountedLoop,
-        body: tuple[ir.Stmt, ...],
-        plan: list[tuple[str, object]],
-        taken: set[str],
+        self, loop: CountedLoop, plan: list[tuple[str, object]], taken: set[str]
     ) -> list[ir.Stmt]:
         w = self.width
         var = loop.var
@@ -521,5 +462,5 @@ class Vectorize(Pass):
         return [
             *loop.init,
             ir.SIf(guard, (*lane_inits, main, *finals)),
-            self._scalar_epilogue(loop, body),
+            ir.SFor((), loop.cond, loop.step, loop.body),
         ]

@@ -67,7 +67,6 @@ class ClangCompiler(Compiler):
             return []
         passes: list = [IfConvert()] if pol.if_convert else []
         passes += [
-            LoopUnroll(pol.vector_width),
             Vectorize(
                 pol.vector_width,
                 style=self.REDUCE_STYLE,
@@ -75,6 +74,7 @@ class ClangCompiler(Compiler):
                 int_guards=pol.int_guards,
                 mixed=pol.mixed_precision,
             ),
+            LoopUnroll(pol.vector_width),
         ]
         return passes
 

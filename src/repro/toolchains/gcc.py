@@ -10,10 +10,11 @@ Mechanisms:
 * from ``-O1`` folds constant-argument libm calls with a correctly rounded
   compile-time evaluator (MPFR in real gcc), which may differ from the
   runtime glibc result by an ulp;
-* from ``-O2`` the loop vectorizer engages (4 lanes at O2, 8 at O3): the
-  enabling unroll then SLP widening of innermost reduction/map loops, with
-  ``adjacent`` (haddpd-style pairwise) horizontal reductions — the
-  vector-tier counterpart of gcc's balanced-tree reassociation;
+* from ``-O2`` the loop vectorizer engages (4 lanes at O2, 8 at O3):
+  widening of innermost reduction/map loops, then unrolling of the loops
+  that stayed scalar, with ``adjacent`` (haddpd-style pairwise)
+  horizontal reductions — the vector-tier counterpart of gcc's
+  balanced-tree reassociation;
 * from ``-O3`` (and under fast math) the vectorizer also **if-converts**
   conditional loop bodies into masked select form before widening —
   every lane evaluates both arms and blends by mask — while at ``-O2``
@@ -65,7 +66,6 @@ class GccCompiler(Compiler):
             return []
         passes: list = [IfConvert()] if pol.if_convert else []
         passes += [
-            LoopUnroll(pol.vector_width),
             Vectorize(
                 pol.vector_width,
                 style=self.REDUCE_STYLE,
@@ -73,6 +73,7 @@ class GccCompiler(Compiler):
                 int_guards=pol.int_guards,
                 mixed=pol.mixed_precision,
             ),
+            LoopUnroll(pol.vector_width),
         ]
         return passes
 

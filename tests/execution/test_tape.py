@@ -141,10 +141,9 @@ class TestTierNodeParity:
 
     def _vector_kernel(self):
         """The source above widened with every tier construct enabled."""
-        from repro.ir.passes import LoopUnroll, Vectorize
+        from repro.ir.passes import Vectorize
 
         kernel = lower(self.MIXED_CALL_SRC)
-        kernel = LoopUnroll(4).run(kernel)
         return Vectorize(4, style="adjacent", mixed=True).run(kernel)
 
     def _environments(self):

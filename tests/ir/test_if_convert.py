@@ -359,12 +359,10 @@ class TestMaskedWidening:
         converted = IfConvert().run(kernel_of(GUARDED_SUM))
         assert Vectorize(4, "adjacent").run(converted) == converted
 
-    def test_unroll_then_vectorize_is_vectorize_on_select_form(self):
+    def test_unroll_after_vectorize_is_vectorize_on_select_form(self):
         converted = IfConvert().run(kernel_of(GUARDED_SUM))
         direct = Vectorize(4, "adjacent", masked=True).run(converted)
-        staged = Vectorize(4, "adjacent", masked=True).run(
-            LoopUnroll(4).run(converted)
-        )
+        staged = LoopUnroll(4).run(Vectorize(4, "adjacent", masked=True).run(converted))
         assert staged == direct
 
     def test_short_trip_counts_bitwise_untouched(self):

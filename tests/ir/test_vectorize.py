@@ -1,4 +1,4 @@
-"""The vectorization tier: loop unrolling and SLP widening semantics."""
+"""The vectorization tier: loop widening and loop unrolling semantics."""
 
 import pytest
 
@@ -187,14 +187,23 @@ class TestVectorize:
         short = (ARR16, S, 13)  # 13 < 32 lanes
         assert run(vec, short) == run(kernel, short)
 
-    def test_unroll_then_vectorize_is_vectorize(self):
-        """Pass ordering: the SLP packer re-rolls an unrolled loop into
-        the exact kernel direct widening produces — structurally, not
-        just behaviourally."""
+    def test_unroll_after_vectorize_is_vectorize(self):
+        """Pass ordering: the unroller that follows the vectorizer leaves
+        a widened loop exactly as the vectorizer built it — structurally,
+        not just behaviourally."""
         kernel = kernel_of(REDUCTION)
         direct = Vectorize(4, "adjacent").run(kernel)
-        staged = Vectorize(4, "adjacent").run(LoopUnroll(4).run(kernel))
+        staged = LoopUnroll(4).run(Vectorize(4, "adjacent").run(kernel))
         assert staged == direct
+
+    def test_loop_that_stays_scalar_is_unrolled(self):
+        """Pass ordering: a loop the vectorizer refuses (a division is no
+        reduction it widens) comes out exactly as unrolling alone leaves
+        it."""
+        kernel = kernel_of(REDUCTION.replace("comp += a[i]", "comp /= a[i]"))
+        assert Vectorize(4, "adjacent").run(kernel) is kernel
+        staged = LoopUnroll(4).run(Vectorize(4, "adjacent").run(kernel))
+        assert staged == LoopUnroll(4).run(kernel) != kernel
 
     def test_vectorize_is_idempotent(self):
         kernel = kernel_of(REDUCTION)
@@ -225,9 +234,9 @@ class TestVectorize:
 
     def test_hand_unrolled_source_loop_left_alone(self):
         """Regression: a *source* loop that happens to be stride-W with a
-        ``i + (W-1) < n`` guard is NOT LoopUnroll output — it has no
-        trailing epilogue, so re-rolling it and appending one would run
-        tail trips the original program skipped.  It must stay scalar."""
+        ``i + (W-1) < n`` guard is not a unit-stride loop.  Widening it
+        and appending a scalar epilogue would run tail trips the original
+        program skipped, so it must stay scalar."""
         src = """
 #include <stdio.h>
 void compute(double *a, int n) {
@@ -249,15 +258,15 @@ int main(int argc, char **argv) {
 """
         kernel = kernel_of(src)
         vec = Vectorize(4, "adjacent").run(kernel)
-        assert vec == kernel  # refused: no unroller epilogue follows
+        assert vec == kernel  # refused: not a unit-stride loop
         inputs = ((1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0), 6)
         # n=6: the source loop sums a[0..3] only; semantics preserved
         assert run(vec, inputs) == run(kernel, inputs)
 
     def test_stride_w_loop_with_branch_refused_not_crashed(self):
         """Regression: a stride-W source loop whose body contains an if
-        must make the re-roll *decline*, not raise from
-        substitute_induction."""
+        is declined, not crashed on (``substitute_induction`` cannot
+        rewrite an if)."""
         src = """
 #include <stdio.h>
 void compute(double *a, int n) {

@@ -182,8 +182,9 @@ def test_vector_reduction_kind_reaches_signatures(compilers):
 
 def test_bisection_attributes_vector_flip_to_vectorize(compilers):
     """The acceptance scenario: a vector-reduction flip is pinned on the
-    vectorize pass with no change to the prefix-replay logic — and never
-    on loop-unroll, whose prefix replays bit-identically."""
+    vectorize pass with no change to the prefix-replay logic.  The
+    pipelines run loop-unroll after vectorize, so the walk stops at the
+    flip before it reaches the unroller."""
     outcome = _vector_outcome(compilers)
     sig = next(
         s for s in signatures_of(outcome) if s.kind == "vector-reduction"
@@ -194,9 +195,8 @@ def test_bisection_attributes_vector_flip_to_vectorize(compilers):
     assert result.responsible_pass is not None
     assert result.responsible_pass.name == "vectorize"
     assert result.env_deltas == ()  # host pair: same environment
-    trace = "\n".join(result.trace)
-    assert "loop-unroll" in trace  # the unroll prefix was replayed...
-    assert "+ gcc:loop-unroll            agree" in trace  # ...and is innocent
+    last = [line for line in result.trace if line.startswith("passes")][-1]
+    assert "+ gcc:vectorize" in last and "DIVERGES" in last
 
 
 def test_reducer_preserves_vector_reduction_kind(compilers):
