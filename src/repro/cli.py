@@ -14,7 +14,7 @@ import argparse
 import sys
 
 from repro.difftest.backend import (
-    BACKENDS, DEFAULT_BACKEND, BackendError, create_backend, parse_jobs,
+    BACKENDS, DEFAULT_BACKEND, BackendError, parse_jobs,
 )
 from repro.execution.worker import EXEC_MODES
 from repro.difftest.config import CampaignConfig
@@ -365,31 +365,28 @@ def _cmd_triage(args: argparse.Namespace) -> int:
         )
         return 2
     kwargs = dict(reduce=not args.no_reduce, max_reduce_tests=args.max_reduce_tests)
-    with create_backend(args.backend, args.jobs) as backend:
-        if backend.jobs > 1:
-            kwargs["backend"] = backend
-        if args.checkpoints:
-            results = [(path, load_result(path)) for path in args.checkpoints]
-            report = triage_results(results, **kwargs)
+    if args.checkpoints:
+        results = [(path, load_result(path)) for path in args.checkpoints]
+        report = triage_results(results, **kwargs)
+    else:
+        if args.demo:
+            program, label = distilled_trigger(), "demo"
         else:
-            if args.demo:
-                program, label = distilled_trigger(), "demo"
-            else:
-                if args.inputs is None:
-                    print("--program requires --inputs", file=sys.stderr)
-                    return 2
-                with open(args.program, encoding="utf-8") as f:
-                    source = f.read()
-                program = GeneratedProgram(source=source, inputs=args.inputs)
-                label = args.program
-            compilers = default_compilers(tiers=args.tiers)
-            engine = CampaignEngine(compilers, CampaignConfig(budget=1))
-            kwargs["compilers"] = compilers
-            outcome = engine.test_program(0, program)
-            if not outcome.triggered:
-                print(f"{label}: no inconsistency on the given inputs", file=sys.stderr)
-                return 1
-            report = triage_single(outcome, label=label, **kwargs)
+            if args.inputs is None:
+                print("--program requires --inputs", file=sys.stderr)
+                return 2
+            with open(args.program, encoding="utf-8") as f:
+                source = f.read()
+            program = GeneratedProgram(source=source, inputs=args.inputs)
+            label = args.program
+        compilers = default_compilers(tiers=args.tiers)
+        engine = CampaignEngine(compilers, CampaignConfig(budget=1))
+        kwargs["compilers"] = compilers
+        outcome = engine.test_program(0, program)
+        if not outcome.triggered:
+            print(f"{label}: no inconsistency on the given inputs", file=sys.stderr)
+            return 1
+        report = triage_single(outcome, label=label, **kwargs)
     text = report.render()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
@@ -755,16 +752,6 @@ def main(argv: list[str] | None = None) -> int:
         "--tiers", choices=TIER_PROFILES, default="baseline",
         help="divergence-tier profile for --program/--demo (checkpoints "
         "carry their own profile and are triaged under it automatically)",
-    )
-    p_triage.add_argument(
-        "--backend", choices=BACKENDS, default=DEFAULT_BACKEND,
-        help="fan-out policy for reduction candidate runs (process with "
-        "--jobs > 1); the report is byte-identical across backends",
-    )
-    p_triage.add_argument(
-        "--jobs", type=_jobs_arg, default=1, metavar="N|auto",
-        help="workers for reduction candidate runs (default 1 = serial; "
-        "more than one needs --backend process)",
     )
     p_triage.add_argument(
         "--max-reduce-tests", type=int, default=DEFAULT_MAX_TESTS, metavar="N",

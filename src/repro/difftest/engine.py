@@ -801,9 +801,12 @@ class CampaignEngine:
 
 
 def _differing_values(
-    ra: _BinaryRun, rb: _BinaryRun
+    ra: _BinaryRun | ExecutionResult, rb: _BinaryRun | ExecutionResult
 ) -> tuple[float | None, float | None]:
     """The first printed pair whose encodings differ (fallback: finals).
+
+    Reads only ``printed`` and ``value``, so triage's oracle passes its
+    :class:`ExecutionResult` pair straight in.
 
     The fallback can surface ``None`` finals — e.g. one run printed
     nothing while the other printed values — which downstream code must

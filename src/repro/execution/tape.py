@@ -486,42 +486,28 @@ class _Compiler:
         name = e.name
         f_idx, c_idx = self._expr(e.index, off + 1)
         p_arr = off + 1
-        if c_idx is not None:
-            p_chk = off + 1 + c_idx
+        # A self-accounting index leaves ``st`` exact: nothing is pending.
+        p_chk = 0 if c_idx is None else off + 1 + c_idx
 
-            def fn(st, R, A, _slot=slot, _name=name, _f=f_idx, _pa=p_arr, _pc=p_chk):
-                arr = A[_slot]
-                if arr is None:
-                    _trap_at(st, st[0] + _pa, f"no array named {_name!r}")
-                pos = _f(st, R, A)
-                if not 0 <= pos < len(arr):
-                    _trap_at(
-                        st, st[0] + _pc,
-                        f"index {pos} out of bounds for {_name}[{len(arr)}]",
-                    )
-                v = arr[pos]
-                if v is None:
-                    _trap_at(
-                        st, st[0] + _pc,
-                        f"read of uninitialized element {_name}[{pos}]",
-                    )
-                return v
-
-            return fn, 1 + c_idx
-
-        def fn(st, R, A, _slot=slot, _name=name, _f=f_idx, _pa=p_arr):
+        def fn(st, R, A, _slot=slot, _name=name, _f=f_idx, _pa=p_arr, _pc=p_chk):
             arr = A[_slot]
             if arr is None:
                 _trap_at(st, st[0] + _pa, f"no array named {_name!r}")
-            pos = _f(st, R, A)  # self-settling
+            pos = _f(st, R, A)
             if not 0 <= pos < len(arr):
-                raise TrapError(f"index {pos} out of bounds for {_name}[{len(arr)}]")
+                _trap_at(
+                    st, st[0] + _pc,
+                    f"index {pos} out of bounds for {_name}[{len(arr)}]",
+                )
             v = arr[pos]
             if v is None:
-                raise TrapError(f"read of uninitialized element {_name}[{pos}]")
+                _trap_at(
+                    st, st[0] + _pc,
+                    f"read of uninitialized element {_name}[{pos}]",
+                )
             return v
 
-        return fn, None
+        return fn, None if c_idx is None else 1 + c_idx
 
     # -- scalar FP ---------------------------------------------------------------
 
@@ -535,15 +521,10 @@ class _Compiler:
                     return _op(_l(st, R, A), _r(st, R, A))
 
                 return fn, 1 + lc + rc
+        else:
+            rf = self._settled(e.right, 0)
 
-            def fn(st, R, A, _op=impl, _l=lf, _r=rf):
-                a = _l(st, R, A)
-                return _op(a, _r(st, R, A))
-
-            return fn, None
-        rf_s = self._settled(e.right, 0)
-
-        def fn(st, R, A, _op=impl, _l=lf, _r=rf_s):
+        def fn(st, R, A, _op=impl, _l=lf, _r=rf):
             a = _l(st, R, A)
             return _op(a, _r(st, R, A))
 
@@ -552,16 +533,11 @@ class _Compiler:
     def _c_fneg(self, e, off: int):
         impl = self.env.neg_impl(e.ty)
         f, c = self._expr(e.operand, off + 1)
-        if c is not None:
-            def fn(st, R, A, _op=impl, _f=f):
-                return _op(_f(st, R, A))
-
-            return fn, 1 + c
 
         def fn(st, R, A, _op=impl, _f=f):
             return _op(_f(st, R, A))
 
-        return fn, None
+        return fn, None if c is None else 1 + c
 
     def _c_fma(self, e, off: int):
         impl = self.env.fma_impl(e.ty)
@@ -709,9 +685,7 @@ class _Compiler:
 
     def _c_fpext(self, e, off: int):
         f, c = self._expr(e.operand, off + 1)
-        if c is not None:
-            return f, 1 + c
-        return f, None  # float values are exact doubles
+        return f, None if c is None else 1 + c  # float values are exact doubles
 
     def _c_fptrunc(self, e, off: int):
         canon = self.env.canon_impl("float")  # nan/inf pass through canon
@@ -752,55 +726,33 @@ class _Compiler:
         lanes = e.lanes
         p_arr = off + 1
         f_raw, c_idx = self._expr(e.index, off + 1)
-        if c_idx is not None:
-            p_chk = off + 1 + c_idx
+        # A self-accounting index leaves ``st`` exact: nothing is pending.
+        p_chk = 0 if c_idx is None else off + 1 + c_idx
 
-            def fn(st, R, A, _slot=slot, _name=name, _n=lanes, _f=f_raw,
-                   _pa=p_arr, _pc=p_chk):
-                arr = A[_slot]
-                if arr is None:
-                    _trap_at(st, st[0] + _pa, f"no array named {_name!r}")
-                idx = _f(st, R, A)
-                if not 0 <= idx <= len(arr) - _n:
-                    _trap_at(
-                        st, st[0] + _pc,
-                        f"vector index {idx}..{idx + _n - 1} out of bounds "
-                        f"for {_name}[{len(arr)}]",
-                    )
-                out = []
-                for j in range(_n):
-                    v = arr[idx + j]
-                    if v is None:
-                        _trap_at(
-                            st, st[0] + _pc,
-                            f"read of uninitialized element {_name}[{idx + j}]",
-                        )
-                    out.append(v)
-                return tuple(out)
-
-            return fn, 1 + c_idx
-
-        def fn(st, R, A, _slot=slot, _name=name, _n=lanes, _f=f_raw, _pa=p_arr):
+        def fn(st, R, A, _slot=slot, _name=name, _n=lanes, _f=f_raw,
+               _pa=p_arr, _pc=p_chk):
             arr = A[_slot]
             if arr is None:
                 _trap_at(st, st[0] + _pa, f"no array named {_name!r}")
-            idx = _f(st, R, A)  # self-settling
+            idx = _f(st, R, A)
             if not 0 <= idx <= len(arr) - _n:
-                raise TrapError(
+                _trap_at(
+                    st, st[0] + _pc,
                     f"vector index {idx}..{idx + _n - 1} out of bounds "
-                    f"for {_name}[{len(arr)}]"
+                    f"for {_name}[{len(arr)}]",
                 )
             out = []
             for j in range(_n):
                 v = arr[idx + j]
                 if v is None:
-                    raise TrapError(
-                        f"read of uninitialized element {_name}[{idx + j}]"
+                    _trap_at(
+                        st, st[0] + _pc,
+                        f"read of uninitialized element {_name}[{idx + j}]",
                     )
                 out.append(v)
             return tuple(out)
 
-        return fn, None
+        return fn, None if c_idx is None else 1 + c_idx
 
     def _c_vecsitofp(self, e, off: int):
         canon = self.env.canon_impl(e.ty)
@@ -849,9 +801,7 @@ class _Compiler:
 
     def _c_vecfpext(self, e, off: int):
         f, c = self._expr(e.operand, off + 1)
-        if c is not None:
-            return f, 1 + c
-        return f, None  # float lanes are exact doubles
+        return f, None if c is None else 1 + c  # float lanes are exact doubles
 
     def _c_vecfptrunc(self, e, off: int):
         canon = self.env.canon_impl("float")  # nan/inf pass through canon

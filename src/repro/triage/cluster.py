@@ -147,7 +147,6 @@ def _triage_one(
     max_steps: int,
     max_reduce_tests: int,
     bisect_cache: dict,
-    backend=None,
 ) -> TriageEntry:
     sigs = signatures_of(outcome)
     canonical = canonical_signature(outcome)
@@ -194,7 +193,6 @@ def _triage_one(
             compilers,
             max_steps=max_steps,
             max_tests=max_reduce_tests,
-            backend=backend,
         )
     return TriageEntry(
         source_label=source_label,
@@ -216,15 +214,9 @@ def triage_outcomes(
     reduce: bool = True,
     max_steps: int = DEFAULT_MAX_STEPS,
     max_reduce_tests: int = DEFAULT_MAX_TESTS,
-    backend=None,
     _bisect_cache: dict | None = None,
 ) -> list[TriageEntry]:
-    """Triage every triggering outcome (non-triggering ones are skipped).
-
-    ``backend`` fans each reduction's ddmin rounds out via
-    :func:`~repro.triage.reduce.reduce_program`; the report is
-    byte-identical with or without them.
-    """
+    """Triage every triggering outcome (non-triggering ones are skipped)."""
     compilers = compilers if compilers is not None else default_compilers()
     cache = _bisect_cache if _bisect_cache is not None else {}
     entries = []
@@ -240,7 +232,6 @@ def triage_outcomes(
                 max_steps,
                 max_reduce_tests,
                 cache,
-                backend,
             )
         )
     return entries
@@ -341,7 +332,6 @@ def triage_results(
     reduce: bool = True,
     max_steps: int = DEFAULT_MAX_STEPS,
     max_reduce_tests: int = DEFAULT_MAX_TESTS,
-    backend=None,
 ) -> TriageReport:
     """Triage several labelled campaign results into one ranked report.
 
@@ -376,7 +366,6 @@ def triage_results(
                 reduce=reduce,
                 max_steps=max_steps,
                 max_reduce_tests=max_reduce_tests,
-                backend=backend,
                 _bisect_cache=cache,
             )
         )
@@ -395,7 +384,6 @@ def triage_single(
     reduce: bool = True,
     max_steps: int = DEFAULT_MAX_STEPS,
     max_reduce_tests: int = DEFAULT_MAX_TESTS,
-    backend=None,
 ) -> TriageReport:
     """Triage one already-tested outcome into a one-campaign report.
 
@@ -410,7 +398,6 @@ def triage_single(
         reduce=reduce,
         max_steps=max_steps,
         max_reduce_tests=max_reduce_tests,
-        backend=backend,
     )
     return TriageReport(
         clusters=cluster_entries(entries),
@@ -426,7 +413,6 @@ def triage_campaign(
     reduce: bool = True,
     max_steps: int = DEFAULT_MAX_STEPS,
     max_reduce_tests: int = DEFAULT_MAX_TESTS,
-    backend=None,
 ) -> TriageReport:
     """Triage one campaign result into a ranked report."""
     return triage_results(
@@ -435,5 +421,4 @@ def triage_campaign(
         reduce=reduce,
         max_steps=max_steps,
         max_reduce_tests=max_reduce_tests,
-        backend=backend,
     )

@@ -15,9 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.difftest.classify import inconsistency_kind, kind_label
-from repro.difftest.engine import _differing_values, _BinaryRun, frontend_kernels
+from repro.difftest.engine import _differing_values, frontend_kernels
 from repro.errors import CompileError
-from repro.execution.worker import run_kernel_task
 from repro.execution.limits import DEFAULT_MAX_STEPS
 from repro.tiers import structural_tag
 from repro.toolchains.base import Compiler
@@ -90,10 +89,7 @@ class PairOracle:
                 ok=True, consistent=True, signature_a=sig_a, signature_b=sig_b,
                 steps=steps,
             )
-        va, vb = _differing_values(
-            _BinaryRun(sig_a, ra.value, ra.printed),
-            _BinaryRun(sig_b, rb.value, rb.printed),
-        )
+        va, vb = _differing_values(ra, rb)
         # Same tagging helper and precedence as the engine's compare
         # stage: the registry's structural kind over the value-class pair,
         # so a reduction verdict agrees with what the campaign recorded.
@@ -120,43 +116,6 @@ class PairOracle:
             return PairObservation(ok=False)
         ra, rb = (b.run(inputs, self.max_steps) for b in binaries)
         return self._verdict(binaries, ra, rb)
-
-    def observe_batch(
-        self,
-        sources: list[str],
-        inputs: tuple,
-        backend=None,
-    ) -> list[PairObservation]:
-        """Observe many candidates at once, fanning the executions out.
-
-        Compilation stays in the calling process; the 2x
-        len(``sources``) tree-interpreter runs ship to ``backend`` (an
-        :class:`~repro.difftest.backend.ExecutionBackend`) as one task
-        each.  Verdicts are returned in source order and are
-        bit-identical to looping :meth:`observe` — runs are pure, so only
-        the schedule differs.
-        """
-        self.evaluations += len(sources)
-        compiled = [self._compile_pair(source) for source in sources]
-        tasks = [
-            (b.kernel, b.env, inputs, self.max_steps, "tree")
-            for binaries in compiled
-            if binaries is not None
-            for b in binaries
-        ]
-        if backend is not None and len(tasks) > 1:
-            executed = backend.run_batches(tasks)
-        else:
-            executed = [run_kernel_task(task) for task in tasks]
-        results = iter(executed)
-        observations = []
-        for binaries in compiled:
-            if binaries is None:
-                observations.append(PairObservation(ok=False))
-                continue
-            ra, rb = next(results), next(results)
-            observations.append(self._verdict(binaries, ra, rb))
-        return observations
 
     def matches(self, source: str, inputs: tuple, target: InconsistencySignature) -> bool:
         """The interesting-predicate: the candidate still exhibits the same

@@ -78,12 +78,10 @@ class _Reducer:
         oracle: PairOracle,
         inputs: tuple,
         budget: _Budget,
-        backend=None,
     ) -> None:
         self.oracle = oracle
         self.inputs = inputs
         self.budget = budget
-        self.backend = backend
         self.accepted = 0
 
     # -- the predicate -----------------------------------------------------------
@@ -111,43 +109,9 @@ class _Reducer:
     def _first_accepted(self, unit, candidate_units, target):
         """First strictly-smaller candidate that is still interesting.
 
-        Returns ``(index, candidate)`` or None.  With a backend, the whole
-        budget-capped window of candidates is evaluated at once through
-        :meth:`PairOracle.observe_batch`, but the budget is charged
-        exactly as the serial scan would charge it — up to and including
-        the first match — so the reduction (accepted edits, tests spent,
-        final program) is byte-identical to the backend-free path.
+        Returns ``(index, candidate)`` or None.
         """
-        limit_nodes = ast.node_count(unit)
-        viable = [
-            (i, cand)
-            for i, cand in enumerate(candidate_units)
-            if ast.node_count(cand) < limit_nodes  # uncharged, as in _try
-        ]
-        remaining = max(self.budget.limit - self.budget.spent, 0)
-        window = viable[:remaining]
-        if self.backend is not None and len(window) >= 2:
-            sources: list[str | None] = []
-            for _, cand in window:
-                try:
-                    sources.append(print_c(cand))
-                except (ReproError, TypeError, KeyError):
-                    sources.append(None)  # charged but uninteresting
-            observed = iter(
-                self.oracle.observe_batch(
-                    [s for s in sources if s is not None],
-                    self.inputs,
-                    self.backend,
-                )
-            )
-            for (i, cand), source in zip(window, sources):
-                self.budget.take()
-                obs = None if source is None else next(observed)
-                if obs is not None and obs.inconsistent and obs.kind == target.kind:
-                    self.accepted += 1
-                    return i, cand
-            return None
-        for i, cand in viable:
+        for i, cand in enumerate(candidate_units):
             accepted = self._try(unit, cand, target)
             if accepted is not None:
                 return i, accepted
@@ -310,7 +274,6 @@ def reduce_program(
     compilers: list[Compiler],
     max_steps: int | None = None,
     max_tests: int = DEFAULT_MAX_TESTS,
-    backend=None,
 ) -> ReductionResult:
     """Shrink ``source`` while it keeps exhibiting ``target``.
 
@@ -320,11 +283,8 @@ def reduce_program(
     intermediate step is).  Deterministic: the same arguments always
     produce the same reduced program.
 
-    ``backend`` (an :class:`~repro.difftest.backend.ExecutionBackend`)
-    fans each ddmin round's candidate executions out concurrently; it
-    changes only the schedule, never the result.  Candidates run on the
-    tree interpreter: each kernel runs once, so a tape compile would not
-    pay for itself.
+    Candidates run on the tree interpreter: each kernel runs once, so a
+    tape compile would not pay for itself.
     """
     by_name = compilers_by_name(compilers)
     try:
@@ -347,7 +307,7 @@ def reduce_program(
         step_cap = min(step_cap, max_steps)
     oracle = PairOracle(ca, cb, target.level, max_steps=step_cap)
     budget = _Budget(max_tests)
-    reducer = _Reducer(oracle, inputs, budget, backend=backend)
+    reducer = _Reducer(oracle, inputs, budget)
 
     try:
         unit = parse_program(source)

@@ -242,7 +242,11 @@ class TestBackendRefusal:
         [
             (lambda _: ["run", "--backend", "thread"], {}, "invalid choice"),
             (lambda _: ["run", "--jobs", "2"], {}, "--backend process"),
-            (lambda _: ["triage", "--demo", "--jobs", "2"], {}, "--backend process"),
+            (
+                lambda _: ["triage", "--demo", "--backend", "process"],
+                {},
+                "unrecognized arguments",
+            ),
             (lambda _: ["tables", "table2"], {"REPRO_JOBS": "2"}, "--backend process"),
             (_serve_queue, {}, "jobs.jsonl:1: the serial backend"),
             (
@@ -252,7 +256,7 @@ class TestBackendRefusal:
             ),
         ],
         ids=[
-            "run-thread", "run-jobs", "triage-jobs", "tables-env",
+            "run-thread", "run-jobs", "triage-backend", "tables-env",
             "serve-queue", "serve-jobs",
         ],
     )
