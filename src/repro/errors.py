@@ -50,10 +50,6 @@ class ExecutionDivergence(ExecError):
     tree-walk interpreter disagree on any bit of a result."""
 
 
-class GenerationError(ReproError):
-    """Raised when a program generator cannot produce a valid candidate."""
-
-
 class TriageError(ReproError):
     """Raised when a trigger cannot be triaged (not reproducible, unknown
     compiler, or the targeted inconsistency is absent)."""

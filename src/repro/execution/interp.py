@@ -446,16 +446,30 @@ class Interpreter:
         return idx
 
 
-def _c_printf(fmt: str, args: list) -> str:
-    """Tiny printf: %d, %i, %f, %e, %g with optional precision, plus escapes."""
-    out: list[str] = []
+def printf_plan(fmt: str, nargs: int) -> list | None:
+    """Scan a printf format once for ``nargs`` arguments.
+
+    Returns a render plan of ``(kind, a, b)`` entries — literal text,
+    ``%d``/``%i`` argument, or ``format()`` spec argument — or ``None``
+    when the format consumes more conversions than arguments.  Handles
+    %d, %i, %f, %e, %g with optional precision (an empty precision after
+    ``.`` means 0, as in C), plus escapes.
+    """
+    plan: list[tuple] = []
+    lit: list[str] = []
+
+    def flush() -> None:
+        if lit:
+            plan.append((0, "".join(lit), None))
+            lit.clear()
+
     ai = 0
     i = 0
     while i < len(fmt):
         c = fmt[i]
         if c == "\\" and i + 1 < len(fmt):
             esc = fmt[i + 1]
-            out.append({"n": "\n", "t": "\t", "\\": "\\", '"': '"'}.get(esc, esc))
+            lit.append({"n": "\n", "t": "\t", "\\": "\\", '"': '"'}.get(esc, esc))
             i += 2
             continue
         if c == "%" and i + 1 < len(fmt):
@@ -466,19 +480,47 @@ def _c_printf(fmt: str, args: list) -> str:
                 conv = fmt[j]
                 spec = fmt[i + 1 : j]
                 if conv == "%":
-                    out.append("%")
+                    lit.append("%")
                 else:
-                    if ai >= len(args):
-                        raise TrapError("printf: more conversions than arguments")
-                    v = args[ai]
-                    ai += 1
+                    if ai >= nargs:
+                        return None
+                    flush()
                     if conv in "di":
-                        out.append(str(int(v)))
+                        plan.append((1, ai, None))
                     else:
-                        prec = spec[spec.index(".") + 1 :] if "." in spec else "6"
-                        out.append(format(float(v), f".{prec}{conv}"))
+                        prec = "6"
+                        if "." in spec:
+                            prec = spec[spec.index(".") + 1 :] or "0"
+                        plan.append((2, ai, f".{prec}{conv}"))
+                    ai += 1
                 i = j + 1
                 continue
-        out.append(c)
+        lit.append(c)
         i += 1
-    return "".join(out)
+    flush()
+    return plan
+
+
+def render_printf(args: list, plan: list) -> str:
+    """Render ``args`` through a :func:`printf_plan`; ``%d`` of a
+    non-finite value traps."""
+    parts = []
+    for kind, a, b in plan:
+        if kind == 0:
+            parts.append(a)
+        elif kind == 1:
+            v = args[a]
+            if not math.isfinite(v):
+                raise TrapError(f"printf: integer conversion of {v!r}")
+            parts.append(str(int(v)))
+        else:
+            parts.append(format(float(args[a]), b))
+    return "".join(parts)
+
+
+def _c_printf(fmt: str, args: list) -> str:
+    """Tiny printf: :func:`printf_plan` then :func:`render_printf`."""
+    plan = printf_plan(fmt, len(args))
+    if plan is None:
+        raise TrapError("printf: more conversions than arguments")
+    return render_printf(args, plan)

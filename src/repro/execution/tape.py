@@ -8,26 +8,24 @@ instructions over pre-resolved scalar-register and array slots, with all
 floating-point operation *sites* pre-bound to the environment's
 specialized implementations (:meth:`FPEnvironment.op_impl` and friends).
 
-Bit-identical semantics are the contract, enforced by
-``tests/execution/test_tape.py`` and the engine's ``check`` mode:
+Bit-identical results are the contract, enforced by
+``tests/execution/test_tape.py`` and the engine's ``check`` mode.  The
+tape runs only the fault-free path:
 
-* every FP op routes through the same environment semantics;
-* every trap (OOB, uninit read, div-by-zero, overflow, invalid casts,
-  missing arrays/variables, printf arity) fires with the same message
-  *and the same step count* as the interpreter;
-* ``StepLimitExceeded`` fires at ``max_steps + 1`` exactly where the
-  interpreter's per-node ``_tick`` would have crossed the limit.
+* every FP op routes through the same environment semantics, so a run
+  that finishes prints the interpreter's bits and counts its steps;
+* every trap site (OOB, uninit read, div-by-zero, overflow, invalid
+  casts, missing arrays/variables, printf arity and conversions) and
+  every step-limit crossing raises the private :class:`_Fault`, and
+  :meth:`Tape.run` answers a faulting run by rerunning it on the
+  interpreter, which owns every trap message and step count.
 
-Step accounting uses *tick fusion*: the interpreter ticks once per
-statement/expression node, so a pure subtree of statically known shape
-settles its whole cost in one bounded add at the end of the region.
-Trap sites inside a fused region carry their static pending-tick offset
-and settle exactly on the trap path (:func:`_trap_at`).  Short-circuit
-nodes (``Logic``, ``Select``), loops, and anything below a dynamic child
-are self-accounting barriers: they leave the step counter exact.  Side
-effects inside a fused region cannot leak: a result's ``printed``/
-``stdout`` are discarded on TRAP/STEP_LIMIT, so only the (exact) step
-count and message are observable past a limit crossing.
+Step accounting settles each statement once: an expression has a static
+tick cost (one per node on its strict path), which its statement adds
+and checks against the limit after evaluating.  ``Logic`` and ``Select``
+add their taken arm's ticks straight to the counter, and loop heads
+settle every iteration, so a fault-free run's step total is exact and a
+run that would cross the limit crosses it at the next settle.
 """
 
 from __future__ import annotations
@@ -35,7 +33,8 @@ from __future__ import annotations
 import math
 import operator
 
-from repro.errors import StepLimitExceeded, TrapError
+from repro.errors import TrapError
+from repro.execution.interp import Interpreter, printf_plan, render_printf
 from repro.execution.limits import DEFAULT_MAX_STEPS, INT_MAX, INT_MIN
 from repro.execution.result import ExecStatus, ExecutionResult
 from repro.fp.env import FPEnvironment
@@ -55,40 +54,36 @@ class _Unset:
 
 _UNSET = _Unset()
 
+
+class _Fault(Exception):
+    """A trap or step-limit crossing: the interpreter reruns the run."""
+
+
+def _fault(*_) -> None:
+    raise _Fault
+
+
+def _true(st, R, A) -> int:
+    """The condition of a ``for`` loop without one."""
+    return 1
+
+
 # Instruction opcodes.  An instruction is a list ``[op, ...]``:
-#   EXEC     [0, fn]              fn(st, R, A, out); fn leaves st exact
-#   BRANCH   [1, fn, target, n]   cond with n static pending ticks
-#                                 (settled by the VM); false -> target
+#   EXEC     [0, fn]                    fn(st, R, A, out) settles its ticks
+#   BRANCH   [1, fn, target, nt, nf]    settle nt (true) or nf (false);
+#                                       false -> target
 #   JUMP     [2, target]
-#   LOOPHEAD [3, fn, target, n]   like BRANCH; true additionally settles
-#                                 the iteration tick and falls through
-#   TICK     [4, n]               settle n pending ticks
-#   RETURN   [5]                  settle the SReturn tick, halt
-#   HALT     [6]
-_EXEC, _BRANCH, _JUMP, _LOOPHEAD, _TICK, _RETURN, _HALT = range(7)
-
-
-def _over(st: list) -> None:
-    """Cross the step limit exactly like the interpreter's ``_tick``."""
-    st[0] = st[1] + 1
-    raise StepLimitExceeded(f"exceeded {st[1]} interpretation steps")
+#   TICK     [3, n]                     settle n ticks
+#   RETURN   [4]                        settle the SReturn tick, halt
+#   HALT     [5]
+_EXEC, _BRANCH, _JUMP, _TICK, _RETURN, _HALT = range(6)
 
 
 def _settle(st: list, n: int) -> None:
     s = st[0] + n
     if s > st[1]:
-        _over(st)
+        raise _Fault
     st[0] = s
-
-
-def _trap_at(st: list, s: int, msg: str) -> None:
-    """Trap with ``s`` total steps — unless a pending tick crossed the
-    limit first, in which case the step limit wins (as it would have
-    fired earlier in tree order)."""
-    if s > st[1]:
-        _over(st)
-    st[0] = s
-    raise TrapError(msg)
 
 
 _CMP_OPS = {
@@ -119,71 +114,6 @@ def _cmp_impl(op: str, fp: bool):
     return impl
 
 
-def _compile_printf(fmt: str, nargs: int):
-    """Precompile the :func:`_c_printf` scan of a static format string.
-
-    Returns a render plan of ``(kind, a, b)`` entries — literal text,
-    ``%d/%i`` argument, or ``format()`` spec argument — or ``None`` when
-    the format consumes more conversions than arguments (a trap replayed
-    at run time, after argument evaluation, exactly like the
-    interpreter).
-    """
-    plan: list[tuple] = []
-    lit: list[str] = []
-
-    def flush() -> None:
-        if lit:
-            plan.append((0, "".join(lit), None))
-            lit.clear()
-
-    ai = 0
-    i = 0
-    while i < len(fmt):
-        c = fmt[i]
-        if c == "\\" and i + 1 < len(fmt):
-            esc = fmt[i + 1]
-            lit.append({"n": "\n", "t": "\t", "\\": "\\", '"': '"'}.get(esc, esc))
-            i += 2
-            continue
-        if c == "%" and i + 1 < len(fmt):
-            j = i + 1
-            while j < len(fmt) and (fmt[j].isdigit() or fmt[j] == "."):
-                j += 1
-            if j < len(fmt) and fmt[j] in "dieEfgG%":
-                conv = fmt[j]
-                spec = fmt[i + 1 : j]
-                if conv == "%":
-                    lit.append("%")
-                else:
-                    if ai >= nargs:
-                        return None
-                    flush()
-                    if conv in "di":
-                        plan.append((1, ai, None))
-                    else:
-                        prec = spec[spec.index(".") + 1 :] if "." in spec else "6"
-                        plan.append((2, ai, f".{prec}{conv}"))
-                    ai += 1
-                i = j + 1
-                continue
-        lit.append(c)
-        i += 1
-    flush()
-    return plan
-
-
-def _render(args: list, plan: list) -> str:
-    parts = []
-    for kind, a, b in plan:
-        if kind == 0:
-            parts.append(a)
-        elif kind == 1:
-            parts.append(str(int(args[a])))
-        else:
-            parts.append(format(float(args[a]), b))
-    return "".join(parts)
-
-
 class Tape:
     """One kernel lowered for one environment, runnable on many inputs."""
 
@@ -199,15 +129,16 @@ class Tape:
         self.binders = binders
 
     def run(self, inputs: tuple, max_steps: int = DEFAULT_MAX_STEPS) -> ExecutionResult:
-        """Execute on one input vector; same contract as ``Interpreter.run``."""
+        """Execute on one input vector; same contract as ``Interpreter.run``.
+
+        A run that faults is handed to the interpreter from the start.
+        """
         st = [0, max_steps]
         printed: list[float] = []
         stdout: list[str] = []
         try:
             if len(inputs) != len(self.binders):
-                raise TrapError(
-                    f"kernel takes {len(self.binders)} inputs, got {len(inputs)}"
-                )
+                raise _Fault
             R = [_UNSET] * self.n_regs
             A: list = [None] * self.n_arrays
             for bind, value in zip(self.binders, inputs):
@@ -222,43 +153,27 @@ class Tape:
                     ins[1](st, R, A, out)
                     pc += 1
                 elif op == 1:  # BRANCH
-                    v = ins[1](st, R, A)
-                    n = ins[3]
-                    if n:
-                        s = st[0] + n
-                        if s > st[1]:
-                            _over(st)
-                        st[0] = s
-                    pc = pc + 1 if v else ins[2]
-                elif op == 3:  # LOOPHEAD
-                    v = ins[1](st, R, A)
-                    n = ins[3] + 1 if v else ins[3]
-                    if n:
-                        s = st[0] + n
-                        if s > st[1]:
-                            _over(st)
-                        st[0] = s
-                    pc = pc + 1 if v else ins[2]
+                    if ins[1](st, R, A):
+                        s = st[0] + ins[3]
+                        pc += 1
+                    else:
+                        s = st[0] + ins[4]
+                        pc = ins[2]
+                    if s > st[1]:
+                        raise _Fault
+                    st[0] = s
                 elif op == 2:  # JUMP
                     pc = ins[1]
-                elif op == 4:  # TICK
-                    s = st[0] + ins[1]
-                    if s > st[1]:
-                        _over(st)
-                    st[0] = s
+                elif op == 3:  # TICK
+                    _settle(st, ins[1])
                     pc += 1
-                elif op == 5:  # RETURN
-                    s = st[0] + 1
-                    if s > st[1]:
-                        _over(st)
-                    st[0] = s
+                elif op == 4:  # RETURN
+                    _settle(st, 1)
                     break
                 else:  # HALT
                     break
-        except TrapError as e:
-            return ExecutionResult(ExecStatus.TRAP, error=str(e), steps=st[0])
-        except StepLimitExceeded as e:
-            return ExecutionResult(ExecStatus.STEP_LIMIT, error=str(e), steps=st[0])
+        except _Fault:
+            return Interpreter(self.kernel, self.env, max_steps).run(inputs)
         return ExecutionResult(
             ExecStatus.OK,
             printed=tuple(printed),
@@ -312,15 +227,12 @@ class _Compiler:
         if p.is_pointer:
             slot = self.arrays[p.name]
             canon = self.env.canon_impl(p.scalar_ty)
-            name = p.name
 
-            def bind(value, R, A, _slot=slot, _canon=canon, _name=name):
+            def bind(value, R, A, _slot=slot, _canon=canon):
                 try:
                     elems = [float(v) for v in value]
                 except TypeError:
-                    raise TrapError(
-                        f"parameter {_name!r} needs a sequence input"
-                    ) from None
+                    raise _Fault from None
                 A[_slot] = [_canon(v) for v in elems]
 
             return bind
@@ -329,7 +241,7 @@ class _Compiler:
             def bind(value, R, A, _slot=slot):
                 v = int(value)
                 if not INT_MIN <= v <= INT_MAX:
-                    raise TrapError(f"signed integer overflow: {v}")
+                    raise _Fault
                 R[_slot] = v
 
             return bind
@@ -342,581 +254,371 @@ class _Compiler:
 
     # -- expression compilation --------------------------------------------------
     #
-    # ``_expr(e, off) -> (fn, cost)``.  ``off`` is the number of pending
-    # (unsettled) ticks when ``fn`` is entered.  ``cost`` is an int when
-    # the node consumes a statically known number of ticks on its
-    # non-trap path and leaves ``st`` untouched (the caller settles);
-    # ``cost`` is ``None`` when the node is self-accounting: it settles
-    # everything (including ``off``) and returns with ``st`` exact.
+    # ``_expr(e) -> (fn, cost)``: ``fn(st, R, A)`` returns the value and
+    # ``cost`` is the number of ticks the node takes on its strict path,
+    # which the enclosing statement settles.  Ticks of a short-circuit
+    # arm are added to ``st[0]`` by the node that takes it.
 
-    def _expr(self, e: ir.Expr, off: int):
-        fn = self._DISPATCH.get(type(e))
-        if fn is None:
-            return self._unknown(e, off)
-        return fn(self, e, off)
+    def _expr(self, e: ir.Expr):
+        return self._DISPATCH.get(type(e), _Compiler._unknown)(self, e)
 
-    def _settled(self, e: ir.Expr, base: int):
-        """A closure returning the value with ``st`` exact on return."""
-        f, c = self._expr(e, base)
-        if c is None:
-            return f
-        n = base + c
-
-        def g(st, R, A, _f=f, _n=n):
-            v = _f(st, R, A)
-            s = st[0] + _n
-            if s > st[1]:
-                _over(st)
-            st[0] = s
-            return v
-
-        return g
-
-    def _children(self, exprs, off: int):
+    def _children(self, exprs):
         """Compile strict children evaluated left-to-right.
 
-        Returns ``(vals_fn, cost, p_op)``: ``vals_fn(st, R, A)`` yields
-        the child values as a list; ``cost`` is the node's total static
-        tick count (entry + children) or ``None``; ``p_op`` is the
-        pending-tick offset at the point the node's own operation runs.
+        Returns ``(vals_fn, cost)``: ``vals_fn(st, R, A)`` yields the
+        child values as a list; ``cost`` counts one entry tick plus the
+        children's costs.
         """
-        parts = []
-        pending = off + 1  # the node's entry tick
-        total = 1
-        static = True
+        fs = []
+        cost = 1
         for e in exprs:
-            f, c = self._expr(e, pending)
-            if c is None:
-                static = False
-                total = None
-                pending = 0
-                parts.append((f, True))
-            else:
-                pending += c
-                if static:
-                    total += c
-                parts.append((f, False))
-        fs = tuple(f for f, _ in parts)
-        if static:
-            if len(fs) == 1:
-                f0 = fs[0]
+            f, c = self._expr(e)
+            fs.append(f)
+            cost += c
+        if len(fs) == 1:
+            f0 = fs[0]
 
-                def vals(st, R, A, _f=f0):
-                    return [_f(st, R, A)]
-            elif len(fs) == 2:
-                f0, f1 = fs
+            def vals(st, R, A, _f=f0):
+                return [_f(st, R, A)]
+        elif len(fs) == 2:
+            f0, f1 = fs
 
-                def vals(st, R, A, _f0=f0, _f1=f1):
-                    return [_f0(st, R, A), _f1(st, R, A)]
-            else:
-                def vals(st, R, A, _fs=fs):
-                    return [f(st, R, A) for f in _fs]
-            return vals, total, pending
+            def vals(st, R, A, _f0=f0, _f1=f1):
+                return [_f0(st, R, A), _f1(st, R, A)]
+        else:
+            def vals(st, R, A, _fs=tuple(fs)):
+                return [f(st, R, A) for f in _fs]
+        return vals, cost
 
-        def vals(st, R, A, _fs=fs):
-            return [f(st, R, A) for f in _fs]
+    def _lift(self, exprs, apply):
+        """Build a node from strict children and ``apply(vals)``."""
+        vals_fn, cost = self._children(exprs)
 
-        return vals, None, pending
+        def fn(st, R, A, _vf=vals_fn, _ap=apply):
+            return _ap(_vf(st, R, A))
 
-    def _lift(self, exprs, off: int, apply):
-        """Build a node from strict children and ``apply(st, p, vals)``.
-
-        ``apply`` receives the pending-tick offset ``p`` to pass to
-        :func:`_trap_at` for its own trap sites (0 when ``st`` is already
-        exact).
-        """
-        vals_fn, cost, p_op = self._children(exprs, off)
-        if cost is not None:
-            def fn(st, R, A, _vf=vals_fn, _ap=apply, _p=p_op):
-                return _ap(st, _p, _vf(st, R, A))
-
-            return fn, cost
-
-        trailing = p_op
-
-        def fn(st, R, A, _vf=vals_fn, _ap=apply, _t=trailing):
-            vals = _vf(st, R, A)
-            if _t:
-                _settle(st, _t)
-            return _ap(st, 0, vals)
-
-        return fn, None
+        return fn, cost
 
     # -- leaves ------------------------------------------------------------------
 
-    def _c_const(self, e, off: int):
-        v = e.value
-
-        def fn(st, R, A, _v=v):
+    def _c_const(self, e):
+        def fn(st, R, A, _v=e.value):
             return _v
 
         return fn, 1
 
-    def _c_vecconst(self, e, off: int):
-        v = e.values
-
-        def fn(st, R, A, _v=v):
+    def _c_vecconst(self, e):
+        def fn(st, R, A, _v=e.values):
             return _v
 
         return fn, 1
 
-    def _c_load(self, e, off: int):
-        slot = self.scalars[e.name]
-        msg = f"read of unset variable {e.name!r}"
-        p = off + 1
-
-        def fn(st, R, A, _s=slot, _p=p, _m=msg):
+    def _c_load(self, e):
+        def fn(st, R, A, _s=self.scalars[e.name]):
             v = R[_s]
             if v is _UNSET:
-                _trap_at(st, st[0] + _p, _m)
+                raise _Fault
             return v
 
         return fn, 1
 
-    # -- array reads -------------------------------------------------------------
+    def _c_loadelem(self, e):
+        f_idx, c_idx = self._expr(e.index)
 
-    def _array_at(self, st, pending, slot, name, A):
-        arr = A[slot]
-        if arr is None:
-            _trap_at(st, st[0] + pending, f"no array named {name!r}")
-        return arr
-
-    def _c_loadelem(self, e, off: int):
-        slot = self.arrays[e.name]
-        name = e.name
-        f_idx, c_idx = self._expr(e.index, off + 1)
-        p_arr = off + 1
-        # A self-accounting index leaves ``st`` exact: nothing is pending.
-        p_chk = 0 if c_idx is None else off + 1 + c_idx
-
-        def fn(st, R, A, _slot=slot, _name=name, _f=f_idx, _pa=p_arr, _pc=p_chk):
+        def fn(st, R, A, _slot=self.arrays[e.name], _f=f_idx):
             arr = A[_slot]
             if arr is None:
-                _trap_at(st, st[0] + _pa, f"no array named {_name!r}")
+                raise _Fault
             pos = _f(st, R, A)
             if not 0 <= pos < len(arr):
-                _trap_at(
-                    st, st[0] + _pc,
-                    f"index {pos} out of bounds for {_name}[{len(arr)}]",
-                )
+                raise _Fault
             v = arr[pos]
             if v is None:
-                _trap_at(
-                    st, st[0] + _pc,
-                    f"read of uninitialized element {_name}[{pos}]",
-                )
+                raise _Fault
             return v
 
-        return fn, None if c_idx is None else 1 + c_idx
+        return fn, 1 + c_idx
 
     # -- scalar FP ---------------------------------------------------------------
 
-    def _c_fbin(self, e, off: int):
-        impl = self.env.op_impl(e.op, e.ty)
-        lf, lc = self._expr(e.left, off + 1)
-        if lc is not None:
-            rf, rc = self._expr(e.right, off + 1 + lc)
-            if rc is not None:
-                def fn(st, R, A, _op=impl, _l=lf, _r=rf):
-                    return _op(_l(st, R, A), _r(st, R, A))
+    def _c_fbin(self, e):
+        lf, lc = self._expr(e.left)
+        rf, rc = self._expr(e.right)
 
-                return fn, 1 + lc + rc
-        else:
-            rf = self._settled(e.right, 0)
+        def fn(st, R, A, _op=self.env.op_impl(e.op, e.ty), _l=lf, _r=rf):
+            return _op(_l(st, R, A), _r(st, R, A))
 
-        def fn(st, R, A, _op=impl, _l=lf, _r=rf):
-            a = _l(st, R, A)
-            return _op(a, _r(st, R, A))
+        return fn, 1 + lc + rc
 
-        return fn, None
+    def _c_fneg(self, e):
+        f, c = self._expr(e.operand)
 
-    def _c_fneg(self, e, off: int):
-        impl = self.env.neg_impl(e.ty)
-        f, c = self._expr(e.operand, off + 1)
-
-        def fn(st, R, A, _op=impl, _f=f):
+        def fn(st, R, A, _op=self.env.neg_impl(e.ty), _f=f):
             return _op(_f(st, R, A))
 
-        return fn, None if c is None else 1 + c
+        return fn, 1 + c
 
-    def _c_fma(self, e, off: int):
-        impl = self.env.fma_impl(e.ty)
-
-        def apply(st, p, vals, _op=impl):
+    def _c_fma(self, e):
+        def apply(vals, _op=self.env.fma_impl(e.ty)):
             return _op(vals[0], vals[1], vals[2])
 
-        return self._lift((e.a, e.b, e.c), off, apply)
+        return self._lift((e.a, e.b, e.c), apply)
 
-    def _c_fcall(self, e, off: int):
-        impl = self.env.call_impl(e.name, e.ty)
-
-        def apply(st, p, vals, _op=impl):
+    def _c_fcall(self, e):
+        def apply(vals, _op=self.env.call_impl(e.name, e.ty)):
             return _op(tuple(vals))
 
-        return self._lift(e.args, off, apply)
+        return self._lift(e.args, apply)
 
     # -- integers ----------------------------------------------------------------
 
-    def _c_ibin(self, e, off: int):
+    def _c_ibin(self, e):
+        lf, lc = self._expr(e.left)
+        rf, rc = self._expr(e.right)
         op = e.op
         if op in "+-*":
-            lf, lc = self._expr(e.left, off + 1)
-            if lc is not None:
-                rf, rc = self._expr(e.right, off + 1 + lc)
-                if rc is not None:
-                    # Hot path (loop index arithmetic): direct nested
-                    # closure, no vals/apply indirection.
-                    p = off + 1 + lc + rc
-                    pyop = {"+": operator.add, "-": operator.sub,
-                            "*": operator.mul}[op]
-
-                    def fn(st, R, A, _op=pyop, _l=lf, _r=rf, _p=p,
-                           _lo=INT_MIN, _hi=INT_MAX):
-                        r = _op(_l(st, R, A), _r(st, R, A))
-                        if _lo <= r <= _hi:
-                            return r
-                        _trap_at(st, st[0] + _p, f"signed integer overflow: {r}")
-
-                    return fn, 1 + lc + rc
             pyop = {"+": operator.add, "-": operator.sub, "*": operator.mul}[op]
 
-            def apply(st, p, vals, _op=pyop):
-                r = _op(vals[0], vals[1])
-                if INT_MIN <= r <= INT_MAX:
+            def fn(st, R, A, _op=pyop, _l=lf, _r=rf, _lo=INT_MIN, _hi=INT_MAX):
+                r = _op(_l(st, R, A), _r(st, R, A))
+                if _lo <= r <= _hi:
                     return r
-                _trap_at(st, st[0] + p, f"signed integer overflow: {r}")
+                raise _Fault
 
-            return self._lift((e.left, e.right), off, apply)
-        div = op == "/"
+            return fn, 1 + lc + rc
 
-        def apply(st, p, vals, _div=div):
-            a, b = vals
+        def fn(st, R, A, _l=lf, _r=rf, _div=op == "/"):
+            a = _l(st, R, A)
+            b = _r(st, R, A)
             if b == 0:
-                _trap_at(st, st[0] + p, "integer division by zero")
+                raise _Fault
             q = abs(a) // abs(b)
             if (a < 0) != (b < 0):
                 q = -q
             r = q if _div else a - q * b  # C remainder: sign of dividend
             if INT_MIN <= r <= INT_MAX:
                 return r
-            _trap_at(st, st[0] + p, f"signed integer overflow: {r}")
+            raise _Fault
 
-        return self._lift((e.left, e.right), off, apply)
+        return fn, 1 + lc + rc
 
-    def _c_ineg(self, e, off: int):
-        def apply(st, p, vals):
+    def _c_ineg(self, e):
+        def apply(vals):
             r = -vals[0]
             if INT_MIN <= r <= INT_MAX:
                 return r
-            _trap_at(st, st[0] + p, f"signed integer overflow: {r}")
+            raise _Fault
 
-        return self._lift((e.operand,), off, apply)
+        return self._lift((e.operand,), apply)
 
-    def _c_compare(self, e, off: int):
-        impl = _cmp_impl(e.op, e.fp)
-        lf, lc = self._expr(e.left, off + 1)
-        if lc is not None:
-            rf, rc = self._expr(e.right, off + 1 + lc)
-            if rc is not None:
-                # Hot path (loop conditions): direct nested closure.
-                def fn(st, R, A, _op=impl, _l=lf, _r=rf):
-                    return _op(_l(st, R, A), _r(st, R, A))
+    def _c_compare(self, e):
+        lf, lc = self._expr(e.left)
+        rf, rc = self._expr(e.right)
 
-                return fn, 1 + lc + rc
+        def fn(st, R, A, _op=_cmp_impl(e.op, e.fp), _l=lf, _r=rf):
+            return _op(_l(st, R, A), _r(st, R, A))
 
-        def apply(st, p, vals, _op=impl):
-            return _op(vals[0], vals[1])
+        return fn, 1 + lc + rc
 
-        return self._lift((e.left, e.right), off, apply)
+    # -- short-circuit: the taken arm adds its own ticks ---------------------------
 
-    # -- short-circuit (self-accounting) -----------------------------------------
-
-    def _c_logic(self, e, off: int):
-        lf = self._settled(e.left, off + 1)
-        rf = self._settled(e.right, 0)
+    def _c_logic(self, e):
+        lf, lc = self._expr(e.left)
+        rf, rc = self._expr(e.right)
         if e.op == "&&":
-            def fn(st, R, A, _l=lf, _r=rf):
+            def fn(st, R, A, _l=lf, _r=rf, _rc=rc):
                 if _l(st, R, A) != 0:
+                    st[0] += _rc
                     return 1 if _r(st, R, A) != 0 else 0
                 return 0
         else:
-            def fn(st, R, A, _l=lf, _r=rf):
+            def fn(st, R, A, _l=lf, _r=rf, _rc=rc):
                 if _l(st, R, A) != 0:
                     return 1
+                st[0] += _rc
                 return 1 if _r(st, R, A) != 0 else 0
-        return fn, None
+        return fn, 1 + lc
 
-    def _c_not(self, e, off: int):
-        def apply(st, p, vals):
+    def _c_not(self, e):
+        def apply(vals):
             return 0 if vals[0] != 0 else 1
 
-        return self._lift((e.operand,), off, apply)
+        return self._lift((e.operand,), apply)
 
-    def _c_select(self, e, off: int):
-        cf = self._settled(e.cond, off + 1)
-        tf = self._settled(e.then, 0)
-        of = self._settled(e.other, 0)
+    def _c_select(self, e):
+        cf, cc = self._expr(e.cond)
+        tf, tc = self._expr(e.then)
+        of, oc = self._expr(e.other)
 
-        def fn(st, R, A, _c=cf, _t=tf, _o=of):
+        def fn(st, R, A, _c=cf, _t=tf, _tc=tc, _o=of, _oc=oc):
             if _c(st, R, A) != 0:
+                st[0] += _tc
                 return _t(st, R, A)
+            st[0] += _oc
             return _o(st, R, A)
 
-        return fn, None
+        return fn, 1 + cc
 
     # -- conversions -------------------------------------------------------------
 
-    def _c_sitofp(self, e, off: int):
-        canon = self.env.canon_impl(e.ty)
-
-        def apply(st, p, vals, _c=canon):
+    def _c_sitofp(self, e):
+        def apply(vals, _c=self.env.canon_impl(e.ty)):
             return _c(float(vals[0]))
 
-        return self._lift((e.operand,), off, apply)
+        return self._lift((e.operand,), apply)
 
-    def _c_fptosi(self, e, off: int):
-        def apply(st, p, vals):
+    def _c_fptosi(self, e):
+        def apply(vals):
             v = vals[0]
             if math.isnan(v) or math.isinf(v) or not INT_MIN <= v <= INT_MAX:
-                _trap_at(st, st[0] + p, f"invalid float->int conversion of {v!r}")
+                raise _Fault
             return math.trunc(v)
 
-        return self._lift((e.operand,), off, apply)
+        return self._lift((e.operand,), apply)
 
-    def _c_fpext(self, e, off: int):
-        f, c = self._expr(e.operand, off + 1)
-        return f, None if c is None else 1 + c  # float values are exact doubles
+    def _c_fpext(self, e):
+        f, c = self._expr(e.operand)
+        return f, 1 + c  # float values are exact doubles
 
-    def _c_fptrunc(self, e, off: int):
-        canon = self.env.canon_impl("float")  # nan/inf pass through canon
-
-        def apply(st, p, vals, _c=canon):
+    def _c_fptrunc(self, e):
+        # nan/inf pass through canon
+        def apply(vals, _c=self.env.canon_impl("float")):
             return _c(vals[0])
 
-        return self._lift((e.operand,), off, apply)
+        return self._lift((e.operand,), apply)
 
     # -- vectors -----------------------------------------------------------------
 
-    def _c_vecsplat(self, e, off: int):
-        lanes = e.lanes
-
-        def apply(st, p, vals, _n=lanes):
+    def _c_vecsplat(self, e):
+        def apply(vals, _n=e.lanes):
             return (vals[0],) * _n
 
-        return self._lift((e.operand,), off, apply)
+        return self._lift((e.operand,), apply)
 
-    def _c_veciota(self, e, off: int):
-        lanes = e.lanes
-
-        def apply(st, p, vals, _n=lanes):
+    def _c_veciota(self, e):
+        def apply(vals, _n=e.lanes):
             base = vals[0]
-            out = []
-            for j in range(_n):
-                v = base + j
-                if not INT_MIN <= v <= INT_MAX:
-                    _trap_at(st, st[0] + p, f"signed integer overflow: {v}")
-                out.append(v)
-            return tuple(out)
+            if not (INT_MIN <= base and base + _n - 1 <= INT_MAX):
+                raise _Fault
+            return tuple(range(base, base + _n))
 
-        return self._lift((e.base,), off, apply)
+        return self._lift((e.base,), apply)
 
-    def _c_vecload(self, e, off: int):
-        slot = self.arrays[e.name]
-        name = e.name
-        lanes = e.lanes
-        p_arr = off + 1
-        f_raw, c_idx = self._expr(e.index, off + 1)
-        # A self-accounting index leaves ``st`` exact: nothing is pending.
-        p_chk = 0 if c_idx is None else off + 1 + c_idx
+    def _c_vecload(self, e):
+        f_idx, c_idx = self._expr(e.index)
 
-        def fn(st, R, A, _slot=slot, _name=name, _n=lanes, _f=f_raw,
-               _pa=p_arr, _pc=p_chk):
+        def fn(st, R, A, _slot=self.arrays[e.name], _n=e.lanes, _f=f_idx):
             arr = A[_slot]
             if arr is None:
-                _trap_at(st, st[0] + _pa, f"no array named {_name!r}")
+                raise _Fault
             idx = _f(st, R, A)
             if not 0 <= idx <= len(arr) - _n:
-                _trap_at(
-                    st, st[0] + _pc,
-                    f"vector index {idx}..{idx + _n - 1} out of bounds "
-                    f"for {_name}[{len(arr)}]",
-                )
-            out = []
-            for j in range(_n):
-                v = arr[idx + j]
-                if v is None:
-                    _trap_at(
-                        st, st[0] + _pc,
-                        f"read of uninitialized element {_name}[{idx + j}]",
-                    )
-                out.append(v)
-            return tuple(out)
+                raise _Fault
+            out = tuple(arr[idx : idx + _n])
+            if None in out:
+                raise _Fault
+            return out
 
-        return fn, None if c_idx is None else 1 + c_idx
+        return fn, 1 + c_idx
 
-    def _c_vecsitofp(self, e, off: int):
-        canon = self.env.canon_impl(e.ty)
-
-        def apply(st, p, vals, _c=canon):
+    def _c_vecsitofp(self, e):
+        def apply(vals, _c=self.env.canon_impl(e.ty)):
             return tuple(_c(float(v)) for v in vals[0])
 
-        return self._lift((e.operand,), off, apply)
+        return self._lift((e.operand,), apply)
 
-    def _c_vecbin(self, e, off: int):
-        impl = self.env.op_impl(e.op, e.ty)
-
-        def apply(st, p, vals, _op=impl):
+    def _c_vecbin(self, e):
+        def apply(vals, _op=self.env.op_impl(e.op, e.ty)):
             return tuple(map(_op, vals[0], vals[1]))
 
-        return self._lift((e.left, e.right), off, apply)
+        return self._lift((e.left, e.right), apply)
 
-    def _c_vecneg(self, e, off: int):
-        impl = self.env.neg_impl(e.ty)
-
-        def apply(st, p, vals, _op=impl):
+    def _c_vecneg(self, e):
+        def apply(vals, _op=self.env.neg_impl(e.ty)):
             return tuple(map(_op, vals[0]))
 
-        return self._lift((e.operand,), off, apply)
+        return self._lift((e.operand,), apply)
 
-    def _c_vecfma(self, e, off: int):
-        impl = self.env.fma_impl(e.ty)
-
-        def apply(st, p, vals, _op=impl):
+    def _c_vecfma(self, e):
+        def apply(vals, _op=self.env.fma_impl(e.ty)):
             return tuple(map(_op, vals[0], vals[1], vals[2]))
 
-        return self._lift((e.a, e.b, e.c), off, apply)
+        return self._lift((e.a, e.b, e.c), apply)
 
-    def _c_veccall(self, e, off: int):
+    def _c_veccall(self, e):
         # veccall_impl binds the vector math library when the environment
         # carries one (the vec-libm tier) and the scalar libm otherwise.
-        impl = self.env.veccall_impl(e.name, e.ty)
-        lanes = e.lanes
-
-        def apply(st, p, vals, _op=impl, _n=lanes):
+        def apply(vals, _op=self.env.veccall_impl(e.name, e.ty), _n=e.lanes):
             return tuple(
                 _op(tuple(arg[j] for arg in vals)) for j in range(_n)
             )
 
-        return self._lift(e.args, off, apply)
+        return self._lift(e.args, apply)
 
-    def _c_vecfpext(self, e, off: int):
-        f, c = self._expr(e.operand, off + 1)
-        return f, None if c is None else 1 + c  # float lanes are exact doubles
+    def _c_vecfpext(self, e):
+        f, c = self._expr(e.operand)
+        return f, 1 + c  # float lanes are exact doubles
 
-    def _c_vecfptrunc(self, e, off: int):
-        canon = self.env.canon_impl("float")  # nan/inf pass through canon
-
-        def apply(st, p, vals, _c=canon):
+    def _c_vecfptrunc(self, e):
+        # nan/inf pass through canon
+        def apply(vals, _c=self.env.canon_impl("float")):
             return tuple(map(_c, vals[0]))
 
-        return self._lift((e.operand,), off, apply)
+        return self._lift((e.operand,), apply)
 
-    def _c_veccmp(self, e, off: int):
-        impl = _cmp_impl(e.op, fp=True)
-
-        def apply(st, p, vals, _op=impl):
+    def _c_veccmp(self, e):
+        def apply(vals, _op=_cmp_impl(e.op, fp=True)):
             return tuple(map(_op, vals[0], vals[1]))
 
-        return self._lift((e.left, e.right), off, apply)
+        return self._lift((e.left, e.right), apply)
 
-    def _c_vecselect(self, e, off: int):
+    def _c_vecselect(self, e):
         # Both arms evaluate in full — the if-conversion observable.
-        def apply(st, p, vals):
+        def apply(vals):
             return tuple(
                 t if m else o for m, t, o in zip(vals[0], vals[1], vals[2])
             )
 
-        return self._lift((e.mask, e.then, e.other), off, apply)
+        return self._lift((e.mask, e.then, e.other), apply)
 
-    def _c_vecmaskedload(self, e, off: int):
-        slot = self.arrays[e.name]
-        name = e.name
-        lanes = e.lanes
-        invert = e.invert
-        f_mask, c_mask = self._expr(e.mask, off + 1)
-        if c_mask is not None:
-            p_arr = off + 1 + c_mask
-            f_idx, c_idx = self._expr(e.index, p_arr)
-        else:
-            p_arr = 0
-            f_idx, c_idx = self._expr(e.index, 0)
-        if c_mask is not None and c_idx is not None:
-            p_chk = p_arr + c_idx
+    def _c_vecmaskedload(self, e):
+        f_mask, c_mask = self._expr(e.mask)
+        f_idx, c_idx = self._expr(e.index)
 
-            def fn(st, R, A, _slot=slot, _name=name, _n=lanes, _inv=invert,
-                   _fm=f_mask, _fi=f_idx, _pa=p_arr, _pc=p_chk):
-                mask = _fm(st, R, A)
-                arr = A[_slot]
-                if arr is None:
-                    _trap_at(st, st[0] + _pa, f"no array named {_name!r}")
-                idx = _fi(st, R, A)
-                out = []
-                for j in range(_n):
-                    active = not mask[j] if _inv else bool(mask[j])
-                    if active:
-                        pos = idx + j
-                        if not 0 <= pos < len(arr):
-                            _trap_at(
-                                st, st[0] + _pc,
-                                f"index {pos} out of bounds for {_name}[{len(arr)}]",
-                            )
-                        v = arr[pos]
-                        if v is None:
-                            _trap_at(
-                                st, st[0] + _pc,
-                                f"read of uninitialized element {_name}[{pos}]",
-                            )
-                        out.append(v)
-                    else:
-                        out.append(0.0)  # zeroing masking: no memory touch
-                return tuple(out)
-
-            return fn, 1 + c_mask + c_idx
-
-        fm_s = self._settled(e.mask, off + 1)
-        fi_s = self._settled(e.index, 0)
-
-        def fn(st, R, A, _slot=slot, _name=name, _n=lanes, _inv=invert,
-               _fm=fm_s, _fi=fi_s):
+        def fn(st, R, A, _slot=self.arrays[e.name], _n=e.lanes, _inv=e.invert,
+               _fm=f_mask, _fi=f_idx):
             mask = _fm(st, R, A)
             arr = A[_slot]
             if arr is None:
-                raise TrapError(f"no array named {_name!r}")
+                raise _Fault
             idx = _fi(st, R, A)
             out = []
             for j in range(_n):
                 active = not mask[j] if _inv else bool(mask[j])
                 if active:
                     pos = idx + j
-                    if not 0 <= pos < len(arr):
-                        raise TrapError(
-                            f"index {pos} out of bounds for {_name}[{len(arr)}]"
-                        )
-                    v = arr[pos]
-                    if v is None:
-                        raise TrapError(
-                            f"read of uninitialized element {_name}[{pos}]"
-                        )
-                    out.append(v)
+                    if not 0 <= pos < len(arr) or arr[pos] is None:
+                        raise _Fault
+                    out.append(arr[pos])
                 else:
-                    out.append(0.0)
+                    out.append(0.0)  # zeroing masking: no memory touch
             return tuple(out)
 
-        return fn, None
+        return fn, 1 + c_mask + c_idx
 
-    def _c_vecreduce(self, e, off: int):
+    def _c_vecreduce(self, e):
         combine = self.env.op_impl(e.op, e.ty)
         style = e.style
 
         if style == "ladder":
-            def apply(st, p, vals, _op=combine):
+            def apply(vals, _op=combine):
                 lanes = vals[0]
                 acc = lanes[0]
                 for v in lanes[1:]:
                     acc = _op(acc, v)
                 return acc
         elif style == "butterfly":
-            def apply(st, p, vals, _op=combine):
+            def apply(vals, _op=combine):
                 lanes = list(vals[0])
                 n = len(lanes)
                 while n > 1:
@@ -926,7 +628,7 @@ class _Compiler:
                     n = m
                 return lanes[0]
         else:
-            def apply(st, p, vals, _op=combine):
+            def apply(vals, _op=combine):
                 # adjacent: pairwise neighbours per round, odd lane carries
                 lanes = list(vals[0])
                 while len(lanes) > 1:
@@ -939,16 +641,10 @@ class _Compiler:
                     lanes = nxt
                 return lanes[0]
 
-        return self._lift((e.operand,), off, apply)
+        return self._lift((e.operand,), apply)
 
-    def _unknown(self, e, off: int):
-        msg = f"cannot evaluate {type(e).__name__}"
-        p = off + 1
-
-        def fn(st, R, A, _p=p, _m=msg):  # pragma: no cover - exhaustive
-            _trap_at(st, st[0] + _p, _m)
-
-        return fn, None
+    def _unknown(self, e):  # pragma: no cover - exhaustive
+        return _fault, 1
 
     _DISPATCH = {
         ir.FConst: _c_const,
@@ -998,21 +694,14 @@ class _Compiler:
 
     def _stmt(self, s: ir.Stmt) -> None:
         if isinstance(s, ir.SAssign):
-            slot = self.scalars[s.name]
-            vf, vc = self._expr(s.value, 1)
-            if vc is not None:
-                n = 1 + vc
+            vf, vc = self._expr(s.value)
 
-                def fn(st, R, A, out, _slot=slot, _vf=vf, _n=n):
-                    v = _vf(st, R, A)
-                    s0 = st[0] + _n
-                    if s0 > st[1]:
-                        _over(st)
-                    st[0] = s0
-                    R[_slot] = v
-            else:
-                def fn(st, R, A, out, _slot=slot, _vf=vf):
-                    R[_slot] = _vf(st, R, A)
+            def fn(st, R, A, out, _slot=self.scalars[s.name], _vf=vf, _n=1 + vc):
+                R[_slot] = _vf(st, R, A)
+                s0 = st[0] + _n
+                if s0 > st[1]:
+                    raise _Fault
+                st[0] = s0
 
             self._emit([_EXEC, fn])
         elif isinstance(s, ir.SDeclArray):
@@ -1024,8 +713,8 @@ class _Compiler:
         elif isinstance(s, ir.SMaskedStore):
             self._masked_store(s)
         elif isinstance(s, ir.SIf):
-            cf, cc = self._expr(s.cond, 1)
-            branch = self._emit([_BRANCH, cf, 0, 0 if cc is None else 1 + cc])
+            cf, cc = self._expr(s.cond)
+            branch = self._emit([_BRANCH, cf, 0, 1 + cc, 1 + cc])
             self._block(s.then)
             if s.other:
                 jump = self._emit([_JUMP, 0])
@@ -1034,25 +723,17 @@ class _Compiler:
                 self.code[jump][1] = len(self.code)
             else:
                 self.code[branch][2] = len(self.code)
-        elif isinstance(s, ir.SFor):
+        elif isinstance(s, (ir.SFor, ir.SWhile)):
+            # One tick for the statement; each iteration ticks once more.
             self._emit([_TICK, 1])
-            self._block(s.init)
+            if isinstance(s, ir.SFor):
+                self._block(s.init)
             head = len(self.code)
-            if s.cond is None:
-                cf, cc = self._true_fn(), 0
-            else:
-                cf, cc = self._expr(s.cond, 0)
-            loop = self._emit([_LOOPHEAD, cf, 0, cc if cc is not None else 0])
+            cf, cc = (_true, 0) if s.cond is None else self._expr(s.cond)
+            loop = self._emit([_BRANCH, cf, 0, cc + 1, cc])
             self._block(s.body)
-            self._block(s.step)
-            self._emit([_JUMP, head])
-            self.code[loop][2] = len(self.code)
-        elif isinstance(s, ir.SWhile):
-            self._emit([_TICK, 1])
-            head = len(self.code)
-            cf, cc = self._expr(s.cond, 0)
-            loop = self._emit([_LOOPHEAD, cf, 0, cc if cc is not None else 0])
-            self._block(s.body)
+            if isinstance(s, ir.SFor):
+                self._block(s.step)
             self._emit([_JUMP, head])
             self.code[loop][2] = len(self.code)
         elif isinstance(s, ir.SPrint):
@@ -1060,169 +741,124 @@ class _Compiler:
         elif isinstance(s, ir.SReturn):
             self._emit([_RETURN])
         else:  # pragma: no cover - exhaustive
-            msg = f"cannot execute {type(s).__name__}"
-
-            def fn(st, R, A, out, _m=msg):
-                _trap_at(st, st[0] + 1, _m)
-
-            self._emit([_EXEC, fn])
-
-    @staticmethod
-    def _true_fn():
-        def fn(st, R, A):
-            return 1
-
-        return fn
+            self._emit([_EXEC, _fault])
 
     def _decl_array(self, s: ir.SDeclArray) -> None:
         slot = self.arrays[s.name]
         size = s.size
         if s.init is None:
             def fn(st, R, A, out, _slot=slot, _size=size):
-                _settle(st, 1)
                 A[_slot] = [None] * _size
+                _settle(st, 1)
 
             self._emit([_EXEC, fn])
             return
-        # Init elements evaluate in sequence; settle each one exactly
-        # (the first carries the statement's entry tick).
-        fns = []
-        base = 1
-        for e in s.init:
-            fns.append(self._settled(e, base))
-            base = 0
+        vals_fn, n = self._children(s.init)
 
-        def fn(st, R, A, out, _slot=slot, _size=size, _fns=tuple(fns)):
-            values: list = [float(f(st, R, A)) for f in _fns]
+        def fn(st, R, A, out, _slot=slot, _size=size, _vf=vals_fn, _n=n):
+            values: list = [float(v) for v in _vf(st, R, A)]
             if len(values) < _size:
                 values.extend([0.0] * (_size - len(values)))
             A[_slot] = values
+            _settle(st, _n)
 
         self._emit([_EXEC, fn])
 
     def _store_elem(self, s: ir.SStoreElem) -> None:
-        slot = self.arrays[s.name]
-        name = s.name
-        idx_f = self._settled(s.index, 1)
-        val_f = self._settled(s.value, 0)
+        fi, ci = self._expr(s.index)
+        fv, cv = self._expr(s.value)
 
-        def fn(st, R, A, out, _slot=slot, _name=name, _fi=idx_f, _fv=val_f):
+        def fn(st, R, A, out, _slot=self.arrays[s.name], _fi=fi, _fv=fv,
+               _n=1 + ci + cv):
             arr = A[_slot]
             if arr is None:
-                _trap_at(st, st[0] + 1, f"no array named {_name!r}")
+                raise _Fault
             idx = _fi(st, R, A)
             if not 0 <= idx < len(arr):
-                raise TrapError(f"index {idx} out of bounds for {_name}[{len(arr)}]")
+                raise _Fault
             arr[idx] = float(_fv(st, R, A))
+            _settle(st, _n)
 
         self._emit([_EXEC, fn])
 
     def _vec_store(self, s: ir.SVecStore) -> None:
-        slot = self.arrays[s.name]
-        name = s.name
-        lanes = s.lanes
-        idx_f = self._settled(s.index, 1)
-        val_f = self._settled(s.value, 0)
+        fi, ci = self._expr(s.index)
+        fv, cv = self._expr(s.value)
 
-        def fn(st, R, A, out, _slot=slot, _name=name, _n=lanes, _fi=idx_f,
-               _fv=val_f):
+        def fn(st, R, A, out, _slot=self.arrays[s.name], _w=s.lanes, _fi=fi,
+               _fv=fv, _n=1 + ci + cv):
             arr = A[_slot]
             if arr is None:
-                _trap_at(st, st[0] + 1, f"no array named {_name!r}")
+                raise _Fault
             idx = _fi(st, R, A)
-            if not 0 <= idx <= len(arr) - _n:
-                raise TrapError(
-                    f"vector index {idx}..{idx + _n - 1} out of bounds "
-                    f"for {_name}[{len(arr)}]"
-                )
+            if not 0 <= idx <= len(arr) - _w:
+                raise _Fault
             values = _fv(st, R, A)
-            for j in range(_n):
+            for j in range(_w):
                 arr[idx + j] = float(values[j])
+            _settle(st, _n)
 
         self._emit([_EXEC, fn])
 
     def _masked_store(self, s: ir.SMaskedStore) -> None:
         slot = self.arrays[s.name]
-        name = s.name
+        fm, cm = self._expr(s.mask)
+        fi, ci = self._expr(s.index)
+        fv, cv = self._expr(s.value)
         if s.lanes == 1:
             # Scalar predicated store short-circuits: a false mask skips
             # index, value and the write.
-            mask_f = self._settled(s.mask, 1)
-            idx_f = self._settled(s.index, 0)
-            val_f = self._settled(s.value, 0)
-
-            def fn(st, R, A, out, _slot=slot, _name=name, _fm=mask_f,
-                   _fi=idx_f, _fv=val_f):
+            def fn(st, R, A, out, _slot=slot, _fm=fm, _fi=fi, _fv=fv,
+                   _skip=1 + cm, _n=1 + cm + ci + cv):
                 if _fm(st, R, A) == 0:
+                    _settle(st, _skip)
                     return
                 arr = A[_slot]
                 if arr is None:
-                    raise TrapError(f"no array named {_name!r}")
+                    raise _Fault
                 idx = _fi(st, R, A)
                 if not 0 <= idx < len(arr):
-                    raise TrapError(
-                        f"index {idx} out of bounds for {_name}[{len(arr)}]"
-                    )
+                    raise _Fault
                 arr[idx] = float(_fv(st, R, A))
+                _settle(st, _n)
 
             self._emit([_EXEC, fn])
             return
-        lanes = s.lanes
-        mask_f = self._settled(s.mask, 1)
-        val_f = self._settled(s.value, 0)
-        idx_f = self._settled(s.index, 0)
 
-        def fn(st, R, A, out, _slot=slot, _name=name, _n=lanes, _fm=mask_f,
-               _fv=val_f, _fi=idx_f):
+        def fn(st, R, A, out, _slot=slot, _w=s.lanes, _fm=fm, _fv=fv, _fi=fi,
+               _n=1 + cm + ci + cv):
             mask = _fm(st, R, A)
             values = _fv(st, R, A)
             arr = A[_slot]
             if arr is None:
-                raise TrapError(f"no array named {_name!r}")
+                raise _Fault
             idx = _fi(st, R, A)
-            for j in range(_n):
+            for j in range(_w):
                 if not mask[j]:
                     continue
                 pos = idx + j
                 if not 0 <= pos < len(arr):
-                    raise TrapError(
-                        f"index {pos} out of bounds for {_name}[{len(arr)}]"
-                    )
+                    raise _Fault
                 arr[pos] = float(values[j])
+            _settle(st, _n)
 
         self._emit([_EXEC, fn])
 
     def _print(self, s: ir.SPrint) -> None:
-        plan = _compile_printf(s.fmt, len(s.values))
-        fns = []
-        base = 1
-        for v in s.values:
-            fns.append(self._settled(v, base))
-            base = 0
-        arg_fns = tuple(fns)
-
-        if plan is None:
-            def fn(st, R, A, out, _fns=arg_fns):
-                if not _fns:
-                    _settle(st, 1)
-                else:
-                    for f in _fns:
-                        f(st, R, A)
-                raise TrapError("printf: more conversions than arguments")
-
-            self._emit([_EXEC, fn])
+        plan = printf_plan(s.fmt, len(s.values))
+        if plan is None:  # more conversions than arguments
+            self._emit([_EXEC, _fault])
             return
+        vals_fn, n = self._children(s.values)
 
-        def fn(st, R, A, out, _fns=arg_fns, _plan=plan):
-            if not _fns:
-                _settle(st, 1)
-                args: list = []
-            else:
-                args = [f(st, R, A) for f in _fns]
-            out[1].append(_render(args, _plan))
-            printed = out[0]
-            for v in args:
-                if isinstance(v, float):
-                    printed.append(v)
+        def fn(st, R, A, out, _vf=vals_fn, _plan=plan, _n=n):
+            args = _vf(st, R, A)
+            try:
+                text = render_printf(args, _plan)
+            except TrapError:
+                raise _Fault from None
+            out[1].append(text)
+            out[0].extend(v for v in args if isinstance(v, float))
+            _settle(st, _n)
 
         self._emit([_EXEC, fn])

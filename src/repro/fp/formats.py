@@ -36,27 +36,6 @@ class FloatFormat:
         """Stored (explicit) significand bits."""
         return self.precision - 1
 
-    @property
-    def exponent_bits(self) -> int:
-        return self.width - self.precision
-
-    @property
-    def max_finite(self) -> float:
-        return float((2 - 2 ** (1 - self.precision)) * 2.0**self.emax)
-
-    @property
-    def min_normal(self) -> float:
-        return float(2.0**self.emin)
-
-    @property
-    def min_subnormal(self) -> float:
-        return float(2.0 ** (self.emin - self.mantissa_bits))
-
-    @property
-    def hex_digits(self) -> int:
-        """Number of hex digits in the bit pattern (16 for binary64)."""
-        return self.width // 4
-
 
 FP64 = FloatFormat(name="binary64", precision=53, emax=1023, width=64)
 FP32 = FloatFormat(name="binary32", precision=24, emax=127, width=32)

@@ -67,9 +67,6 @@ class SemaResult:
     def type_of(self, expr: ast.Expr) -> CType:
         return self.types[id(expr)]
 
-    def symbol_of(self, ident: ast.Ident) -> Symbol:
-        return self.symbols[id(ident)]
-
 
 class _Scope:
     def __init__(self, parent: "_Scope | None" = None) -> None:

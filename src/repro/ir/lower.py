@@ -47,18 +47,11 @@ class _Renamer:
 
 
 class _Lowerer:
-    def __init__(self, sema: SemaResult) -> None:
-        self._sema = sema
+    def __init__(self) -> None:
         self._names = _Renamer()
         self._var_types: dict[str, str] = {}
 
     # -- types ----------------------------------------------------------------
-
-    def _src_type(self, expr: ast.Expr) -> str:
-        t = self._sema.type_of(expr)
-        if t.is_indexable:
-            return t.element.base + "*"
-        return t.base
 
     @staticmethod
     def _convert(e: ir.Expr, to_ty: str) -> ir.Expr:
@@ -292,7 +285,7 @@ class _Lowerer:
 def lower_compute(sema: SemaResult) -> ir.Kernel:
     """Lower the checked unit's ``compute`` function to an IR kernel."""
     fn = sema.unit.function("compute")
-    return _Lowerer(sema).lower(fn)
+    return _Lowerer().lower(fn)
 
 
 def lower_unit(sema: SemaResult) -> ir.Kernel:

@@ -213,3 +213,13 @@ class TestCPrintf:
 
         with pytest.raises(TrapError):
             _c_printf("%g %g", [1.0])
+
+    def test_empty_precision_means_zero(self):
+        assert _c_printf("%.e %.f %.g\\n", [2.5, 2.5, 2.5]) == "2e+00 2 2\n"
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_int_conversion_of_non_finite_traps(self, value):
+        from repro.errors import TrapError
+
+        with pytest.raises(TrapError, match="integer conversion"):
+            _c_printf("%d\\n", [value])

@@ -3,17 +3,24 @@
 The tape compiler's contract is *observational equivalence on every bit*:
 status, error message, step count, stdout text and the IEEE bits of every
 printed value must match the reference interpreter for every kernel, every
-input, and every step limit — including runs that trap or hit the budget
-mid-expression.  These tests sweep randomly generated programs (scalar,
-vector and masked kernels via the real optimization pipelines) plus
-directed trap/printf cases, always comparing on
-:func:`repro.execution.worker.result_key`, never on dataclass equality
+input, and every step limit.  The tape runs only the fault-free path and
+hands any run it sees trap or cross the step limit to the interpreter, so
+every parity check also counts those hand-overs: exactly one when the
+tree faults (the tape detected the fault itself) and none when it does
+not (a fault-free run never falls back).  These tests sweep randomly
+generated programs (scalar, vector and masked kernels via the real
+optimization pipelines) plus directed trap/printf cases, always comparing
+on :func:`repro.execution.worker.result_key`, never on dataclass equality
 (NaN payloads would defeat ``==``).
 """
+
+import math
+from unittest import mock
 
 import pytest
 
 from repro.errors import ExecutionDivergence
+from repro.execution import tape as tape_module
 from repro.execution import worker
 from repro.execution.interp import Interpreter
 from repro.execution.tape import Tape, compile_tape
@@ -47,10 +54,25 @@ def tape_run(kernel, env, inputs, max_steps=200000):
     return compile_tape(kernel, env).run(inputs, max_steps)
 
 
+class _CountingInterpreter(Interpreter):
+    """The interpreter as the tape sees it, counting the runs it is handed."""
+
+    runs = 0
+
+    def run(self, inputs):
+        type(self).runs += 1
+        return super().run(inputs)
+
+
 def assert_parity(kernel, env, inputs, max_steps=200000):
+    """Tape and tree agree on every bit, and the tape falls back to the
+    interpreter exactly when the tree faults."""
     tree = tree_run(kernel, env, inputs, max_steps)
-    tape = tape_run(kernel, env, inputs, max_steps)
+    _CountingInterpreter.runs = 0
+    with mock.patch.object(tape_module, "Interpreter", _CountingInterpreter):
+        tape = tape_run(kernel, env, inputs, max_steps)
     assert result_key(tape) == result_key(tree)
+    assert _CountingInterpreter.runs == (0 if tree.ok else 1)
     return tree
 
 
@@ -273,6 +295,21 @@ class TestDirectedParity:
             ' printf("done\\n"); }',
             (-0.0, -7),
         ),
+        "printf_int_of_inf": (
+            "void compute(double a, int n) {"
+            ' double y = a * n; printf("%d\\n", n); printf("%d\\n", y); }',
+            (math.inf, 3),
+        ),
+        "printf_int_of_nan": (
+            "void compute(double a, int n) {"
+            ' double y = a - a; printf("%i\\n", y); }',
+            (math.inf, 3),
+        ),
+        "printf_empty_precision": (
+            "void compute(double a, int n) {"
+            ' printf("%.e %.f %.g %d\\n", a, a, a, n); }',
+            (2.5, 4),
+        ),
         "nested_loops_traps_late": (
             "void compute(double a, int n) {"
             " double acc = 0.0; double t[4];"
@@ -302,6 +339,16 @@ class TestDirectedParity:
         full = tree_run(kernel, env, inputs)
         for limit in range(0, full.steps + 2):
             assert_parity(kernel, env, inputs, limit)
+
+    def test_printf_conversions_follow_c(self):
+        env = FPEnvironment()
+        for name in ("printf_int_of_inf", "printf_int_of_nan"):
+            source, inputs = self.CASES[name]
+            tree = tree_run(lower(source + " int main() { return 0; }"), env, inputs)
+            assert not tree.ok and "printf: integer conversion" in tree.error
+        source, inputs = self.CASES["printf_empty_precision"]
+        tree = tree_run(lower(source + " int main() { return 0; }"), env, inputs)
+        assert tree.ok and tree.stdout == "2e+00 2 2 4\n"
 
     def test_unset_scalar_trap(self):
         # Sema rejects maybe-uninitialized reads in source, but optimizer
@@ -423,7 +470,7 @@ class TestRunKernelModes:
             assert result_key(run_kernel_task(task)) == result_key(direct)
 
 
-class TestTapeCache:
+class TestCompileTape:
     def test_compile_tape_returns_tape(self):
         kernel = lower(
             'void compute(double a) { printf("%g\\n", a); }'
