@@ -6,7 +6,7 @@ through three engine configurations:
 * **serial** — ``backend=serial``, run sharing off:
   the exact cost model of the pre-engine monolithic loop (recompile and
   re-execute every (compiler, level) cell from scratch).
-* **dedup** — ``backend=serial`` with level-class compile sharing and
+* **dedup** — ``backend=serial`` with the per-program pass memo and
   identical-binary run sharing on.  Its speedup is funded by *dedup*
   alone.
 * **process** — ``backend=process, jobs=auto`` with the same sharing:

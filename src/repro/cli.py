@@ -36,7 +36,8 @@ from repro.triage.reduce import DEFAULT_MAX_TESTS
 from repro.utils.rng import SplittableRng
 from repro.utils.timing import format_hms
 
-_TABLES = {
+#: Paper artefacts by name; ``python -m repro.experiments`` reads it too.
+TABLES = {
     "table2": table2.run,
     "table3": table3.run,
     "table4": table4.run,
@@ -231,9 +232,9 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     # approaches can still participate as island campaigns (REPRO_ISLANDS
     # with --checkpoint-dir).
     ctx = ExperimentContext(settings)
-    names = args.names or list(_TABLES)
+    names = args.names or list(TABLES)
     for name in names:
-        runner = _TABLES.get(name)
+        runner = TABLES.get(name)
         if runner is None:
             print(f"unknown artefact {name!r}", file=sys.stderr)
             return 2
@@ -575,7 +576,7 @@ def main(argv: list[str] | None = None) -> int:
     p_run.set_defaults(func=_cmd_run)
 
     p_tab = sub.add_parser("tables", help="regenerate paper tables/figures")
-    p_tab.add_argument("names", nargs="*", help=f"subset of {list(_TABLES)}")
+    p_tab.add_argument("names", nargs="*", help=f"subset of {list(TABLES)}")
     # defaults stay None so the REPRO_* environment knobs apply when a
     # flag is omitted (flags win when given)
     p_tab.add_argument(

@@ -13,11 +13,12 @@ deduplicated and concurrently schedulable:
 * **frontend** — parse once, then sema / lower once per target kind
   (:class:`~repro.toolchains.base.CompilerKind`); host compilers share the
   C unit, the device compiler gets its CUDA translation.
-* **compile** — one :class:`CompileRecord` per (compiler, level).  Levels
-  whose (pipeline, environment) coincide share one compilation
-  (``Compiler.cache_token``), and one pass memo per program runs each
-  distinct pass (:meth:`~repro.ir.passes.base.Pass.key`) once per input
-  kernel object across the remaining compilations.
+* **compile** — one :class:`CompileRecord` per (compiler, level), each
+  compiled through one pass memo per program, which runs each distinct
+  pass (:meth:`~repro.ir.passes.base.Pass.key`) once per input kernel
+  object across levels and compilers.  Levels whose (pipeline,
+  environment) coincide (equal ``Compiler.cache_token``) thus get the
+  same optimized kernel object without running a pass.
 * **execute** — one :class:`ExecuteRecord` per compiled binary.  Binaries
   whose optimized kernel and FP environment are content-identical produce
   bit-identical results (the interpreter is deterministic), so each
@@ -55,11 +56,10 @@ Two campaign-scale facilities ride on that determinism:
   (``EngineConfig.islands``), which partition generation itself.
 
 Note on throughput: on the serial backend the measured gains come from
-the in-program *dedup* — level-class compilation sharing, the pass memo
-and identical-binary run sharing.  The ``process`` backend adds real CPU
-parallelism on top for the execute stage.  Nothing
-is cached across programs: every compiled binary and tape dies with its
-program.
+the in-program *dedup* — the pass memo and identical-binary run
+sharing.  The ``process`` backend adds real CPU parallelism on top for
+the execute stage.  Nothing is cached across programs: every compiled
+binary and tape dies with its program.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ import json
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from repro.difftest.backend import (
@@ -96,7 +96,7 @@ from repro.generation.program import (
 from repro.ir import nodes as ir
 from repro.ir.lower import lower_compute
 from repro.tiers import structural_tag
-from repro.toolchains.base import Binary, Compiler, CompilerKind, _flags_or
+from repro.toolchains.base import Binary, Compiler, CompilerKind
 from repro.toolchains.cache import env_fingerprint, kernel_fingerprint
 from repro.toolchains.cuda import translate_to_cuda
 from repro.toolchains.optlevels import OptLevel
@@ -180,10 +180,9 @@ class EngineConfig:
         jobs: workers fanning out each program's execute stage;
             ``1`` runs every stage inline, ``"auto"`` uses one worker per
             CPU.  More than one needs ``backend="process"``.
-        share_runs: deduplicate work *within* one program's matrix — levels
-            with identical pipelines compile once, each distinct pass runs
-            once per input kernel, and binaries with content-identical
-            (optimized kernel, environment) execute once.
+        share_runs: deduplicate work *within* one program's matrix — each
+            distinct pass runs once per input kernel, and binaries with
+            content-identical (optimized kernel, environment) execute once.
             Disabling it reproduces the legacy serial cost model exactly
             (used as the benchmark baseline).
         backend: fan-out policy — ``"serial"`` (inline, requires jobs=1;
@@ -273,7 +272,6 @@ class CompileRecord:
     level: OptLevel
     ok: bool
     binary: Binary | None = None
-    shared: bool = False  # reused a sibling level's compilation
     error: str | None = None
 
     @property
@@ -395,7 +393,7 @@ class CampaignEngine:
     ) -> None:
         _validate_compilers(compilers)
         self.compilers = list(compilers)
-        profiles = {getattr(c, "tiers", "baseline") for c in self.compilers}
+        profiles = {c.tiers for c in self.compilers}
         if len(profiles) > 1:
             raise ValueError(
                 "compilers disagree on the divergence-tier profile "
@@ -607,20 +605,17 @@ class CampaignEngine:
     # -- compile stage -----------------------------------------------------------
 
     def _compile_stage(self, frontend: FrontendRecord) -> list[CompileRecord]:
-        """Compile the full (compiler, level) matrix, deduplicated.
+        """Compile the full (compiler, level) matrix.
 
         Returns records in matrix order (compilers outer, levels inner).
-        Each (compiler, cache-token) equivalence class compiles at most
-        once; follower levels rebind the leader's binary to their own
-        level metadata.  Leaders compile in matrix order in the calling
-        thread, through one pass memo for the program, so each distinct
-        pass runs once per input kernel across levels and compilers.
+        Every cell compiles in the calling thread, through one pass memo
+        for the program, so each distinct pass runs once per input kernel
+        across levels and compilers: levels with equal
+        ``Compiler.cache_token`` get the same optimized kernel object
+        without running a pass.  Without ``share_runs`` there is no memo.
         """
-        share = self.engine_config.share_runs
+        memo: dict | None = {} if self.engine_config.share_runs else None
         records: list[CompileRecord] = []
-        leaders: dict[tuple[str, str], CompileRecord] = {}
-        followers: list[tuple[CompileRecord, CompileRecord, Compiler]] = []
-        units: list[tuple[CompileRecord, Compiler, ir.Kernel]] = []
         for compiler in self.compilers:
             kernel = frontend.kernels.get(compiler.kind)
             for level in self.config.levels:
@@ -631,40 +626,12 @@ class CampaignEngine:
                         compiler.kind, "front-end failure"
                     )
                     continue
-                token = compiler.cache_token(level) if share else str(level)
-                unit_key = (compiler.name, token)
-                leader = leaders.get(unit_key)
-                if leader is not None:
-                    record.shared = True
-                    followers.append((record, leader, compiler))
-                    continue
-                leaders[unit_key] = record
-                units.append((record, compiler, kernel))
-
-        memo: dict | None = {} if share else None
-        for record, compiler, kernel in units:
-            try:
-                record.binary = compiler.compile_kernel(kernel, record.level, memo)
-                record.ok = True
-            except CompileError as e:
-                record.error = str(e)
-
-        for record, leader, compiler in followers:
-            record.error = leader.error
-            if not leader.ok:
-                continue
-            record.ok = True
-            record.binary = self._rebind(compiler, leader.binary, record.level)
+                try:
+                    record.binary = compiler.compile_kernel(kernel, level, memo)
+                    record.ok = True
+                except CompileError as e:
+                    record.error = str(e)
         return records
-
-    @staticmethod
-    def _rebind(compiler: Compiler, binary: Binary, level: OptLevel) -> Binary:
-        """A sibling level's binary with this level's metadata attached."""
-        if binary.level is level:
-            return binary
-        return replace(
-            binary, level=level, flags=_flags_or(compiler.name, level, binary.flags)
-        )
 
     # -- execute stage -----------------------------------------------------------
 

@@ -197,9 +197,18 @@ def encode_outcome(outcome: ProgramOutcome) -> dict:
     }
 
 
+def _budget_index(record: dict, key: str) -> int:
+    """``record[key]`` as a budget index: ``KeyError`` when it is missing,
+    ``TypeError`` when it is not an int."""
+    value = record[key]
+    if type(value) is not int:  # bool is an int subclass
+        raise TypeError(f"{key!r} must be an int, got {value!r}")
+    return value
+
+
 def decode_outcome(record: dict) -> ProgramOutcome:
     """Inverse of :func:`encode_outcome` (bit-exact)."""
-    index = record["index"]
+    index = _budget_index(record, "index")
     prog = record["program"]
     program = GeneratedProgram(
         source=prog["source"],
@@ -361,22 +370,25 @@ def _decode_records(
     """Split a checkpoint's body into decoded outcomes and island records.
 
     Raises :class:`CampaignStoreError` naming ``path`` on an unknown
-    record kind or an outcome record missing or mistyping a field.
+    record kind, an outcome record missing or mistyping a field, or an
+    island record without an int ``after``.  Every reader of checkpoint
+    bodies goes through here, the heartbeat and the shard merge included.
     """
     outcomes: list[ProgramOutcome] = []
     islands: list[dict] = []
     for record in records:
         kind = record.get("kind")
-        if kind == "island":
-            islands.append(record)
-            continue
-        if kind != "outcome":
+        if kind not in ("outcome", "island"):
             raise CampaignStoreError(f"unexpected record kind {kind!r} in {path}")
         try:
-            outcomes.append(decode_outcome(record))
+            if kind == "island":
+                _budget_index(record, "after")
+                islands.append(record)
+            else:
+                outcomes.append(decode_outcome(record))
         except (KeyError, TypeError, ValueError, AttributeError) as e:
             raise CampaignStoreError(
-                f"malformed outcome record in {path}: {type(e).__name__}: {e}"
+                f"malformed {kind} record in {path}: {type(e).__name__}: {e}"
             ) from e
     return outcomes, islands
 
@@ -465,7 +477,9 @@ def tail_outcomes(
     next call.  A file that does not exist yet reads as ``([], 0)``:
     a freshly assigned worker simply has not created its store yet.
 
-    Non-outcome records (the header) are consumed but not reported.
+    Non-outcome records (the header) are consumed but not reported; a
+    malformed outcome record raises :class:`CampaignStoreError` naming
+    ``path``.
     """
     p = Path(path)
     try:
@@ -479,7 +493,8 @@ def tail_outcomes(
     for raw, record in _complete_lines(data):
         good += len(raw)
         if record.get("kind") == "outcome":
-            indices.append(record["index"])
+            (outcome,), _ = _decode_records([record], path)
+            indices.append(outcome.index)
     return indices, good
 
 
@@ -585,14 +600,11 @@ def merge_shard_stores(
                     )
                 header = record
                 continue
-            if record.get("kind") == "island":
-                island_rows.setdefault(int(record["after"]), []).append(raw)
+            outcomes, islands = _decode_records([record], path)
+            if islands:
+                island_rows.setdefault(record["after"], []).append(raw)
                 continue
-            if record.get("kind") != "outcome":
-                raise CampaignStoreError(
-                    f"unexpected record kind {record.get('kind')!r} in {path}"
-                )
-            index = record["index"]
+            index = outcomes[0].index
             if index in rows:
                 raise CampaignStoreError(
                     f"duplicate outcome for budget index {index} "

@@ -9,36 +9,27 @@ from __future__ import annotations
 
 import sys
 
-from repro.experiments import table2, table3, table4, table5, figure3, triage_summary
+from repro.cli import TABLES
 from repro.experiments.runner import ExperimentContext
 from repro.experiments.settings import ExperimentSettings
-
-_RUNNERS = {
-    "table2": table2.run,
-    "table3": table3.run,
-    "table4": table4.run,
-    "table5": table5.run,
-    "figure3": figure3.run,
-    "triage": triage_summary.run,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = argv if argv is not None else sys.argv[1:]
     if not args or args[0] in ("-h", "--help"):
         print(__doc__)
-        print("artefacts:", ", ".join([*_RUNNERS, "all"]))
+        print("artefacts:", ", ".join([*TABLES, "all"]))
         return 0
     name = args[0]
     ctx = ExperimentContext(ExperimentSettings())
     if name == "all":
-        for key, runner in _RUNNERS.items():
+        for runner in TABLES.values():
             print(runner(ctx))
             print()
         return 0
-    runner = _RUNNERS.get(name)
+    runner = TABLES.get(name)
     if runner is None:
-        print(f"unknown artefact {name!r}; expected one of {list(_RUNNERS)} or 'all'")
+        print(f"unknown artefact {name!r}; expected one of {list(TABLES)} or 'all'")
         return 2
     print(runner(ctx))
     return 0

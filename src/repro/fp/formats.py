@@ -31,11 +31,6 @@ class FloatFormat:
     def bias(self) -> int:
         return self.emax
 
-    @property
-    def mantissa_bits(self) -> int:
-        """Stored (explicit) significand bits."""
-        return self.precision - 1
-
 
 FP64 = FloatFormat(name="binary64", precision=53, emax=1023, width=64)
 FP32 = FloatFormat(name="binary32", precision=24, emax=127, width=32)

@@ -12,11 +12,12 @@ from repro.execution.worker import run_kernel
 from repro.fp.env import FPEnvironment
 from repro.frontend import ast
 from repro.frontend.parser import parse_program
-from repro.frontend.sema import SemaOptions, check_program
+from repro.frontend.sema import check_program
 from repro.ir import nodes as ir
 from repro.ir.lower import lower_compute
 from repro.ir.passes.base import PassPipeline
-from repro.toolchains.optlevels import OptLevel, flags_for
+from repro.toolchains.cache import env_fingerprint
+from repro.toolchains.optlevels import OptLevel, TierPolicy, flags_for, tier_policy
 
 __all__ = ["CompilerKind", "Binary", "Compiler"]
 
@@ -24,14 +25,6 @@ __all__ = ["CompilerKind", "Binary", "Compiler"]
 class CompilerKind(enum.Enum):
     HOST = "host"
     DEVICE = "device"
-
-
-def _flags_or(name: str, level: OptLevel, fallback: str) -> str:
-    """Table 1 flags for known families; custom compilers keep theirs."""
-    try:
-        return flags_for(name, level)
-    except KeyError:
-        return fallback
 
 
 @dataclass(frozen=True)
@@ -67,6 +60,14 @@ class Compiler:
     kind: CompilerKind = CompilerKind.HOST
     version: str = ""
 
+    def __init__(self, tiers: str = "baseline") -> None:
+        #: divergence-tier profile (see ``optlevels.tier_policy``)
+        self.tiers = tiers
+
+    def _policy(self, level: OptLevel) -> TierPolicy:
+        """This compiler's tier-policy table entry at ``level``."""
+        return tier_policy(self.name, level, self.tiers)
+
     def pipeline(self, level: OptLevel) -> PassPipeline:
         raise NotImplementedError
 
@@ -85,7 +86,7 @@ class Compiler:
 
     def compile_unit(self, unit: ast.TranslationUnit, level: OptLevel) -> Binary:
         try:
-            sema = check_program(unit, self.sema_options())
+            sema = check_program(unit)
             kernel = lower_compute(sema)
         except ReproError as e:
             raise CompileError(f"{self.name}: {e}") from e
@@ -115,20 +116,19 @@ class Compiler:
     # -- level classes -----------------------------------------------------------
 
     def cache_token(self, level: OptLevel) -> str:
-        """Token identifying this compiler's (pipeline, environment) pair at
-        ``level``.
+        """Token naming this compiler's (pipeline, environment) pair at
+        ``level``: every pass's :meth:`~repro.ir.passes.base.Pass.key` in
+        order, plus the environment's
+        :func:`~repro.toolchains.cache.env_fingerprint`.
 
-        Levels whose pipeline *and* environment coincide may return one
-        token, letting the engine compile a single optimized binary per
-        program for the whole equivalence class (gcc's O1/O2/O3 run the
-        same passes, nvcc contracts FMA identically at every level but
-        ``O0_nofma``, ...).  The default is maximally conservative — one
-        token per level — which is always correct.
+        Levels with equal tokens optimize every kernel alike and run it in
+        the same environment (gcc's O0 and O0_nofma run no passes; nvcc
+        contracts FMA identically at every level but ``O0_nofma``).
+        Triage memoizes bisections by it and the corpus model fingerprint
+        hashes it, so a changed pass parameter or pass order changes both.
         """
-        return str(level)
-
-    def sema_options(self) -> SemaOptions:
-        return SemaOptions()
+        keys = [p.key() for p in self.pipeline(level).passes]
+        return repr((keys, env_fingerprint(self.environment(level))))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         v = f" {self.version}" if self.version else ""

@@ -41,7 +41,7 @@ from repro.ir.passes import (
     Vectorize,
 )
 from repro.toolchains.base import Compiler, CompilerKind
-from repro.toolchains.optlevels import OptLevel, TierPolicy, tier_policy
+from repro.toolchains.optlevels import OptLevel
 
 __all__ = ["ClangCompiler"]
 
@@ -53,13 +53,6 @@ class ClangCompiler(Compiler):
 
     #: horizontal-reduction shape of the modeled clang vectorizer
     REDUCE_STYLE = "ladder"
-
-    def __init__(self, tiers: str = "baseline") -> None:
-        #: divergence-tier profile (see ``optlevels.tier_policy``)
-        self.tiers = tiers
-
-    def _policy(self, level: OptLevel) -> TierPolicy:
-        return tier_policy(self.name, level, self.tiers)
 
     def _vector_passes(self, level: OptLevel) -> list:
         pol = self._policy(level)
@@ -98,24 +91,6 @@ class ClangCompiler(Compiler):
                 *self._vector_passes(level),
             ]
         )
-
-    def cache_token(self, level: OptLevel) -> str:
-        # Mirrors :meth:`pipeline`: front-end folding at O0/O0_nofma,
-        # propagating folding at O1, vectorization widths splitting O2
-        # and O3, the fast-math pipeline on top.  A non-baseline tier
-        # profile changes both pipeline and environment, so it suffixes
-        # every token.
-        if level in (OptLevel.O0_NOFMA, OptLevel.O0):
-            token = "O0"
-        elif level is OptLevel.O1:
-            token = "O1"
-        elif level in (OptLevel.O2, OptLevel.O3):
-            token = f"{level}+vec{self._policy(level).vector_width}"
-        else:
-            token = "O3_fastmath"
-        if self.tiers != "baseline":
-            token += f"+tiers:{self.tiers}"
-        return token
 
     def environment(self, level: OptLevel) -> FPEnvironment:
         veclibm = ClangVecLibm() if self._policy(level).vec_libm else None

@@ -38,7 +38,7 @@ from repro.fp.formats import Precision
 from repro.fp.mathlib import CudaLibm, FastCudaLibm, NvccVecLibm
 from repro.ir.passes import FmaContract, IfConvert, PassPipeline, Vectorize
 from repro.toolchains.base import Compiler, CompilerKind
-from repro.toolchains.optlevels import OptLevel, TierPolicy, tier_policy
+from repro.toolchains.optlevels import OptLevel
 
 __all__ = ["NvccCompiler"]
 
@@ -59,17 +59,13 @@ class NvccCompiler(Compiler):
         fmad_prob: float = DEFAULT_FMAD_PROB,
         tiers: str = "baseline",
     ) -> None:
+        super().__init__(tiers)
         #: kernel precision: fast-math FTZ/approx units apply to FP32 only.
         self.precision = precision
         self.fmad_prob = fmad_prob
-        #: divergence-tier profile (see ``optlevels.tier_policy``)
-        self.tiers = tiers
 
     #: warp reductions combine lanes shfl_down-style (recursive halves)
     REDUCE_STYLE = "butterfly"
-
-    def _policy(self, level: OptLevel) -> TierPolicy:
-        return tier_policy(self.name, level, self.tiers)
 
     def pipeline(self, level: OptLevel) -> PassPipeline:
         pol = self._policy(level)
@@ -88,24 +84,6 @@ class NvccCompiler(Compiler):
                 ),
             ]
         )
-
-    def cache_token(self, level: OptLevel) -> str:
-        # One FmaContract+Vectorize pipeline everywhere except O0_nofma;
-        # fast math changes the environment only for single-precision
-        # kernels.  The token carries the instance knobs because keys built
-        # from it include only the family name, and two NvccCompiler
-        # instances may differ.
-        cfg = f"{self.precision.value},fmad={self.fmad_prob}"
-        if self.tiers != "baseline":
-            cfg += f",tiers={self.tiers}"
-        if level is OptLevel.O0_NOFMA:
-            return f"O0_nofma[{cfg}]"
-        fast32 = (
-            level is OptLevel.O3_FASTMATH and self.precision is Precision.SINGLE
-        )
-        if fast32:
-            return f"fast32[{cfg}]"
-        return f"fmad[{cfg}]"
 
     def environment(self, level: OptLevel) -> FPEnvironment:
         fast32 = (

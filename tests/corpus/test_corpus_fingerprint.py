@@ -4,7 +4,8 @@ sensitive to every observable piece of the toolchain."""
 import re
 
 from repro.corpus import model_fingerprint
-from repro.toolchains import ALL_LEVELS, GccCompiler, default_compilers
+from repro.ir.passes import FunctionSubstitution, PassPipeline
+from repro.toolchains import ALL_LEVELS, GccCompiler, OptLevel, default_compilers
 
 
 class TestFingerprint:
@@ -38,3 +39,26 @@ class TestFingerprint:
     def test_compiler_subset_changes_fingerprint(self):
         compilers = default_compilers()
         assert model_fingerprint(compilers[:-1]) != model_fingerprint(compilers)
+
+    def test_pass_parameter_changes_fingerprint(self):
+        class ShallowPowGcc(GccCompiler):
+            def pipeline(self, level):
+                pipeline = super().pipeline(level)
+                return PassPipeline(
+                    FunctionSubstitution(max_pow_expand=2, pow_half_to_sqrt=True)
+                    if isinstance(p, FunctionSubstitution)
+                    else p
+                    for p in pipeline.passes
+                )
+
+        assert ShallowPowGcc().pipeline(OptLevel.O3_FASTMATH).names == (
+            GccCompiler().pipeline(OptLevel.O3_FASTMATH).names
+        )
+        assert model_fingerprint([ShallowPowGcc()]) != model_fingerprint([GccCompiler()])
+
+    def test_pass_order_changes_fingerprint(self):
+        class ReversedGcc(GccCompiler):
+            def pipeline(self, level):
+                return PassPipeline(reversed(super().pipeline(level).passes))
+
+        assert model_fingerprint([ReversedGcc()]) != model_fingerprint([GccCompiler()])

@@ -409,28 +409,41 @@ class TestRunSharing:
         assert kernel_fingerprint(plus, table) != kernel_fingerprint(minus, table)
 
 
+def _pass_classes(cls):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _pass_classes(sub)
+
+
 def _counted_loops_campaign(monkeypatch):
     """A 20-program serial ``loops`` campaign (the approach that revisits
-    kernels across programs most often) with ``Compiler.compile_kernel`` and
-    ``compile_tape`` counted per program.
+    kernels across programs most often) with ``Compiler.compile_kernel``,
+    ``compile_tape`` and every ``Pass.run`` counted.
 
-    Returns the engine, the result, one ``(outcome, compile keys, tape
-    keys)`` triple per program, and the ids of every tape compiled.
+    Returns the engine, the result, one ``(outcome, compiles, tape keys)``
+    triple per program, the ids of every tape compiled and the campaign's
+    ``Pass.run`` total.  Each compile is ``(compiler, level, token,
+    optimized kernel)``.
     """
     from repro.execution import worker
+    from repro.ir.passes.base import Pass
     from repro.toolchains.base import Compiler
 
-    compiles: list[tuple[str, str]] = []
+    compiles: list[tuple] = []
     tapes: list[tuple[str, tuple]] = []
     tape_ids: set[int] = set()
+    pass_runs = [0]
     compile_kernel = Compiler.compile_kernel
     compile_tape = worker.compile_tape
 
     table: dict = {}  # one intern table per program, cleared by progress
 
     def counting_compile(compiler, kernel, level, memo=None):
-        compiles.append((compiler.name, compiler.cache_token(level)))
-        return compile_kernel(compiler, kernel, level, memo)
+        binary = compile_kernel(compiler, kernel, level, memo)
+        compiles.append(
+            (compiler.name, level, compiler.cache_token(level), binary.kernel)
+        )
+        return binary
 
     def counting_tape(kernel, env):
         tapes.append((kernel_fingerprint(kernel, table), env_fingerprint(env)))
@@ -438,8 +451,18 @@ def _counted_loops_campaign(monkeypatch):
         tape_ids.add(id(tape))
         return tape
 
+    def counting_run(run):
+        def wrapped(self, kernel):
+            pass_runs[0] += 1
+            return run(self, kernel)
+
+        return wrapped
+
     monkeypatch.setattr(Compiler, "compile_kernel", counting_compile)
     monkeypatch.setattr(worker, "compile_tape", counting_tape)
+    for cls in set(_pass_classes(Pass)):
+        if "run" in vars(cls):
+            monkeypatch.setattr(cls, "run", counting_run(vars(cls)["run"]))
     per_program = []
 
     def progress(index, outcome):
@@ -460,36 +483,45 @@ def _counted_loops_campaign(monkeypatch):
         make_generator("loops", SplittableRng(seed, "cli-loops")), progress=progress
     )
     assert len(per_program) == 20
-    return engine, result, per_program, tape_ids
+    return engine, result, per_program, tape_ids, pass_runs[0]
 
 
 class TestNothingCachedAcrossPrograms:
     """Only in-program dedup remains: no compilation or tape is reused
     from an earlier program, and no tape outlives its campaign."""
 
-    def test_one_compile_per_leader_one_tape_per_group(self, monkeypatch):
+    def test_one_compile_per_cell_one_tape_per_group(self, monkeypatch):
         from repro.difftest.engine import frontend_kernels
 
-        engine, result, per_program, _ = _counted_loops_campaign(monkeypatch)
+        engine, result, per_program, _, pass_runs = _counted_loops_campaign(
+            monkeypatch
+        )
         for outcome, compiled, taped in per_program:
             kernels = frontend_kernels(outcome.program.source).kernels
-            leaders = {
-                (c.name, c.cache_token(level))
+            cells = [
+                (c.name, level)
                 for c in engine.compilers
                 if c.kind in kernels
                 for level in engine.config.levels
-            }
-            assert sorted(compiled) == sorted(leaders)
+            ]
+            assert [(name, level) for name, level, _, _ in compiled] == cells
+            # One level class, one optimized kernel object.
+            by_class: dict = {}
+            for name, _, token, kernel in compiled:
+                assert by_class.setdefault((name, token), kernel) is kernel
             assert len(taped) == len(set(taped))
         groups = result.total_runs - result.shared_runs
         assert sum(len(taped) for _, _, taped in per_program) == groups
+        # The pass memo runs as many passes as one compile per level
+        # class did (pinned when classes still compiled once each).
+        assert pass_runs == 412
 
     def test_no_tape_outlives_the_campaign(self, monkeypatch):
         import gc
 
         from repro.execution.tape import Tape
 
-        *_, tape_ids = _counted_loops_campaign(monkeypatch)
+        _, _, _, tape_ids, _ = _counted_loops_campaign(monkeypatch)
         assert tape_ids
         gc.collect()
         alive = [o for o in gc.get_objects() if isinstance(o, Tape) and id(o) in tape_ids]

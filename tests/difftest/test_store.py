@@ -399,6 +399,46 @@ class TestMergeShardStores:
         assert "programs:             6" in out
 
 
+class TestMalformedShardRecords:
+    """The heartbeat and the shard merge read records through the same
+    checks as ``open`` and ``load_result``: a damaged record is a named
+    error that names its file, never a raw ``KeyError``/``TypeError``."""
+
+    def _shard(self, tmp_path, damage):
+        store = CampaignStore(tmp_path / "shard0.jsonl")
+        store.open(dict(HEADER, islands=1, merge_every=1))
+        record = encode_outcome(make_outcome(0))
+        damage(record)
+        with store.path.open("a", encoding="utf-8") as f:
+            f.write(json.dumps(record) + "\n")
+        return store.path
+
+    def test_merge_outcome_without_index(self, tmp_path):
+        path = self._shard(tmp_path, lambda r: r.pop("index"))
+        with pytest.raises(CampaignStoreError, match="malformed outcome.*shard0.jsonl"):
+            merge_shard_stores([path], tmp_path / "merged.jsonl")
+
+    def test_tail_outcome_without_index(self, tmp_path):
+        path = self._shard(tmp_path, lambda r: r.pop("index"))
+        with pytest.raises(CampaignStoreError, match="malformed outcome.*shard0.jsonl"):
+            tail_outcomes(path)
+
+    def test_merge_string_index(self, tmp_path):
+        path = self._shard(tmp_path, lambda r: r.update(index="0"))
+        with pytest.raises(CampaignStoreError, match="malformed outcome.*shard0.jsonl"):
+            merge_shard_stores([path], tmp_path / "merged.jsonl")
+
+    def test_merge_island_without_after(self, tmp_path):
+        def to_island(record):
+            record.clear()
+            record.update(TestIslandRecords.ISLAND)
+            del record["after"]
+
+        path = self._shard(tmp_path, to_island)
+        with pytest.raises(CampaignStoreError, match="malformed island.*shard0.jsonl"):
+            merge_shard_stores([path], tmp_path / "merged.jsonl")
+
+
 class TestLegacyVersions:
     """Read-side compat: v1/v2 nightly checkpoints stay usable."""
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.fp.formats import Precision
 from repro.toolchains import (
     ALL_LEVELS,
     ClangCompiler,
@@ -86,20 +87,29 @@ class TestCompilerWiring:
         for c in default_compilers(tiers="full"):
             assert c.tiers == "full"
 
-    def test_baseline_cache_tokens_are_unchanged(self):
-        # The engine's level sharing, corpus/fingerprint.py and
-        # triage/cluster.py key on these; baseline must reproduce the
-        # pre-registry tokens byte-for-byte.
-        gcc = GccCompiler()
-        assert gcc.cache_token(OptLevel.O2) == "O2+vec4"
-        assert gcc.cache_token(OptLevel.O3_FASTMATH) == "O3_fastmath"
-        assert "tiers" not in NvccCompiler().cache_token(OptLevel.O3)
-
-    def test_full_profile_cache_tokens_are_distinct(self):
-        for base, full in zip(default_compilers(), default_compilers(tiers="full")):
+    @pytest.mark.parametrize("tiers", TIER_PROFILES)
+    def test_level_classes(self, tiers):
+        # Levels with equal cache tokens share one (pipeline, environment)
+        # pair; the engine's pass memo, triage's bisection memo and the
+        # corpus model fingerprint all rest on this partition.
+        def classes(compiler):
+            by_token: dict = {}
             for level in ALL_LEVELS:
-                assert base.cache_token(level) != full.cache_token(level)
-                assert "tiers" in full.cache_token(level)
+                by_token.setdefault(compiler.cache_token(level), []).append(str(level))
+            return list(by_token.values())
+
+        host = [["O0_nofma", "O0"], ["O1"], ["O2"], ["O3"], ["O3_fastmath"]]
+        assert classes(GccCompiler(tiers=tiers)) == host
+        assert classes(ClangCompiler(tiers=tiers)) == host
+        assert classes(NvccCompiler(tiers=tiers)) == [
+            ["O0_nofma"],
+            ["O0", "O1", "O2", "O3", "O3_fastmath"],
+        ]
+        assert classes(NvccCompiler(Precision.SINGLE, tiers=tiers)) == [
+            ["O0_nofma"],
+            ["O0", "O1", "O2", "O3"],
+            ["O3_fastmath"],
+        ]
 
     @pytest.mark.parametrize(
         "cls,libname", [(GccCompiler, "libmvec"), (ClangCompiler, "sleef")]
