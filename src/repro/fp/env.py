@@ -24,7 +24,7 @@ import numpy as np
 from repro.fp.bits import double_to_bits
 from repro.fp.fma import fma as _fma_exact
 from repro.fp.formats import FP32, FP64, FloatFormat, Precision
-from repro.fp.mathlib import CorrectlyRoundedLibm, MathLibrary
+from repro.fp.mathlib import MATH_FUNCTIONS, CorrectlyRoundedLibm, MathLibrary
 from repro.fp.ulp import offset_by_ulps
 
 __all__ = ["FPEnvironment"]
@@ -44,6 +44,10 @@ _F64_MIN_NORMAL = float(np.finfo(np.float64).tiny)
 
 _PACK_F32 = struct.Struct("<f").pack
 _UNPACK_F32 = struct.Struct("<f").unpack
+#: Raw argument bits of a library call, by arity (the call-site key).
+_PACK_ARGS = {
+    n: struct.Struct("<%dd" % n).pack for n in {f.arity for f in MATH_FUNCTIONS.values()}
+}
 _INF = math.inf
 #: x86's default quiet NaN (sign bit set) — what the hardware, and hence
 #: numpy, produces for 0/0.
@@ -245,7 +249,9 @@ class FPEnvironment:
     # bit-identical to the corresponding method (including NaN sign and
     # payload, signed zeros, subnormal flushing order, and the approximate
     # div/sqrt perturbation, which sees the *original* unflushed operands
-    # exactly as ``div``/``call`` do).
+    # exactly as ``div``/``call`` do).  A library-call impl also remembers
+    # its site's last argument bits and result (see ``_lib_call_impl``);
+    # the generic methods, which the interpreter uses, evaluate every call.
 
     def _flush_impl(self, ty: str):
         if not self.ftz:
@@ -312,32 +318,58 @@ class FPEnvironment:
         return impl
 
     def call_impl(self, fn: str, ty: str):
-        """A ``f(args)`` bit-identical to ``call(fn, args, ty)``."""
+        """A ``f(args)`` bit-identical to ``call(fn, args, ty)``.
+
+        Each returned impl serves one call site: it reuses its previous
+        result when the argument bits repeat.
+        """
         return self._lib_call_impl(self.libm, fn, ty)
 
     def veccall_impl(self, fn: str, ty: str):
-        """A ``f(args)`` bit-identical to ``veccall(fn, args, ty)``."""
+        """A ``f(args)`` bit-identical to ``veccall(fn, args, ty)``, reusing
+        results per call site like :meth:`call_impl`."""
         return self._lib_call_impl(self.veclibm or self.libm, fn, ty)
 
     def _lib_call_impl(self, lib: MathLibrary, fn: str, ty: str):
+        """A ``f(args)`` keeping one slot: its last raw argument bits and result.
+
+        Loop bodies repeat a site's arguments on every iteration.
+        ``MathLibrary.call`` is pure in (function, argument bits, format),
+        and the ftz and approx-sqrt branches run inside ``evaluate``, so a
+        bit match returns what a fresh call would; ``0.0``/``-0.0``, or
+        NaNs of different sign or payload, never match.
+        """
         fmt = FP32 if ty == "float" else FP64
         libm_call = lib.call
         flush = self._flush_impl(ty)
         if fn == "sqrt" and self.approx_sqrt:
             salt = self._salt
 
-            def impl(args: tuple) -> float:
+            def evaluate(args: tuple) -> float:
                 args = tuple(flush(a) for a in args)
                 ref = libm_call("sqrt", args, fmt)
                 return flush(_approx_perturb(salt, "sqrt", args, ref, 2, 0.5))
 
         elif not self.ftz:
-            def impl(args: tuple) -> float:
+            def evaluate(args: tuple) -> float:
                 return libm_call(fn, args, fmt)
 
         else:
-            def impl(args: tuple) -> float:
+            def evaluate(args: tuple) -> float:
                 return flush(libm_call(fn, tuple(flush(a) for a in args), fmt))
+
+        pack = _PACK_ARGS[MATH_FUNCTIONS[fn].arity]
+        last_bits = last_result = None
+
+        def impl(args: tuple) -> float:
+            nonlocal last_bits, last_result
+            bits = pack(*args)
+            if bits != last_bits:
+                # Store the bits only once the call has returned, so a
+                # call that raises leaves the slot as it was.
+                last_result = evaluate(args)
+                last_bits = bits
+            return last_result
 
         return impl
 

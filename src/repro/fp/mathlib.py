@@ -21,6 +21,7 @@ the standard's correct-rounding requirements for them.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -76,6 +77,23 @@ def _registry() -> dict[str, MathFunction]:
 MATH_FUNCTIONS: dict[str, MathFunction] = _registry()
 
 
+@functools.cache
+def _c_function(name: str):
+    """The platform C library's one-argument double function ``name``.
+
+    :mod:`math` gained ``cbrt`` and ``exp2`` only in Python 3.11, where
+    they wrap these same C functions; calling them through :mod:`ctypes`
+    keeps the model's truth independent of the interpreter version.
+    """
+    import ctypes
+    import ctypes.util
+
+    fn = getattr(ctypes.CDLL(ctypes.util.find_library("m")), name)
+    fn.argtypes = (ctypes.c_double,)
+    fn.restype = ctypes.c_double
+    return fn
+
+
 def _c_semantics(name: str, args: tuple[float, ...]) -> float:
     """Evaluate ``name(args)`` with C99 libm edge-case behaviour.
 
@@ -120,12 +138,7 @@ def _c_semantics(name: str, args: tuple[float, ...]) -> float:
         except ValueError:
             return math.nan
         return r
-    if name == "exp2":
-        fn = lambda v: math.exp2(v) if hasattr(math, "exp2") else 2.0**v
-    elif name == "cbrt":
-        fn = lambda v: math.copysign(abs(v) ** (1.0 / 3.0), v) if not hasattr(math, "cbrt") else math.cbrt(v)
-    else:
-        fn = getattr(math, name)
+    fn = getattr(math, name, None) or _c_function(name)
     try:
         return fn(*args)
     except ValueError:  # domain error: C returns NaN (errno aside)
@@ -159,6 +172,13 @@ class MathLibrary:
     name: str = "abstract"
 
     def call(self, fn: str, args: tuple[float, ...], fmt: FloatFormat = FP64) -> float:
+        """``fn(args)`` rounded to ``fmt``.
+
+        Must be a pure function of (``fn``, the IEEE bits of ``args``,
+        ``fmt``), like a real libm: the tape reuses a call site's result
+        whenever its argument bits repeat
+        (:meth:`repro.fp.env.FPEnvironment.call_impl`).
+        """
         raise NotImplementedError
 
     def _reference(self, fn: str, args: tuple[float, ...], fmt: FloatFormat) -> float:

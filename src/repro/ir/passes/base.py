@@ -8,17 +8,46 @@ from repro.ir import nodes as ir
 __all__ = ["Pass", "ExprRewritePass", "PassPipeline", "rebuild_expr"]
 
 
+class _Rebuild:
+    """``rebuild_expr``'s walker.
+
+    A recursive closure would reach itself through its own cell, leaving
+    a function<->cell cycle (and ``fn`` with it) for the cyclic GC after
+    every rewrite; this callable holds no reference to itself.
+    """
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn) -> None:
+        self.fn = fn
+
+    def __call__(self, node: ir.Expr) -> ir.Expr:
+        return self.fn(ir.map_children(node, self))
+
+
 def rebuild_expr(e: ir.Expr, fn) -> ir.Expr:
     """Bottom-up rewrite: apply ``fn`` to every node after rewriting children.
 
     Subtrees ``fn`` leaves alone come back as the same objects, so
     ``rebuild_expr(e, lambda n: n) is e``.
     """
+    return _Rebuild(fn)(e)
 
-    def go(node: ir.Expr) -> ir.Expr:
-        return fn(ir.map_children(node, go))
 
-    return go(e)
+class _RewriteExprs:
+    """``ExprRewritePass.run``'s walker: descends statements and rebuilds
+    each expression it meets (a callable for the same reason as
+    :class:`_Rebuild`)."""
+
+    __slots__ = ("rebuild",)
+
+    def __init__(self, rewrite) -> None:
+        self.rebuild = _Rebuild(rewrite)
+
+    def __call__(self, node):
+        if isinstance(node, ir.STMT_NODES):
+            return ir.map_children(node, self)
+        return self.rebuild(node)
 
 
 def _attrs_key(obj) -> tuple:
@@ -59,13 +88,7 @@ class ExprRewritePass(Pass):
 
     def run(self, kernel: ir.Kernel) -> ir.Kernel:
         """Rewrite every expression; the input kernel when nothing changed."""
-
-        def go(node):
-            if isinstance(node, ir.STMT_NODES):
-                return ir.map_children(node, go)
-            return rebuild_expr(node, self.rewrite)
-
-        return ir.map_children(kernel, go)
+        return ir.map_children(kernel, _RewriteExprs(self.rewrite))
 
 
 class PassPipeline:

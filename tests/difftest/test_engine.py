@@ -528,6 +528,31 @@ class TestNothingCachedAcrossPrograms:
         assert alive == []
 
 
+class TestLibmEvaluations:
+    def test_tape_call_sites_reuse_repeated_arguments(self, monkeypatch):
+        """Loop bodies repeat the same libm call; each tape call site
+        evaluates a repeated argument once.  Evaluating every call, this
+        campaign made 9,106 ``PerturbedLibm.call`` evaluations."""
+        from repro.fp.mathlib import PerturbedLibm
+
+        evaluations = [0]
+        original = PerturbedLibm.call
+
+        def counted(self, fn, args, fmt):
+            evaluations[0] += 1
+            return original(self, fn, args, fmt)
+
+        monkeypatch.setattr(PerturbedLibm, "call", counted)
+        seed = 20250916
+        engine = CampaignEngine(
+            default_compilers(),
+            CampaignConfig(budget=10, seed=seed),
+            EngineConfig(backend="serial", jobs=1, exec_mode="tape"),
+        )
+        engine.run(make_generator("varity", SplittableRng(seed, "cli-varity")))
+        assert evaluations[0] == 509
+
+
 class TestStageAccounting:
     def test_stage_buckets_cover_total(self):
         result = run_with(EngineConfig(jobs=1), budget=3)

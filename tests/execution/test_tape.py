@@ -481,6 +481,41 @@ class TestCompileTape:
         assert tape.n_regs >= 1 and len(tape.code) >= 2
 
 
+class TestCallSiteReuse:
+    """A tape call site reuses its last libm result for repeated
+    argument bits; the interpreter evaluates every call."""
+
+    N = 8
+    SOURCE = (
+        "void compute(double a) { double s = 0.0;"
+        f" for (int i = 0; i < {N}; i++) {{ s = s + sin(a) + sin((double)i); }}"
+        ' printf("%.17g\\n", s); }'
+        " int main() { return 0; }"
+    )
+
+    def test_loop_invariant_call_evaluates_once(self):
+        from repro.fp.mathlib import HostLibm, PerturbedLibm
+
+        calls = []
+        original = PerturbedLibm.call
+
+        def counted(self, fn, args, fmt):
+            calls.append(args)
+            return original(self, fn, args, fmt)
+
+        kernel = lower(self.SOURCE)
+        env = FPEnvironment(libm=HostLibm())
+        with mock.patch.object(PerturbedLibm, "call", counted):
+            tree = tree_run(kernel, env, (0.7,))
+            tree_calls = len(calls)
+            calls.clear()
+            tape = tape_run(kernel, env, (0.7,))
+        assert tree.ok and result_key(tape) == result_key(tree)
+        assert tree_calls == 2 * self.N
+        assert len(calls) == 1 + self.N
+        assert calls.count((0.7,)) == 1
+
+
 class TestSlotNumbering:
     """Slots are numbered as compilation first meets each name."""
 

@@ -18,7 +18,7 @@ import pytest
 
 from repro.fp.bits import double_to_bits
 from repro.fp.env import FPEnvironment
-from repro.fp.mathlib import MATH_FUNCTIONS, CudaLibm, HostLibm
+from repro.fp.mathlib import MATH_FUNCTIONS, CudaLibm, GccVecLibm, HostLibm
 
 _NAN_PAYLOAD = struct.unpack("<d", b"\x39\x05\x00\x00\x00\x00\xf0\x7f")[0]
 _NEG_NAN = struct.unpack("<d", b"\x00\x00\x00\x00\x00\x00\xf8\xff")[0]
@@ -119,6 +119,65 @@ class TestImplBitIdentity:
         impl = env.canon_impl(ty)
         for v in SPECIALS + _rand_doubles(23, 400):
             assert _bits(impl(v)) == _bits(env.canon(v, ty)), v
+
+
+_SUBNORMAL = 5e-324
+
+
+class TestCallSiteReuse:
+    """A call impl reuses its last result only for identical argument bits.
+
+    The sweep above almost never repeats an argument, so it cannot catch
+    a stale slot; these sequences repeat and alternate bit patterns that
+    compare equal (``0.0 == -0.0``) or never equal themselves (NaNs).
+    """
+
+    NANS = [(math.nan,), (-math.nan,), (_NAN_PAYLOAD,), (math.nan,)]
+    CASES = [
+        ("repeat", FPEnvironment(libm=HostLibm()), "sin", "double",
+         [(0.7,), (0.7,), (0.8,), (0.7,)]),
+        ("signed_zero", FPEnvironment(libm=HostLibm()), "sin", "double",
+         [(0.0,), (-0.0,), (0.0,)]),
+        ("nans", FPEnvironment(libm=HostLibm()), "sin", "double", NANS),
+        ("nan_sign_two_args", FPEnvironment(libm=CudaLibm()), "copysign", "double",
+         [(1.5, math.nan), (1.5, -math.nan), (1.5, _NAN_PAYLOAD), (1.5, math.nan)]),
+        ("ftz_subnormal", FPEnvironment(libm=CudaLibm(), ftz=True), "sin", "double",
+         [(_SUBNORMAL,), (-_SUBNORMAL,), (0.0,), (_SUBNORMAL,), (-0.0,), (1e-310,)]),
+        ("ftz_subnormal_float", FPEnvironment(libm=CudaLibm(), ftz=True), "sin", "float",
+         [(1e-39,), (-1e-39,), (1e-39,), (0.5,), (1e-39,)]),
+        ("approx_sqrt", FPEnvironment(approx_sqrt=True), "sqrt", "double",
+         [(2.0,), (2.0,), (3.0,), (-0.0,), (0.0,), (2.0,), (math.nan,), (-math.nan,)]),
+        ("approx_sqrt_ftz", FPEnvironment(ftz=True, approx_sqrt=True), "sqrt", "double",
+         [(_SUBNORMAL,), (-_SUBNORMAL,), (5.0,), (5.0,), (_SUBNORMAL,)]),
+    ]
+
+    @pytest.mark.parametrize(
+        "env, fn, ty, sequence", [c[1:] for c in CASES], ids=[c[0] for c in CASES]
+    )
+    def test_call_impl_sequence(self, env, fn, ty, sequence):
+        impl = env.call_impl(fn, ty)
+        got = [_bits(impl(args)) for args in sequence]
+        assert got == [_bits(env.call(fn, args, ty)) for args in sequence]
+        # Consecutive results differ somewhere, so a stale slot would show.
+        assert any(a != b for a, b in zip(got, got[1:])) or len(set(sequence)) == 1
+
+    def test_veccall_impl_sequence(self):
+        env = FPEnvironment(libm=HostLibm(), veclibm=GccVecLibm())
+        impl = env.veccall_impl("exp", "double")
+        lanes = [(0.3,), (0.3,), (-0.0,), (0.0,)] + self.NANS + [(0.3,)]
+        got = [_bits(impl(args)) for args in lanes]
+        assert got == [_bits(env.veccall("exp", args, "double")) for args in lanes]
+
+    def test_raising_call_leaves_the_slot(self):
+        # mathlib's binary32 rounding raises on finite doubles beyond f32
+        # range; the next call must not see a half-written slot.
+        env = FPEnvironment(libm=HostLibm())
+        impl = env.call_impl("exp", "float")
+        first = impl((0.5,))
+        for _ in range(2):
+            with pytest.raises(OverflowError):
+                impl((1e300,))
+        assert _bits(impl((0.5,))) == _bits(first) == _bits(env.call("exp", (0.5,), "float"))
 
 
 def test_impls_are_plain_callables():

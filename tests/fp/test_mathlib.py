@@ -1,11 +1,15 @@
 """Math-library model contracts: determinism, accuracy bounds, decorrelation."""
 
 import math
+import random
+import struct
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.fp.bits import double_to_bits
 from repro.fp.formats import FP32
 from repro.fp.mathlib import (
     MATH_FUNCTIONS,
@@ -14,6 +18,8 @@ from repro.fp.mathlib import (
     FastCudaLibm,
     FastHostLibm,
     HostLibm,
+    _c_function,
+    _c_semantics,
 )
 from repro.fp.ulp import ulp_distance
 
@@ -148,3 +154,51 @@ class TestPerturbedContracts:
             assert math.isnan(lib.call("log", (-5.0,)))
             assert lib.call("exp", (1e5,)) == math.inf
             assert lib.call("atan", (0.0,)) == 0.0
+
+
+class TestCFunctionFallback:
+    """``cbrt`` and ``exp2`` are the C library's on every Python version.
+
+    Before 3.11, :mod:`math` has neither, and ``_c_semantics`` calls the C
+    library through ctypes instead of approximating with ``**``.
+    """
+
+    #: glibc bits.  ``abs(x) ** (1/3)`` and ``2.0 ** x`` miss every cbrt
+    #: row and the last two exp2 rows.
+    PINNED = [
+        ("cbrt", 27.0, 0x4008000000000001),
+        ("cbrt", 2.0, 0x3FF428A2F98D728C),
+        ("cbrt", -3.5, 0xBFF84AEF28ACCD49),
+        ("cbrt", 5e-324, 0x298FFFFFFFFFFFFF),
+        ("exp2", 0.5, 0x3FF6A09E667F3BCD),
+        ("exp2", -1074.5, 0x1),
+        ("exp2", 449.83306281474665, 0x5C0C80DFBA8410F4),
+        ("exp2", 60.666416189320444, 0x43B964DDAE9E1C0A),
+    ]
+
+    @pytest.mark.parametrize("name, x, bits", PINNED)
+    def test_pinned_bits(self, name, x, bits):
+        assert double_to_bits(_c_semantics(name, (x,))) == bits
+
+    def test_special_values(self):
+        assert _c_semantics("exp2", (2000.0,)) == math.inf
+        assert _c_semantics("cbrt", (-math.inf,)) == -math.inf
+        assert double_to_bits(_c_semantics("cbrt", (-0.0,))) == double_to_bits(-0.0)
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="math.cbrt/exp2 are 3.11+")
+    @pytest.mark.parametrize("name", ["cbrt", "exp2"])
+    def test_ctypes_matches_math(self, name):
+        rng = random.Random(20250916)
+        c_fn, py_fn = _c_function(name), getattr(math, name)
+        for i in range(6000):
+            # Raw bit patterns reach NaNs, infinities and subnormals; most
+            # of them overflow exp2, so half the sweep stays in its range.
+            if i % 2:
+                x = rng.uniform(-1100.0, 1100.0)
+            else:
+                x = struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+            try:
+                expected = py_fn(x)
+            except OverflowError:
+                expected = math.inf
+            assert double_to_bits(c_fn(x)) == double_to_bits(expected), x

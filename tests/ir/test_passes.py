@@ -1,5 +1,6 @@
 """Optimizer passes: folding, contraction, reassociation, fast-math."""
 
+import gc
 import math
 
 import pytest
@@ -17,6 +18,7 @@ from repro.ir.passes import (
     Reassociate,
     ReciprocalDivision,
 )
+from repro.ir.passes.base import rebuild_expr
 
 
 def kernel_for(body, params="double a, double b, int n"):
@@ -289,3 +291,24 @@ class TestPipeline:
     def test_empty_pipeline_identity(self):
         k = kernel_for("double c = a + b;")
         assert PassPipeline().run(k) is k
+
+
+def test_rewrites_leave_no_reference_cycles():
+    """A rewrite's garbage is freed by reference counting alone."""
+    kernel = kernel_for(
+        "double s = 0.0;"
+        " for (int i = 0; i < n; i++) { s = s + a * b / (a - sin(b)); }"
+        " double c = s * 2.0 + a;"
+    )
+    passes = [FmaContract(), Reassociate(), ReciprocalDivision(),
+              FiniteMathSimplify(), FunctionSubstitution()]
+    gc.collect()
+    gc.disable()
+    try:
+        for p in passes:
+            p.run(kernel)
+        for s in kernel.body:
+            ir.map_children(s, lambda e: rebuild_expr(e, lambda n: n))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
