@@ -10,8 +10,9 @@ through three engine configurations:
   identical-binary run sharing on.  Its speedup is funded by *dedup*
   alone.
 * **process** — ``backend=process, jobs=auto`` with the same sharing:
-  execute tasks ship to a process pool as picklable kernel specs, adding
-  real multi-core parallelism on top of the dedup.
+  whole programs fan out to a process pool (the parent tests every
+  ``jobs``-th one), adding real multi-core parallelism on top of the
+  dedup.
 
 Asserted shape: every configuration produces a byte-identical
 CampaignResult; the dedup engine sustains >= 1.6x the serial
@@ -33,8 +34,9 @@ campaign (``islands=4``), whose generate stage adds the novelty census,
 SUS strategy selection and merge-point migrant exchange on top of plain
 mutation.  ``island_throughput`` is warn-only in the regression gate
 (absolute wall-clock); the bit-identity of the island campaign between
-the serial backend and a two-worker process pool *is* asserted — the
-island model's determinism contract.
+the serial backend and ``backend=process, jobs=2`` (where an island
+campaign runs inline) *is* asserted — the island model's determinism
+contract.
 
 Two tape-executor legs ride along (schema 4): the loops campaign re-run
 under ``exec_mode=tape`` (its result must be bit-identical — part of the

@@ -511,12 +511,13 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--seed", type=int, default=20250916)
     p_run.add_argument(
         "--backend", choices=BACKENDS, default=DEFAULT_BACKEND,
-        help="execute-stage fan-out: serial (inline, the default) or "
-        "process (multi-core); results are byte-identical",
+        help="fan-out: serial (inline, the default) or process (whole "
+        "programs on --jobs processes; feedback and island campaigns "
+        "stay inline); results are byte-identical",
     )
     p_run.add_argument(
         "--jobs", type=_jobs_arg, default=1, metavar="N|auto",
-        help="workers for the execute stage (default 1; 'auto' = "
+        help="processes testing programs (default 1; 'auto' = "
         "one per CPU; more than one needs --backend process)",
     )
     p_run.add_argument(
@@ -589,12 +590,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_tab.add_argument(
         "--backend", choices=BACKENDS, default=None,
-        help="execute-stage fan-out backend, byte-identical results "
+        help="program fan-out backend, byte-identical results "
         f"(default: REPRO_BACKEND or {DEFAULT_BACKEND})",
     )
     p_tab.add_argument(
         "--jobs", type=_jobs_arg, default=None, metavar="N|auto",
-        help="workers for the execute stage, 'auto' = one per CPU; more "
+        help="processes testing programs, 'auto' = one per CPU; more "
         "than one needs --backend process (default: REPRO_JOBS or 1)",
     )
     p_tab.add_argument(

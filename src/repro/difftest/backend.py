@@ -1,34 +1,30 @@
-"""Execution backends: how the engine's execute stage fans out.
+"""Backend names, worker counts, and the execute stage's dispatch point.
 
-The staged engine treats "run these independent work units" as a policy
-decision separated from the stages themselves.  Two policies exist:
+Two backends exist, and both are byte-identical:
 
-* :class:`SerialBackend` — everything inline on the calling thread, the
-  default.  The reference cost model; zero scheduling overhead.
-* :class:`ProcessBackend` — a :class:`~concurrent.futures.ProcessPoolExecutor`
-  for the execute stage.  Kernel runs are dispatched as picklable task
-  specs (optimized IR, FP environment, input vector, step limit, exec
-  mode) through the pure :func:`repro.execution.worker.run_kernel_task`,
-  chunked to amortize IPC.  This is real multi-core parallelism: each run
-  is independent.
+* ``serial`` (the default) — every stage inline on the calling thread,
+  one worker.
+* ``process`` — :meth:`~repro.difftest.engine.CampaignEngine.run` fans
+  whole programs of a feedback-free campaign out to ``jobs - 1`` pool
+  workers and tests every ``jobs``-th program itself; outcomes are
+  checkpointed, observed and reported in index order.  Feedback and
+  island campaigns run inline on it: ``--islands`` is how they use more
+  cores.
 
-A thread pool is deliberately absent: the stages are pure Python, so
-under CPython's GIL it added scheduling cost and no parallelism.
+Kernels never cross a process boundary on their own: a single kernel
+run costs less than the round trip that would ship it.  A thread pool is
+absent too: the stages are pure Python, so under CPython's GIL it would
+add scheduling cost and no parallelism.
 
-Backends schedule execution only: the engine compiles in the calling
-thread, where one per-program pass memo sees every compilation.
-
-Every backend returns results in task order, so the engine fills its
-records in the same deterministic sequence regardless of policy: a
-:class:`~repro.difftest.record.CampaignResult` is byte-identical across
-backends and job counts (the worker's purity guarantee plus pickle's
-bit-exact float round-trip).
+:meth:`ExecutionBackend.run_batches` is where a program's execute stage
+hands its distinct kernel runs over (one
+:data:`~repro.execution.worker.KernelTask` in, one result out, in task
+order); the engine dispatches through a plain :class:`SerialBackend`.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Sequence
 
 from repro.execution.worker import KernelTask, run_kernel_task
@@ -96,32 +92,21 @@ def check_backend(name: str, jobs: int | str) -> None:
     if name == "serial" and resolved != 1:
         raise BackendError(
             f"the serial backend runs inline and cannot use jobs={jobs}; "
-            "pass --backend process to run the execute stage on "
+            "pass --backend process to test programs on "
             f"{resolved} workers"
         )
 
 
 class ExecutionBackend:
-    """Ordered fan-out of independent kernel executions.
+    """The dispatch point of one program's execute stage.
 
-    ``run_batches`` schedules a batch of pure kernel executions — one
-    :data:`~repro.execution.worker.KernelTask` in, one result out —
-    possibly across a process boundary, and preserves task order.
-    Backends are context managers; pools are created lazily on first use
-    and torn down on exit.
+    ``run_batches`` runs a batch of pure kernel executions — one
+    :data:`~repro.execution.worker.KernelTask` in, one result out — in
+    task order, inline.
     """
 
     name: str = "abstract"
     jobs: int = 1
-
-    def __enter__(self) -> "ExecutionBackend":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()
-
-    def shutdown(self) -> None:
-        """Release pool resources (idempotent)."""
 
     def run_batches(self, tasks: Sequence[KernelTask]) -> list[ExecutionResult]:
         """Execute every task (one kernel on one input vector), in order."""
@@ -135,33 +120,16 @@ class SerialBackend(ExecutionBackend):
 
 
 class ProcessBackend(ExecutionBackend):
-    """Process-pool fan-out of the execute stage (true multi-core).
+    """The ``process`` policy: ``jobs`` processes test whole programs.
 
-    Execute tasks ship to workers as picklable specs and
-    results gather in task order, so output is byte-identical to
-    :class:`SerialBackend`.
+    The fan-out lives in :meth:`~repro.difftest.engine.CampaignEngine.run`;
+    inside each process a program's kernels still run inline.
     """
 
     name = "process"
 
-    def __init__(self, jobs: int) -> None:
+    def __init__(self, jobs: int | str) -> None:
         self.jobs = resolve_jobs(jobs)
-        self._pool: ProcessPoolExecutor | None = None
-
-    def shutdown(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def run_batches(self, tasks: Sequence[KernelTask]) -> list[ExecutionResult]:
-        if self.jobs == 1 or len(tasks) < 2:
-            return [run_kernel_task(task) for task in tasks]
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
-        # Tasks per IPC message: enough to amortize pickling, few enough to
-        # keep all workers fed (at least two waves per worker when possible).
-        chunksize = max(1, len(tasks) // (self.jobs * 2))
-        return list(self._pool.map(run_kernel_task, tasks, chunksize=chunksize))
 
 
 def create_backend(name: str, jobs: int | str) -> ExecutionBackend:

@@ -101,57 +101,65 @@ def masked_shape(kernel: ir.Kernel) -> tuple[tuple, ...]:
     vectorizer emits, does not count: it executes one arm, not both).
     """
     shape: list[tuple] = []
-
-    def leaf_sites(s: ir.Stmt, include_reduce: bool) -> None:
-        if isinstance(s, ir.SMaskedStore) and s.lanes > 1:
-            shape.append(("mstore", s.lanes))
-        for top in ir.stmt_exprs(s):
-            for e in ir.walk(top):
-                if isinstance(e, ir.VecCmp):
-                    shape.append(("cmp", e.op, e.lanes))
-                elif isinstance(e, ir.VecSelect):
-                    shape.append(("select", e.lanes))
-                elif isinstance(e, ir.VecMaskedLoad):
-                    shape.append(("mload", e.lanes))
-                elif include_reduce and isinstance(e, ir.VecReduce):
-                    shape.append(("reduce", e.op, e.lanes, e.style))
-
-    def has_mask(s: ir.Stmt) -> bool:
-        for sub in ir.walk_stmts((s,)):
-            if isinstance(sub, ir.SMaskedStore) and sub.lanes > 1:
-                return True
-            for top in ir.stmt_exprs(sub):
-                if any(
-                    isinstance(e, (ir.VecCmp, ir.VecSelect, ir.VecMaskedLoad))
-                    for e in ir.walk(top)
-                ):
-                    return True
-        return False
-
-    def visit(stmts: tuple[ir.Stmt, ...]) -> None:
-        for s in stmts:
-            if isinstance(s, ir.SIf) and has_mask(s):
-                # A masked vector region (the vectorizer's guard block):
-                # consume it whole, reductions included.
-                for sub in ir.walk_stmts((s,)):
-                    leaf_sites(sub, include_reduce=True)
-            elif isinstance(s, ir.SIf):
-                leaf_sites(s, include_reduce=False)  # own condition only
-                visit(s.then)
-                visit(s.other)
-            elif isinstance(s, ir.SFor):
-                leaf_sites(s, include_reduce=False)
-                visit(s.init)
-                visit(s.body)
-                visit(s.step)
-            elif isinstance(s, ir.SWhile):
-                leaf_sites(s, include_reduce=False)
-                visit(s.body)
-            else:
-                leaf_sites(s, include_reduce=False)
-
-    visit(kernel.body)
+    _masked_sites(kernel.body, shape)
     return tuple(shape)
+
+
+# The walkers below are module-level functions rather than recursive
+# closures: a closure that calls itself reaches itself through its own
+# cell, leaving a function<->cell cycle for the cyclic GC on every call.
+
+
+def _leaf_sites(s: ir.Stmt, include_reduce: bool, shape: list[tuple]) -> None:
+    if isinstance(s, ir.SMaskedStore) and s.lanes > 1:
+        shape.append(("mstore", s.lanes))
+    for top in ir.stmt_exprs(s):
+        for e in ir.walk(top):
+            if isinstance(e, ir.VecCmp):
+                shape.append(("cmp", e.op, e.lanes))
+            elif isinstance(e, ir.VecSelect):
+                shape.append(("select", e.lanes))
+            elif isinstance(e, ir.VecMaskedLoad):
+                shape.append(("mload", e.lanes))
+            elif include_reduce and isinstance(e, ir.VecReduce):
+                shape.append(("reduce", e.op, e.lanes, e.style))
+
+
+def _has_mask(s: ir.Stmt) -> bool:
+    for sub in ir.walk_stmts((s,)):
+        if isinstance(sub, ir.SMaskedStore) and sub.lanes > 1:
+            return True
+        for top in ir.stmt_exprs(sub):
+            if any(
+                isinstance(e, (ir.VecCmp, ir.VecSelect, ir.VecMaskedLoad))
+                for e in ir.walk(top)
+            ):
+                return True
+    return False
+
+
+def _masked_sites(stmts: tuple[ir.Stmt, ...], shape: list[tuple]) -> None:
+    """Append :func:`masked_shape`'s site descriptors for ``stmts``."""
+    for s in stmts:
+        if isinstance(s, ir.SIf) and _has_mask(s):
+            # A masked vector region (the vectorizer's guard block):
+            # consume it whole, reductions included.
+            for sub in ir.walk_stmts((s,)):
+                _leaf_sites(sub, True, shape)
+        elif isinstance(s, ir.SIf):
+            _leaf_sites(s, False, shape)  # own condition only
+            _masked_sites(s.then, shape)
+            _masked_sites(s.other, shape)
+        elif isinstance(s, ir.SFor):
+            _leaf_sites(s, False, shape)
+            _masked_sites(s.init, shape)
+            _masked_sites(s.body, shape)
+            _masked_sites(s.step, shape)
+        elif isinstance(s, ir.SWhile):
+            _leaf_sites(s, False, shape)
+            _masked_sites(s.body, shape)
+        else:
+            _leaf_sites(s, False, shape)
 
 
 def _expr_has_vector(e: ir.Expr) -> bool:
@@ -191,35 +199,36 @@ def devectorized_body(kernel: ir.Kernel) -> tuple[ir.Stmt, ...]:
     mis-tag.
     """
 
-    def scalarized(e: ir.Expr | None) -> ir.Expr | None:
-        if e is None or not _expr_has_vector(e):
-            return e
-        return ir.IConst(1)
+    return _strip(kernel.body)
 
-    def strip(stmts: tuple[ir.Stmt, ...]) -> tuple[ir.Stmt, ...]:
-        out: list[ir.Stmt] = []
-        for s in stmts:
-            if isinstance(s, ir.SIf):
-                then, other = strip(s.then), strip(s.other)
-                if then or other or not _stmt_has_vector(s):
-                    out.append(ir.SIf(scalarized(s.cond), then, other))
-            elif isinstance(s, ir.SFor):
-                body = strip(s.body)
-                if body or not _stmt_has_vector(s):
-                    out.append(
-                        ir.SFor(
-                            strip(s.init), scalarized(s.cond), strip(s.step), body
-                        )
-                    )
-            elif isinstance(s, ir.SWhile):
-                body = strip(s.body)
-                if body or not _stmt_has_vector(s):
-                    out.append(ir.SWhile(scalarized(s.cond), body))
-            elif not _stmt_has_vector(s):
-                out.append(s)
-        return tuple(out)
 
-    return strip(kernel.body)
+def _scalarized(e: ir.Expr | None) -> ir.Expr | None:
+    if e is None or not _expr_has_vector(e):
+        return e
+    return ir.IConst(1)
+
+
+def _strip(stmts: tuple[ir.Stmt, ...]) -> tuple[ir.Stmt, ...]:
+    """:func:`devectorized_body` of a statement sequence."""
+    out: list[ir.Stmt] = []
+    for s in stmts:
+        if isinstance(s, ir.SIf):
+            then, other = _strip(s.then), _strip(s.other)
+            if then or other or not _stmt_has_vector(s):
+                out.append(ir.SIf(_scalarized(s.cond), then, other))
+        elif isinstance(s, ir.SFor):
+            body = _strip(s.body)
+            if body or not _stmt_has_vector(s):
+                out.append(
+                    ir.SFor(_strip(s.init), _scalarized(s.cond), _strip(s.step), body)
+                )
+        elif isinstance(s, ir.SWhile):
+            body = _strip(s.body)
+            if body or not _stmt_has_vector(s):
+                out.append(ir.SWhile(_scalarized(s.cond), body))
+        elif not _stmt_has_vector(s):
+            out.append(s)
+    return tuple(out)
 
 
 def devectorized_fingerprint(kernel: ir.Kernel) -> str:

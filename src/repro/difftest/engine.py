@@ -31,16 +31,14 @@ deduplicated and concurrently schedulable:
   scalar environments are equal and whose devectorized kernels match —
   the only pairs that can carry a tag.
 
-Compilation runs in the calling thread, in matrix order.  Distinct
-execute units fan out to an
-:class:`~repro.difftest.backend.ExecutionBackend` — ``serial`` (inline,
-the default) or ``process`` (true multi-core: execute tasks ship to a
-:class:`~concurrent.futures.ProcessPoolExecutor` as picklable specs
-through the pure :func:`~repro.execution.worker.run_kernel_task`).
-Results are gathered in matrix order and every record dict is filled in
-the same deterministic order as the serial loop, so a
-:class:`CampaignResult` is byte-identical across backends and job counts
-— only the stage timings differ.
+Compilation and execution run in the calling process, in matrix order;
+each distinct execute unit is dispatched through
+:meth:`~repro.difftest.backend.ExecutionBackend.run_batches`.  With
+``backend="process"`` and more than one job, :meth:`CampaignEngine.run`
+fans *whole programs* of a feedback-free campaign out to a process pool
+(generation, checkpointing and reporting stay in the parent, in index
+order), so a :class:`CampaignResult` is byte-identical across backends
+and job counts — only the stage timings differ.
 
 Two campaign-scale facilities ride on that determinism:
 
@@ -57,9 +55,12 @@ Two campaign-scale facilities ride on that determinism:
 
 Note on throughput: on the serial backend the measured gains come from
 the in-program *dedup* — the pass memo and identical-binary run
-sharing.  The ``process`` backend adds real CPU parallelism on top for
-the execute stage.  Nothing is cached across programs: every compiled
-binary and tape dies with its program.
+sharing.  The ``process`` backend adds real CPU parallelism on top by
+testing ``jobs`` programs at once; a program is the smallest unit worth
+a round trip.  Feedback and island campaigns run inline on it (program
+*i+1* depends on the verdict for *i*); ``islands`` is how they use more
+cores.  Nothing is cached across programs: every compiled binary and
+tape dies with its program.
 """
 
 from __future__ import annotations
@@ -67,22 +68,22 @@ from __future__ import annotations
 import json
 import os
 import sys
-from collections import Counter
+from collections import Counter, deque
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 
 from repro.difftest.backend import (
     DEFAULT_BACKEND,
-    ExecutionBackend,
+    SerialBackend,
     check_backend,
-    create_backend,
     resolve_jobs,
 )
 from repro.difftest.compare import digit_difference
 from repro.difftest.config import CampaignConfig
 from repro.difftest.record import CampaignResult, ComparisonRecord, ProgramOutcome
 from repro.errors import CompileError, ReproError
-from repro.execution.worker import DEFAULT_EXEC_MODE, check_exec_mode, run_kernel_task
+from repro.execution.worker import DEFAULT_EXEC_MODE, check_exec_mode
 from repro.execution.result import ExecutionResult, _value_hex
 from repro.fp.env import FPEnvironment
 from repro.frontend.parser import parse_program
@@ -177,17 +178,19 @@ class EngineConfig:
     """Execution knobs of the engine (orthogonal to the campaign config).
 
     Attributes:
-        jobs: workers fanning out each program's execute stage;
-            ``1`` runs every stage inline, ``"auto"`` uses one worker per
-            CPU.  More than one needs ``backend="process"``.
+        jobs: processes testing programs at once (the calling one
+            included); ``1`` runs every stage inline, ``"auto"`` uses one
+            per CPU.  More than one needs ``backend="process"``.
         share_runs: deduplicate work *within* one program's matrix — each
             distinct pass runs once per input kernel, and binaries with
             content-identical (optimized kernel, environment) execute once.
             Disabling it reproduces the legacy serial cost model exactly
             (used as the benchmark baseline).
         backend: fan-out policy — ``"serial"`` (inline, requires jobs=1;
-            the default) or ``"process"`` (multi-core process pool for the
-            execute stage).  Results are byte-identical across both.
+            the default) or ``"process"`` (whole programs of a
+            feedback-free, island-free campaign fan out to ``jobs - 1``
+            pool workers; feedback and island campaigns run inline).
+            Results are byte-identical across both.
         shard_index / shard_count: run only budget indices where
             ``index % shard_count == shard_index``; disjoint shards merge
             to the unsharded result (:func:`repro.difftest.store.merge_shards`).
@@ -419,9 +422,12 @@ class CampaignEngine:
         """Run one approach's full campaign (Figure 1's outer loop).
 
         ``progress``, if given, is called as ``progress(i, outcome)`` after
-        each program.  Generation stays serial (the feedback loop is a
-        sequential dependency); each program's matrix fans out through the
-        configured :class:`~repro.difftest.backend.ExecutionBackend`.
+        each program, in index order.  Generation stays serial (the
+        feedback loop is a sequential dependency).  On the ``process``
+        backend with more than one job, a feedback-free campaign without
+        islands tests whole programs in a process pool
+        (:meth:`_run_fanned`); every other configuration runs the serial
+        loop below.
 
         ``store``, if given, is a
         :class:`~repro.difftest.store.CampaignStore`: completed programs
@@ -484,49 +490,133 @@ class CampaignEngine:
         # Snapshot lifetime counters so a reused engine (prior
         # test_program calls) reports per-run deltas, not totals.
         runs_before = (self._shared_runs, self._total_runs)
-        with create_backend(ec.backend, ec.jobs) as backend:
-            for i in range(config.budget):
-                if coordinator is None:
-                    # Classic mode: every shard replays the whole stream.
-                    with sw.phase("generate"):
-                        program = generator.generate()
-                    if not ec.owns(i):
-                        continue
-                elif not ec.owns(i):
-                    # Island mode: unowned indices belong to another
-                    # shard's island — not generated here at all.
+        if (
+            ec.backend == "process"
+            and ec.resolved_jobs > 1
+            and not caps.feedback
+            and coordinator is None
+        ):
+            self._run_fanned(generator, done, sw, result, progress, store)
+            self._charge(result, sw, generator, runs_before)
+            return result
+        for i in range(config.budget):
+            if coordinator is None:
+                # Classic mode: every shard replays the whole stream.
+                with sw.phase("generate"):
+                    program = generator.generate()
+                if not ec.owns(i):
                     continue
-                else:
-                    with sw.phase("generate"):
-                        program = coordinator.generate(i)
-                prior = done.get(i)
-                if prior is not None:
-                    _check_replay(i, prior, program)
-                    outcome = prior
-                else:
-                    outcome = self.test_program(
-                        i, program, _sw=sw, _backend=backend
-                    )
-                if coordinator is None:
-                    generator.observe(outcome)
-                    island_records: list[dict] = []
-                else:
-                    island_records = coordinator.observe(i, outcome)
-                if prior is None and store is not None:
-                    store.append(outcome)
-                if store is not None:
-                    # After the boundary outcome is durable, never before:
-                    # a sibling island polling this file must not see the
-                    # export ahead of the outcomes that produced it.
-                    for record in island_records:
-                        store.append_island(record)
-                if coordinator is not None:
-                    coordinator.complete_boundary(i)
-                result.outcomes.append(outcome)
-                if progress is not None:
-                    progress(i, outcome)
+            elif not ec.owns(i):
+                # Island mode: unowned indices belong to another
+                # shard's island — not generated here at all.
+                continue
+            else:
+                with sw.phase("generate"):
+                    program = coordinator.generate(i)
+            prior = done.get(i)
+            if prior is not None:
+                _check_replay(i, prior, program)
+                outcome = prior
+            else:
+                outcome = self.test_program(i, program, _sw=sw)
+            if coordinator is None:
+                generator.observe(outcome)
+                island_records: list[dict] = []
+            else:
+                island_records = coordinator.observe(i, outcome)
+            if prior is None and store is not None:
+                store.append(outcome)
+            if store is not None:
+                # After the boundary outcome is durable, never before:
+                # a sibling island polling this file must not see the
+                # export ahead of the outcomes that produced it.
+                for record in island_records:
+                    store.append_island(record)
+            if coordinator is not None:
+                coordinator.complete_boundary(i)
+            result.outcomes.append(outcome)
+            if progress is not None:
+                progress(i, outcome)
         self._charge(result, sw, generator, runs_before)
         return result
+
+    def _run_fanned(
+        self,
+        generator: ProgramGenerator,
+        done: dict[int, ProgramOutcome],
+        sw: Stopwatch,
+        result: CampaignResult,
+        progress: object,
+        store: object,
+    ) -> None:
+        """The ``process`` backend's campaign loop: whole programs in a pool.
+
+        Fresh owned programs go round-robin: every ``jobs``-th one is
+        tested here through :meth:`test_program`, the rest by ``jobs - 1``
+        pool workers, each returning its outcome, stage seconds and
+        run-sharing deltas.  Generation, replay checks, ``observe``, the
+        checkpoint and ``progress`` stay here, in index order.  The
+        parent generates (and submits) ahead until ``2 * jobs`` programs
+        are in flight and only then tests the oldest program it owns, so
+        the workers are never left without a program while it does.
+        ``observe`` may lag generation, which only a feedback-free
+        generator allows.
+        """
+        ec = self.engine_config
+        jobs = ec.resolved_jobs
+        # (index, program, entry): entry is the replayed outcome, a
+        # worker's Future, or None for a program tested here.
+        pending: deque = deque()
+        fresh = 0
+
+        def finish(
+            index: int,
+            program: GeneratedProgram,
+            entry: ProgramOutcome | Future | None,
+        ) -> None:
+            if entry is None:
+                outcome = self.test_program(index, program, _sw=sw)
+            elif isinstance(entry, Future):
+                outcome, buckets, (shared, total) = entry.result()
+                for phase, seconds in buckets.items():
+                    sw.charge(phase, seconds)
+                self._shared_runs += shared
+                self._total_runs += total
+            else:
+                outcome = entry
+            generator.observe(outcome)
+            if outcome is not entry and store is not None:
+                store.append(outcome)
+            result.outcomes.append(outcome)
+            if progress is not None:
+                progress(index, outcome)
+
+        with ProcessPoolExecutor(
+            jobs - 1, initializer=_adopt_engine, initargs=(self,)
+        ) as pool:
+            for i in range(self.config.budget):
+                with sw.phase("generate"):
+                    program = generator.generate()
+                if not ec.owns(i):
+                    continue
+                entry = done.get(i)
+                if entry is not None:
+                    _check_replay(i, entry, program)
+                else:
+                    if fresh % jobs:
+                        entry = pool.submit(_test_in_worker, i, program)
+                    fresh += 1
+                pending.append((i, program, entry))
+                while pending:
+                    head = pending[0][2]
+                    ready = isinstance(head, ProgramOutcome) or (
+                        isinstance(head, Future) and head.done()
+                    )
+                    if not ready and len(pending) <= 2 * jobs:
+                        break
+                    finish(*pending.popleft())
+            while pending:
+                finish(*pending.popleft())
 
     def _store_header(self, result: CampaignResult) -> dict:
         """Identity of this campaign for checkpoint validation."""
@@ -580,7 +670,6 @@ class CampaignEngine:
         index: int,
         program: GeneratedProgram,
         _sw: Stopwatch | None = None,
-        _backend: ExecutionBackend | None = None,
     ) -> ProgramOutcome:
         """Run one program through frontend/compile/execute/compare."""
         sw = _sw if _sw is not None else Stopwatch()
@@ -590,7 +679,7 @@ class CampaignEngine:
         with sw.phase("compile"):
             compiles = self._compile_stage(frontend)
         with sw.phase("execute"):
-            executions = self._execute_stage(compiles, program.inputs, _backend)
+            executions = self._execute_stage(compiles, program.inputs)
         with sw.phase("compare"):
             runs = self._collect(compiles, executions, outcome)
             self._compare_stage(index, runs, outcome)
@@ -639,7 +728,6 @@ class CampaignEngine:
         self,
         compiles: list[CompileRecord],
         inputs: tuple,
-        backend: ExecutionBackend | None,
     ) -> dict[str, ExecuteRecord]:
         """Run every compiled binary, sharing content-identical executions.
 
@@ -651,10 +739,9 @@ class CampaignEngine:
         fold-free programs.  Kernels are keyed in one intern table for
         the stage, so nodes the binaries share are keyed once.
 
-        Each distinct group becomes one picklable
+        Each distinct group becomes one
         :data:`~repro.execution.worker.KernelTask` carrying the engine's
-        exec mode; the backend decides whether those run inline or
-        across processes, and always returns results in task order.
+        exec mode, run inline through :data:`_INLINE`, in task order.
         """
         share = self.engine_config.share_runs
         max_steps = self.config.max_steps
@@ -681,10 +768,7 @@ class CampaignEngine:
             (members[0].binary.kernel, members[0].binary.env, inputs, max_steps, mode)
             for members in ordered
         ]
-        if backend is not None and len(tasks) > 1:
-            results = backend.run_batches(tasks)
-        else:
-            results = [run_kernel_task(task) for task in tasks]
+        results = _INLINE.run_batches(tasks)
 
         executions: dict[str, ExecuteRecord] = {}
         for members, result in zip(ordered, results):
@@ -765,6 +849,35 @@ class CampaignEngine:
                         tag=structural_tag(ra.kernel, ra.env, rb.kernel, rb.env, memo),
                     )
                 )
+
+
+#: Where every process's execute stage dispatches its kernel runs.
+_INLINE = SerialBackend()
+
+#: The engine a pool worker tests programs with (set by its initializer).
+_worker_engine: CampaignEngine | None = None
+
+
+def _adopt_engine(engine: CampaignEngine) -> None:
+    """Pool initializer: keep the parent's engine for this worker."""
+    global _worker_engine
+    _worker_engine = engine
+
+
+def _test_in_worker(
+    index: int, program: GeneratedProgram
+) -> tuple[ProgramOutcome, dict[str, float], tuple[int, int]]:
+    """Test one program in a pool worker: its outcome, stage seconds and
+    ``(shared_runs, total_runs)`` deltas."""
+    engine = _worker_engine
+    sw = Stopwatch()
+    shared, total = engine._shared_runs, engine._total_runs
+    outcome = engine.test_program(index, program, _sw=sw)
+    return (
+        outcome,
+        sw.buckets,
+        (engine._shared_runs - shared, engine._total_runs - total),
+    )
 
 
 def _differing_values(

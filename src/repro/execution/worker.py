@@ -4,8 +4,9 @@
 input vector — in the paper every (compiler, optimization level) binary
 runs once on its program's input set — and touches nothing global, so it
 is safe from any thread or process.  :func:`run_kernel_task` is its
-picklable one-argument form, the entry point the execution backends map
-over a pool.  Given equal arguments it returns a bit-identical
+one-argument form, the one
+:meth:`~repro.difftest.backend.ExecutionBackend.run_batches` maps over a
+program's run-shared groups.  Given equal arguments it returns a bit-identical
 :class:`~repro.execution.result.ExecutionResult` — the property the
 engine's run-sharing and determinism guarantees rest on (every FP
 operation routes through the deterministic
@@ -55,7 +56,7 @@ EXEC_MODES = ("tree", "tape", "check")
 #: The mode campaigns use when none is named (``REPRO_EXEC_MODE`` overrides).
 DEFAULT_EXEC_MODE = "tape"
 
-#: A picklable execution unit: ``(kernel, env, inputs, max_steps, mode)``.
+#: One execution unit: ``(kernel, env, inputs, max_steps, mode)``.
 KernelTask = tuple
 
 
@@ -109,5 +110,5 @@ def run_kernel(
 
 
 def run_kernel_task(task: KernelTask) -> ExecutionResult:
-    """Unpack one :data:`KernelTask` and run it (pool ``map`` entry point)."""
+    """Unpack one :data:`KernelTask` and run it."""
     return run_kernel(*task)

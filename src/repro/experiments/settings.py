@@ -86,8 +86,8 @@ class ExperimentSettings:
     codebleu_pairs: int = field(
         default_factory=lambda: _env_int("REPRO_CODEBLEU_PAIRS", 1500)
     )
-    #: campaign-engine workers for each program's execute stage
-    #: (``REPRO_JOBS``: an int, or ``auto`` for one worker per CPU)
+    #: campaign-engine processes testing programs on the process backend
+    #: (``REPRO_JOBS``: an int, or ``auto`` for one per CPU)
     jobs: int | str = field(default_factory=lambda: _env_jobs("REPRO_JOBS", 1))
     #: execution backend: serial / process (``REPRO_BACKEND``)
     backend: str = field(

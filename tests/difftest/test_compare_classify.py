@@ -353,6 +353,23 @@ class TestMaskedLaneKind:
         # the masked region's own reduction belongs to the mask tier
         assert kinds == {"cmp", "select", "mload", "reduce"}
 
+    def test_walkers_leave_no_reference_cycles(self):
+        """Both structural walkers free everything by reference counting:
+        no function<->cell cycle is left for the cyclic GC."""
+        import gc
+
+        from repro.difftest.classify import devectorized_body, masked_shape
+
+        _, vec = self._masked_kernel()
+        gc.collect()
+        gc.disable()
+        try:
+            assert masked_shape(vec)
+            assert devectorized_body(vec)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_masked_shape_excludes_unmasked_reductions(self):
         """A plain (unguarded) vectorized reduction contributes to
         vector_shape but not to masked_shape — so a style divergence in

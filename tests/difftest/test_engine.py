@@ -1,11 +1,14 @@
 """The staged campaign engine: determinism, sharing, stages, backends,
 sharding."""
 
+import multiprocessing
+
 import pytest
 
 from repro.cli import main as cli_main
 from repro.difftest.backend import (
     BackendError,
+    ExecutionBackend,
     ProcessBackend,
     SerialBackend,
     create_backend,
@@ -20,10 +23,11 @@ from repro.difftest.engine import (
     _diffing_digits,
 )
 from repro.difftest.harness import run_campaign
-from repro.difftest.store import merge_shards
+from repro.difftest.store import CampaignStore, merge_shards
 from repro.experiments.approaches import make_generator
 from repro.experiments.settings import ExperimentSettings
 from repro.fleet.supervisor import CampaignSpec
+from repro.errors import ReproError
 from repro.fp.bits import double_to_hex
 from repro.generation.program import GeneratedProgram
 from repro.toolchains import (
@@ -183,13 +187,6 @@ class TestBackendEquivalence:
         )
         assert result_key(serial) == result_key(process)
 
-    def test_process_backend_no_pool_for_single_job(self):
-        # jobs=1 must never spawn a pool: run_batches goes inline
-        backend = ProcessBackend(jobs=1)
-        assert backend.run_batches([]) == []
-        assert backend._pool is None
-        backend.shutdown()
-
     def test_jobs_auto_resolves_to_cpu_count(self):
         import os
 
@@ -199,7 +196,12 @@ class TestBackendEquivalence:
 
     def test_create_backend_types(self):
         assert isinstance(create_backend("serial", 1), SerialBackend)
-        assert isinstance(create_backend("process", 2), ProcessBackend)
+        process = create_backend("process", 2)
+        assert isinstance(process, ProcessBackend) and process.jobs == 2
+        # Kernels never cross a process boundary: the process policy
+        # dispatches a program's kernel runs inline, like serial.
+        assert ProcessBackend.run_batches is ExecutionBackend.run_batches
+        assert process.run_batches([]) == []
         with pytest.raises(BackendError, match="unknown backend"):
             create_backend("fork-bomb", 2)
         with pytest.raises(BackendError, match="unknown backend"):
@@ -224,6 +226,112 @@ class TestBackendEquivalence:
         ):
             with pytest.raises(BackendError, match="--backend process"):
                 build()
+
+
+def _loops_checkpoint(path, budget=20, engine_type=CampaignEngine, **engine_kwargs):
+    """A ``loops`` campaign at the CLI's default seed, checkpointed to
+    ``path``: its result, its checkpoint bytes and its progress indices."""
+    seed = 20250916
+    engine = engine_type(
+        default_compilers(),
+        CampaignConfig(budget=budget, seed=seed),
+        EngineConfig(**engine_kwargs),
+    )
+    indices = []
+    result = engine.run(
+        make_generator("loops", SplittableRng(seed, "cli-loops")),
+        progress=lambda index, outcome: indices.append(index),
+        store=CampaignStore(path),
+    )
+    return result, path.read_bytes(), indices
+
+
+class _WorkerFault(ReproError):
+    """Raised by :class:`_FaultyWorkerEngine` inside pool workers only."""
+
+
+class _FaultyWorkerEngine(CampaignEngine):
+    def test_program(self, index, program, _sw=None):
+        if multiprocessing.parent_process() is not None:
+            raise _WorkerFault(f"program {index} failed in a worker")
+        return super().test_program(index, program, _sw=_sw)
+
+
+class TestProgramFanOut:
+    """``backend="process"`` with more than one job tests whole programs
+    in a pool for feedback-free campaigns; checkpoints, progress and
+    counters are exactly serial's."""
+
+    PROCESS = dict(backend="process", jobs=2)
+
+    def test_checkpoint_bytes_equal_serial(self, tmp_path):
+        serial, serial_bytes, _ = _loops_checkpoint(tmp_path / "serial.jsonl")
+        process, process_bytes, _ = _loops_checkpoint(
+            tmp_path / "process.jsonl", **self.PROCESS
+        )
+        assert process_bytes == serial_bytes
+        assert result_key(process) == result_key(serial)
+
+    def test_resume_truncated_serial_checkpoint(self, tmp_path):
+        _, serial_bytes, _ = _loops_checkpoint(tmp_path / "serial.jsonl")
+        lines = serial_bytes.splitlines(keepends=True)
+        resumed = tmp_path / "resumed.jsonl"
+        # The header, seven outcomes and a torn eighth line.
+        resumed.write_bytes(b"".join(lines[:8]) + lines[8][:40])
+        _, resumed_bytes, indices = _loops_checkpoint(resumed, **self.PROCESS)
+        assert resumed_bytes == serial_bytes
+        assert indices == list(range(20))
+
+    def test_shard_equals_serial_shard(self, tmp_path):
+        shard = dict(shard_index=1, shard_count=2)
+        serial, serial_bytes, _ = _loops_checkpoint(tmp_path / "serial.jsonl", **shard)
+        process, process_bytes, indices = _loops_checkpoint(
+            tmp_path / "process.jsonl", **shard, **self.PROCESS
+        )
+        assert process_bytes == serial_bytes
+        assert result_key(process) == result_key(serial)
+        assert indices == list(range(1, 20, 2))
+
+    def test_progress_indices_strictly_increasing(self, tmp_path):
+        _, _, indices = _loops_checkpoint(
+            tmp_path / "process.jsonl", budget=12, backend="process", jobs=3
+        )
+        assert indices == list(range(12))
+
+    def test_run_counters_equal_serial(self, tmp_path):
+        serial, _, _ = _loops_checkpoint(tmp_path / "serial.jsonl")
+        process, _, _ = _loops_checkpoint(tmp_path / "process.jsonl", **self.PROCESS)
+        assert process.total_runs == serial.total_runs > 0
+        assert process.shared_runs == serial.shared_runs > 0
+
+    @pytest.mark.parametrize(
+        "approach, islands, jobs",
+        [("llm4fp", 0, 2), ("llm4fp", 2, 2), ("loops", 0, 1)],
+        ids=["feedback", "islands", "single-job"],
+    )
+    def test_inline_campaigns_create_no_pool(self, monkeypatch, approach, islands, jobs):
+        from repro.difftest import engine as engine_module
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("an inline campaign created a pool")
+
+        monkeypatch.setattr(engine_module, "ProcessPoolExecutor", no_pool)
+        serial = run_with(EngineConfig(islands=islands), approach=approach, budget=4)
+        process = run_with(
+            EngineConfig(islands=islands, backend="process", jobs=jobs),
+            approach=approach,
+            budget=4,
+        )
+        assert result_key(process) == result_key(serial)
+
+    def test_worker_exception_keeps_its_type(self, tmp_path):
+        with pytest.raises(_WorkerFault, match="program 1 failed in a worker"):
+            _loops_checkpoint(
+                tmp_path / "process.jsonl",
+                budget=6,
+                engine_type=_FaultyWorkerEngine,
+                **self.PROCESS,
+            )
 
 
 def _serve_queue(tmp_path):
