@@ -66,8 +66,10 @@ tape dies with its program.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import sys
+import threading
 from collections import Counter, deque
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -859,9 +861,19 @@ _worker_engine: CampaignEngine | None = None
 
 
 def _adopt_engine(engine: CampaignEngine) -> None:
-    """Pool initializer: keep the parent's engine for this worker."""
+    """Pool initializer: keep the parent's engine for this worker, and exit
+    when the parent dies.  A SIGKILLed parent never shuts its pool down,
+    and its idle workers would otherwise live on, reparented to init."""
     global _worker_engine
     _worker_engine = engine
+    threading.Thread(
+        target=_exit_after, args=(multiprocessing.parent_process(),), daemon=True
+    ).start()
+
+
+def _exit_after(parent: multiprocessing.process.BaseProcess) -> None:
+    parent.join()  # returns once the parent's sentinel pipe closes
+    os._exit(1)
 
 
 def _test_in_worker(

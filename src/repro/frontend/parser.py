@@ -26,6 +26,16 @@ __all__ = ["Parser", "parse_program", "MAX_AST_DEPTH"]
 #: stay under 20 levels.
 MAX_AST_DEPTH = 200
 
+#: C's binary operators, loosest first; every one associates to the left.
+_BINARY_PRECEDENCE = {
+    "||": 1,
+    "&&": 2,
+    "==": 3, "!=": 3,
+    "<": 4, "<=": 4, ">": 4, ">=": 4,
+    "+": 5, "-": 5,
+    "*": 6, "/": 6, "%": 6,
+}
+
 
 class Parser:
     def __init__(self, source: str) -> None:
@@ -298,7 +308,7 @@ class Parser:
         return self._parse_ternary()
 
     def _parse_ternary(self) -> ast.Expr:
-        cond = self._parse_logical_or()
+        cond = self._parse_binary(1)
         if self._accept_punct("?"):
             then = self._parse_expression()
             self._expect_punct(":")
@@ -306,52 +316,19 @@ class Parser:
             return ast.Ternary(cond, then, other)
         return cond
 
-    def _parse_logical_or(self) -> ast.Expr:
-        left = self._parse_logical_and()
-        while self._peek().is_punct("||"):
-            self._next()
-            left = ast.Binary("||", left, self._parse_logical_and())
-        return left
-
-    def _parse_logical_and(self) -> ast.Expr:
-        left = self._parse_equality()
-        while self._peek().is_punct("&&"):
-            self._next()
-            left = ast.Binary("&&", left, self._parse_equality())
-        return left
-
-    def _parse_equality(self) -> ast.Expr:
-        left = self._parse_relational()
-        while self._peek().kind is TokenKind.PUNCT and self._peek().text in ("==", "!="):
-            op = self._next().text
-            left = ast.Binary(op, left, self._parse_relational())
-        return left
-
-    def _parse_relational(self) -> ast.Expr:
-        left = self._parse_additive()
-        while self._peek().kind is TokenKind.PUNCT and self._peek().text in (
-            "<",
-            "<=",
-            ">",
-            ">=",
-        ):
-            op = self._next().text
-            left = ast.Binary(op, left, self._parse_additive())
-        return left
-
-    def _parse_additive(self) -> ast.Expr:
-        left = self._parse_multiplicative()
-        while self._peek().kind is TokenKind.PUNCT and self._peek().text in ("+", "-"):
-            op = self._next().text
-            left = ast.Binary(op, left, self._parse_multiplicative())
-        return left
-
-    def _parse_multiplicative(self) -> ast.Expr:
+    def _parse_binary(self, min_prec: int) -> ast.Expr:
+        """Binary operators binding at least as tightly as ``min_prec``,
+        grouped to the left: each right operand takes only tighter ones."""
         left = self._parse_unary()
-        while self._peek().kind is TokenKind.PUNCT and self._peek().text in ("*", "/", "%"):
-            op = self._next().text
-            left = ast.Binary(op, left, self._parse_unary())
-        return left
+        while True:
+            tok = self._tokens[self._pos]
+            if tok.kind is not TokenKind.PUNCT:
+                return left
+            prec = _BINARY_PRECEDENCE.get(tok.text, 0)
+            if prec < min_prec:
+                return left
+            self._pos += 1  # a punctuator, never EOF
+            left = ast.Binary(tok.text, left, self._parse_binary(prec + 1))
 
     def _parse_unary(self) -> ast.Expr:
         tok = self._peek()
@@ -424,19 +401,31 @@ class Parser:
         return tuple(args)
 
 
-@functools.lru_cache(maxsize=16)
-def parse_program(source: str) -> ast.TranslationUnit:
+def parse_program(
+    source: str, *, tokens: bool = False
+) -> ast.TranslationUnit | tuple[ast.TranslationUnit, tuple[str, ...]]:
     """Parse C source into a translation unit (includes + functions).
 
-    Memoized by source text: one program's text is parsed by the generator,
-    the mutator's validity check and the engine in turn, and each gets the
-    same unit.  Sharing is safe because AST nodes are frozen and sema keeps
-    types and symbols out of band, in a :class:`~repro.frontend.sema.SemaResult`.
-    A failed parse is not cached, so every call on bad text raises.
+    With ``tokens=True`` the result is ``(unit, texts)``: ``texts`` is the
+    tuple of token texts (EOF dropped) the unit was parsed from, which the
+    mutator compares to tell a variant from its seed without lexing again.
+
+    Memoized by source text, the unit and its token texts together: one
+    program's text is lexed and parsed once, and the generator, the
+    mutator and the engine each get the same unit.  Sharing is safe because
+    AST nodes are frozen and sema keeps types and symbols out of band, in a
+    :class:`~repro.frontend.sema.SemaResult`.  A failed parse is not
+    cached, so every call on bad text raises.
 
     A tree deeper than :data:`MAX_AST_DEPTH` is a :class:`ParseError`, so
     no later stage meets a tree its recursion cannot handle.
     """
+    parsed = _parse_memo(source)
+    return parsed if tokens else parsed[0]
+
+
+@functools.lru_cache(maxsize=16)
+def _parse_memo(source: str) -> tuple[ast.TranslationUnit, tuple[str, ...]]:
     parser = Parser(source)
     try:
         unit = parser.parse()
@@ -444,4 +433,9 @@ def parse_program(source: str) -> ast.TranslationUnit:
         raise parser._error("program nests too deeply") from None
     if ast.depth(unit) > MAX_AST_DEPTH:
         raise ParseError("program nests too deeply")
-    return unit
+    return unit, tuple([tok.text for tok in parser._tokens[:-1]])
+
+
+# The memo's size and hit counts, inspected through the entry point.
+parse_program.cache_info = _parse_memo.cache_info
+parse_program.cache_clear = _parse_memo.cache_clear

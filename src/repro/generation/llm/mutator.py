@@ -117,12 +117,11 @@ class Mutator:
         self._precision = precision
         focus_ops = _FOCUS_OPS.get(focus, ()) if focus is not None else ()
         try:
-            unit = parse_program(example_source)
+            unit, example_tokens = parse_program(example_source, tokens=True)
         except ReproError:
             return None
         # Temperature scales how far the variant strays from the example.
         n_mut = max(2, round(self.config.temperature * rng.uniform(1.5, 3.0)))
-        example_tokens = _token_stream(example_source)
         scalars = _fp_scalars(unit)
         for attempt in range(4):
             state = _MutState(rng.split(f"try-{attempt}"), scalars=scalars)
@@ -178,10 +177,12 @@ class Mutator:
             state.applied.append("rename-locals")
             try:
                 source = print_c(mutated)
-                check_program(parse_program(source))
+                variant, tokens = parse_program(source, tokens=True)
+                check_program(variant)
             except ReproError:
                 continue
-            if _token_stream(source) != example_tokens:
+            # A variant must differ from its seed in at least one token.
+            if tokens != example_tokens:
                 return source, state.applied
         return None
 
@@ -672,13 +673,6 @@ def _synthesize_snippet(
     except ReproError:
         return []
     return list(unit.function("compute").body.stmts)
-
-
-def _token_stream(source: str) -> list[str]:
-    """Lexical fingerprint used to reject mutants identical to their seed."""
-    from repro.metrics.ctokens import c_tokens
-
-    return c_tokens(source)
 
 
 def _insert_random(

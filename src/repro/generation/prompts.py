@@ -109,7 +109,8 @@ def mutation_prompt(
     island model's fitness-weighted operator selection speaks to the LLM
     through this prompt line, the same string-typed interface everything
     else uses (the simulated LLM extracts it in
-    :func:`repro.generation.llm.parsing.parse_prompt`).
+    :func:`repro.generation.llm.parsing.parse_prompt`).  The example goes
+    in verbatim, so the model reads back the exact text that was tested.
     """
     if focus is not None and focus not in MUTATION_STRATEGIES:
         raise ValueError(f"unknown mutation strategy: {focus!r}")
@@ -132,7 +133,7 @@ def mutation_prompt(
         + focus_line
         + "Example program (previously triggered a numerical inconsistency):\n"
         + "```\n"
-        + example_source.strip()
+        + example_source
         + "\n```\n\n"
         + OUTPUT_INSTRUCTION
     )

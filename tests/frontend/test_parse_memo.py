@@ -1,5 +1,6 @@
 """``parse_program`` memo: shared units, uncached failures, bounded size,
-and the number of real parses a default campaign makes per program."""
+and the number of real parses and lexes a default campaign makes per
+program."""
 
 import pytest
 
@@ -7,7 +8,9 @@ from repro.difftest.config import CampaignConfig
 from repro.difftest.harness import run_campaign
 from repro.errors import ParseError
 from repro.experiments.approaches import make_generator
+from repro.frontend import lexer, parser
 from repro.frontend.parser import parse_program
+from repro.metrics.ctokens import c_tokens
 from repro.toolchains import default_compilers
 from repro.utils.rng import SplittableRng
 
@@ -41,6 +44,16 @@ def test_failing_source_raises_on_every_call():
     assert (info.misses, info.currsize) == (3, 0)
 
 
+def test_token_texts_come_from_the_memo(monkeypatch):
+    text = 'void compute(double x) { printf("%g", x / 2.0f); }'
+    unit, texts = parse_program(text, tokens=True)
+    monkeypatch.setattr(parser, "tokenize", None)  # a hit must not lex
+    assert parse_program(text) is unit
+    assert parse_program(text, tokens=True)[1] is texts
+    assert texts == tuple(c_tokens(text))
+    assert parse_program.cache_info().misses == 1
+
+
 def test_seventeen_sources_evict_the_first():
     first = parse_program(source(0))
     for n in range(1, 17):
@@ -50,29 +63,49 @@ def test_seventeen_sources_evict_the_first():
     assert parse_program.cache_info().misses == 18
 
 
-def misses_per_program(approach, budget=20):
-    """Memo misses (actual parses) of each program of a default campaign."""
+def per_program(approach, monkeypatch, budget=20):
+    """Memo misses (actual parses) and ``tokenize`` calls of each program
+    of a default campaign."""
+    lexes = [0]
+
+    def counting_tokenize(source):
+        lexes[0] += 1
+        return lexer.tokenize(source)
+
+    monkeypatch.setattr(parser, "tokenize", counting_tokenize)
     totals = []
     run_campaign(
         make_generator(approach, SplittableRng(DEFAULT_SEED, f"cli-{approach}")),
         default_compilers(),
         CampaignConfig(budget=budget, seed=DEFAULT_SEED),
-        progress=lambda i, outcome: totals.append(parse_program.cache_info().misses),
+        progress=lambda i, outcome: totals.append(
+            (parse_program.cache_info().misses, lexes[0])
+        ),
     )
-    return [b - a for a, b in zip([0] + totals, totals)]
-
-
-def test_llm4fp_parses_per_program():
-    # A grammar-prompted program is parsed once, by the generator's input
-    # pairing; the engine's frontend then hits the memo, and the CUDA
-    # translation is an AST rewrite.  Mutation rounds parse their
-    # candidates too; programs 12 and 15 re-read an example that CUDA
-    # texts used to evict from the memo.
-    assert misses_per_program("llm4fp") == [
-        1, 1, 5, 3, 4, 1, 3, 3, 8, 2, 1, 1, 5, 1, 4, 5, 3, 2, 4, 8,
+    return [
+        [b - a for a, b in zip((0,) + column, column)] for column in zip(*totals)
     ]
 
 
-def test_varity_parses_each_program_once():
+def test_llm4fp_parses_per_program(monkeypatch):
+    # A grammar-prompted program is parsed once, by the generator's input
+    # pairing; the engine's frontend then hits the memo, and the CUDA
+    # translation is an AST rewrite.  A mutation round parses its grafted
+    # snippets and its candidate variants, and its seed again only when
+    # the memo has evicted it, which no program of this prefix meets.
+    parses, _ = per_program("llm4fp", monkeypatch)
+    assert parses == [1, 1, 4, 3, 3, 1, 2, 2, 7, 2, 1, 1, 5, 1, 3, 5, 3, 2, 3, 8]
+
+
+def test_llm4fp_lexes_each_parsed_text_once(monkeypatch):
+    # The seed check reads the token texts the memo keeps with each unit,
+    # so no text is lexed apart from its parse.
+    _, lexes = per_program("llm4fp", monkeypatch)
+    assert lexes == [1, 1, 4, 3, 3, 1, 2, 2, 7, 2, 1, 1, 5, 1, 3, 5, 3, 2, 3, 8]
+
+
+def test_varity_parses_each_program_once(monkeypatch):
     # the source only: the CUDA translation rewrites the parsed unit
-    assert misses_per_program("varity") == [1] * 20
+    parses, lexes = per_program("varity", monkeypatch)
+    assert parses == [1] * 20
+    assert lexes == [1] * 20

@@ -18,8 +18,8 @@ from repro.generation.llm.mutator import (
     _stmt_names,
     _swappable,
     _synthesize_snippet,
-    _token_stream,
 )
+from repro.metrics.ctokens import c_tokens
 from repro.utils.rng import SplittableRng
 
 EXAMPLE = """
@@ -60,7 +60,7 @@ class TestMutateContract:
         # Valid program...
         check_program(parse_program(source))
         # ...that is never token-identical to its seed.
-        assert _token_stream(source) != _token_stream(EXAMPLE)
+        assert c_tokens(source) != c_tokens(EXAMPLE)
         assert applied
 
     def test_strategies_recorded_from_prompt_list(self):
