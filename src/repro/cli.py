@@ -711,8 +711,9 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.add_argument(
         "--chaos-kill-after", type=int, default=None, metavar="ROWS",
         dest="chaos_kill_after",
-        help="fault-injection drill: SIGKILL the first worker whose shard "
-        "reaches ROWS checkpoint rows, then watch the fleet repair it",
+        help="fault-injection drill: the first worker launched SIGKILLs "
+        "itself right after its ROWS-th checkpoint row; watch the fleet "
+        "repair it",
     )
     p_serve.set_defaults(func=_cmd_serve)
 

@@ -18,7 +18,6 @@ from repro.difftest.backend import (
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
-    create_backend,
     resolve_jobs,
 )
 from repro.difftest.engine import (
@@ -38,7 +37,6 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "ProcessBackend",
-    "create_backend",
     "resolve_jobs",
     "CampaignStore",
     "CampaignStoreError",

@@ -4,12 +4,12 @@ Two backends exist, and both are byte-identical:
 
 * ``serial`` (the default) — every stage inline on the calling thread,
   one worker.
-* ``process`` — :meth:`~repro.difftest.engine.CampaignEngine.run` fans
-  whole programs of a feedback-free campaign out to ``jobs - 1`` pool
-  workers and tests every ``jobs``-th program itself; outcomes are
-  checkpointed, observed and reported in index order.  Feedback and
-  island campaigns run inline on it: ``--islands`` is how they use more
-  cores.
+* ``process`` — for a feedback-free campaign, the one loop of
+  :meth:`~repro.difftest.engine.CampaignEngine.run` hands whole programs
+  to ``jobs - 1`` pool workers and tests every ``jobs``-th program
+  itself; outcomes are checkpointed, observed and reported in index
+  order, exactly as on ``serial``.  Feedback and island campaigns run
+  inline on it: ``--islands`` is how they use more cores.
 
 Kernels never cross a process boundary on their own: a single kernel
 run costs less than the round trip that would ship it.  A thread pool is
@@ -38,7 +38,6 @@ __all__ = [
     "SerialBackend",
     "ProcessBackend",
     "check_backend",
-    "create_backend",
     "parse_jobs",
     "resolve_jobs",
 ]
@@ -131,10 +130,3 @@ class ProcessBackend(ExecutionBackend):
     def __init__(self, jobs: int | str) -> None:
         self.jobs = resolve_jobs(jobs)
 
-
-def create_backend(name: str, jobs: int | str) -> ExecutionBackend:
-    """Instantiate the named backend with ``jobs`` workers."""
-    check_backend(name, jobs)
-    if name == "serial":
-        return SerialBackend()
-    return ProcessBackend(jobs)

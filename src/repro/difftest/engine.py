@@ -33,12 +33,14 @@ deduplicated and concurrently schedulable:
 
 Compilation and execution run in the calling process, in matrix order;
 each distinct execute unit is dispatched through
-:meth:`~repro.difftest.backend.ExecutionBackend.run_batches`.  With
-``backend="process"`` and more than one job, :meth:`CampaignEngine.run`
-fans *whole programs* of a feedback-free campaign out to a process pool
-(generation, checkpointing and reporting stay in the parent, in index
-order), so a :class:`CampaignResult` is byte-identical across backends
-and job counts — only the stage timings differ.
+:meth:`~repro.difftest.backend.ExecutionBackend.run_batches`.
+:meth:`CampaignEngine.run` is one loop for every configuration: it
+generates each program, queues it, and settles outcomes in index order.
+With ``backend="process"`` and more than one job, the queue of a
+feedback-free campaign holds *whole programs* a process pool is testing
+(generation, checkpointing and reporting stay in the parent), so a
+:class:`CampaignResult` is byte-identical across backends and job
+counts — only the stage timings differ.
 
 Two campaign-scale facilities ride on that determinism:
 
@@ -72,6 +74,7 @@ import sys
 import threading
 from collections import Counter, deque
 from concurrent.futures import Future, ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -424,12 +427,15 @@ class CampaignEngine:
         """Run one approach's full campaign (Figure 1's outer loop).
 
         ``progress``, if given, is called as ``progress(i, outcome)`` after
-        each program, in index order.  Generation stays serial (the
-        feedback loop is a sequential dependency).  On the ``process``
-        backend with more than one job, a feedback-free campaign without
-        islands tests whole programs in a process pool
-        (:meth:`_run_fanned`); every other configuration runs the serial
-        loop below.
+        each program, in index order.  One loop serves every
+        configuration: it generates each owned program, queues it, and
+        finishes the queue in index order (test or replay, observe,
+        checkpoint, report).  On the ``process`` backend with more than
+        one job, a feedback-free campaign without islands hands all but
+        every ``jobs``-th fresh program to ``jobs - 1`` pool workers and
+        queues up to ``2 * jobs`` programs, so ``observe`` lags
+        generation; everywhere else program *i* is observed before *i+1*
+        is generated (the feedback loop is a sequential dependency).
 
         ``store``, if given, is a
         :class:`~repro.difftest.store.CampaignStore`: completed programs
@@ -492,80 +498,11 @@ class CampaignEngine:
         # Snapshot lifetime counters so a reused engine (prior
         # test_program calls) reports per-run deltas, not totals.
         runs_before = (self._shared_runs, self._total_runs)
-        if (
-            ec.backend == "process"
-            and ec.resolved_jobs > 1
-            and not caps.feedback
-            and coordinator is None
-        ):
-            self._run_fanned(generator, done, sw, result, progress, store)
-            self._charge(result, sw, generator, runs_before)
-            return result
-        for i in range(config.budget):
-            if coordinator is None:
-                # Classic mode: every shard replays the whole stream.
-                with sw.phase("generate"):
-                    program = generator.generate()
-                if not ec.owns(i):
-                    continue
-            elif not ec.owns(i):
-                # Island mode: unowned indices belong to another
-                # shard's island — not generated here at all.
-                continue
-            else:
-                with sw.phase("generate"):
-                    program = coordinator.generate(i)
-            prior = done.get(i)
-            if prior is not None:
-                _check_replay(i, prior, program)
-                outcome = prior
-            else:
-                outcome = self.test_program(i, program, _sw=sw)
-            if coordinator is None:
-                generator.observe(outcome)
-                island_records: list[dict] = []
-            else:
-                island_records = coordinator.observe(i, outcome)
-            if prior is None and store is not None:
-                store.append(outcome)
-            if store is not None:
-                # After the boundary outcome is durable, never before:
-                # a sibling island polling this file must not see the
-                # export ahead of the outcomes that produced it.
-                for record in island_records:
-                    store.append_island(record)
-            if coordinator is not None:
-                coordinator.complete_boundary(i)
-            result.outcomes.append(outcome)
-            if progress is not None:
-                progress(i, outcome)
-        self._charge(result, sw, generator, runs_before)
-        return result
-
-    def _run_fanned(
-        self,
-        generator: ProgramGenerator,
-        done: dict[int, ProgramOutcome],
-        sw: Stopwatch,
-        result: CampaignResult,
-        progress: object,
-        store: object,
-    ) -> None:
-        """The ``process`` backend's campaign loop: whole programs in a pool.
-
-        Fresh owned programs go round-robin: every ``jobs``-th one is
-        tested here through :meth:`test_program`, the rest by ``jobs - 1``
-        pool workers, each returning its outcome, stage seconds and
-        run-sharing deltas.  Generation, replay checks, ``observe``, the
-        checkpoint and ``progress`` stay here, in index order.  The
-        parent generates (and submits) ahead until ``2 * jobs`` programs
-        are in flight and only then tests the oldest program it owns, so
-        the workers are never left without a program while it does.
-        ``observe`` may lag generation, which only a feedback-free
-        generator allows.
-        """
-        ec = self.engine_config
-        jobs = ec.resolved_jobs
+        # Only a feedback-free, island-free campaign may generate ahead of
+        # observe; lookahead 0 finishes each program before the next.
+        fan_out = ec.backend == "process" and not caps.feedback and coordinator is None
+        jobs = ec.resolved_jobs if fan_out else 1
+        lookahead = 2 * jobs if jobs > 1 else 0
         # (index, program, entry): entry is the replayed outcome, a
         # worker's Future, or None for a program tested here.
         pending: deque = deque()
@@ -586,21 +523,43 @@ class CampaignEngine:
                 self._total_runs += total
             else:
                 outcome = entry
-            generator.observe(outcome)
-            if outcome is not entry and store is not None:
-                store.append(outcome)
+            if coordinator is None:
+                generator.observe(outcome)
+                island_records: list[dict] = []
+            else:
+                island_records = coordinator.observe(index, outcome)
+            if store is not None:
+                if outcome is not entry:
+                    store.append(outcome)
+                # After the boundary outcome is durable, never before:
+                # a sibling island polling this file must not see the
+                # export ahead of the outcomes that produced it.
+                for record in island_records:
+                    store.append_island(record)
+            if coordinator is not None:
+                coordinator.complete_boundary(index)
             result.outcomes.append(outcome)
             if progress is not None:
                 progress(index, outcome)
 
-        with ProcessPoolExecutor(
-            jobs - 1, initializer=_adopt_engine, initargs=(self,)
-        ) as pool:
-            for i in range(self.config.budget):
-                with sw.phase("generate"):
-                    program = generator.generate()
+        pool = (
+            ProcessPoolExecutor(jobs - 1, initializer=_adopt_engine, initargs=(self,))
+            if jobs > 1
+            else nullcontext()
+        )
+        with pool:
+            for i in range(config.budget):
+                # Classic mode: every shard replays the whole stream.  Island
+                # mode: unowned indices belong to another shard's island and
+                # are not generated here at all.
+                if coordinator is None:
+                    with sw.phase("generate"):
+                        program = generator.generate()
                 if not ec.owns(i):
                     continue
+                if coordinator is not None:
+                    with sw.phase("generate"):
+                        program = coordinator.generate(i)
                 entry = done.get(i)
                 if entry is not None:
                     _check_replay(i, entry, program)
@@ -614,11 +573,13 @@ class CampaignEngine:
                     ready = isinstance(head, ProgramOutcome) or (
                         isinstance(head, Future) and head.done()
                     )
-                    if not ready and len(pending) <= 2 * jobs:
+                    if not ready and len(pending) < lookahead:
                         break
                     finish(*pending.popleft())
             while pending:
                 finish(*pending.popleft())
+        self._charge(result, sw, generator, runs_before)
+        return result
 
     def _store_header(self, result: CampaignResult) -> dict:
         """Identity of this campaign for checkpoint validation."""
@@ -677,7 +638,7 @@ class CampaignEngine:
         sw = _sw if _sw is not None else Stopwatch()
         outcome = ProgramOutcome(index=index, program=program)
         with sw.phase("frontend"):
-            frontend = self._frontend_stage(program.source)
+            frontend = frontend_kernels(program.source)
         with sw.phase("compile"):
             compiles = self._compile_stage(frontend)
         with sw.phase("execute"):
@@ -687,11 +648,6 @@ class CampaignEngine:
             self._compare_stage(index, runs, outcome)
             outcome.triggered = any(not c.consistent for c in outcome.comparisons)
         return outcome
-
-    # -- frontend stage ----------------------------------------------------------
-
-    def _frontend_stage(self, source: str) -> FrontendRecord:
-        return frontend_kernels(source)
 
     # -- compile stage -----------------------------------------------------------
 

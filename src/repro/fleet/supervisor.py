@@ -45,6 +45,7 @@ Every decision is recorded in ``fleet_events.jsonl``
 from __future__ import annotations
 
 import asyncio
+import signal
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -64,11 +65,6 @@ __all__ = [
     "ShardState",
     "run_fleet",
 ]
-
-#: Poll interval while the chaos-kill hook is armed: tight enough to
-#: catch a shard between two row appends (a program takes tens of ms).
-_CHAOS_POLL = 0.02
-
 
 @dataclass(frozen=True)
 class CampaignSpec:
@@ -163,9 +159,10 @@ class FleetConfig:
     #: base of the exponential backoff between a death and the respawn
     #: (attempt k waits ``backoff * 2**(k-1)`` seconds)
     backoff: float = 0.5
-    #: fault-injection hook: SIGKILL the first worker whose shard
-    #: checkpoint reaches this many rows (None = off).  Exists so tests,
-    #: CI and sceptical operators can watch a kill get repaired.
+    #: fault-injection hook: the first worker launched SIGKILLs itself
+    #: right after its this-many-th checkpoint row (None = off; see
+    #: :mod:`repro.fleet.chaos`).  Exists so tests, CI and sceptical
+    #: operators can watch a kill get repaired.
     chaos_kill_after: int | None = None
 
     def __post_init__(self) -> None:
@@ -255,7 +252,7 @@ class FleetSupervisor:
         self.events = FleetEventLog(
             self.workdir / "fleet_events.jsonl", clock=self._clock
         )
-        self._chaos_fired = False
+        self._chaos_armed = False
 
     # -- public entry ------------------------------------------------------------
 
@@ -324,6 +321,12 @@ class FleetSupervisor:
                 argv = self.spec.worker_argv(
                     state.index, self.shard_count, state.checkpoint
                 )
+                chaos = None if self._chaos_armed else self.config.chaos_kill_after
+                if chaos is not None:
+                    self._chaos_armed = True
+                    # The same "run ..." arguments, under the module that
+                    # kills its own process after N rows.
+                    argv = [argv[0], "-m", "repro.fleet.chaos", str(chaos)] + argv[3:]
                 log_path = (
                     self.workdir
                     / "logs"
@@ -339,6 +342,10 @@ class FleetSupervisor:
                 )
                 reason, code = await self._monitor(state, handle)
                 self._poll(state)  # the exit itself may have added rows
+                if chaos is not None and code == -signal.SIGKILL:
+                    self.events.emit(
+                        "chaos-kill", shard=state.index, rows=state.rows
+                    )
                 if state.complete:
                     state.status = "done"
                     self.events.emit(
@@ -382,27 +389,13 @@ class FleetSupervisor:
         """Watch one worker until it exits or stalls; returns (reason, code)."""
         waiter = asyncio.ensure_future(handle.wait())
         last_growth = self._clock()
-        chaos_armed = (
-            self.config.chaos_kill_after is not None and not self._chaos_fired
-        )
-        timeout = min(self.config.heartbeat, _CHAOS_POLL) if chaos_armed else (
-            self.config.heartbeat
-        )
         try:
             while True:
-                done, _ = await asyncio.wait({waiter}, timeout=timeout)
+                done, _ = await asyncio.wait(
+                    {waiter}, timeout=self.config.heartbeat
+                )
                 if self._poll(state):
                     last_growth = self._clock()
-                if (
-                    chaos_armed
-                    and not self._chaos_fired
-                    and state.rows >= self.config.chaos_kill_after
-                ):
-                    self._chaos_fired = True
-                    self.events.emit(
-                        "chaos-kill", shard=state.index, rows=state.rows
-                    )
-                    handle.kill()
                 if waiter in done:
                     return "exit", waiter.result()
                 if self._clock() - last_growth >= self.config.stall_timeout:

@@ -17,7 +17,7 @@ from operator import is_
 
 from repro.errors import ReproError
 from repro.frontend import ast
-from repro.frontend.parser import parse_program
+from repro.frontend.parser import Parser, parse_program
 from repro.frontend.printer import print_c
 from repro.frontend.sema import check_program
 from repro.fp.formats import Precision
@@ -669,7 +669,10 @@ def _synthesize_snippet(
     pat.emit(ctx)
     wrapper = "void compute() {\n" + "\n".join(ctx.lines) + "\n}\n"
     try:
-        unit = parse_program(wrapper)
+        # Outside the parse memo: a throwaway text would evict feedback
+        # seeds.  The variant it grafts into is parsed (and depth-checked)
+        # through the memo.
+        unit = Parser(wrapper).parse()
     except ReproError:
         return []
     return list(unit.function("compute").body.stmts)

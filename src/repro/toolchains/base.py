@@ -15,7 +15,7 @@ from repro.frontend.parser import parse_program
 from repro.frontend.sema import check_program
 from repro.ir import nodes as ir
 from repro.ir.lower import lower_compute
-from repro.ir.passes.base import PassPipeline
+from repro.ir.passes import IfConvert, LoopUnroll, PassPipeline, Vectorize
 from repro.toolchains.cache import env_fingerprint
 from repro.toolchains.optlevels import OptLevel, TierPolicy, flags_for, tier_policy
 
@@ -73,6 +73,25 @@ class Compiler:
 
     def environment(self, level: OptLevel) -> FPEnvironment:
         raise NotImplementedError
+
+    def _vector_passes(self, level: OptLevel) -> list:
+        """A host vectorizer's passes at ``level``, reducing horizontally
+        in the subclass's ``REDUCE_STYLE``."""
+        pol = self._policy(level)
+        if not pol.vector_width:
+            return []
+        passes: list = [IfConvert()] if pol.if_convert else []
+        passes += [
+            Vectorize(
+                pol.vector_width,
+                style=self.REDUCE_STYLE,
+                masked=pol.if_convert,
+                int_guards=pol.int_guards,
+                mixed=pol.mixed_precision,
+            ),
+            LoopUnroll(pol.vector_width),
+        ]
+        return passes
 
     # -- compilation -----------------------------------------------------------
 

@@ -32,12 +32,9 @@ from repro.ir.passes import (
     ConstantFold,
     FiniteMathSimplify,
     FunctionSubstitution,
-    IfConvert,
-    LoopUnroll,
     PassPipeline,
     Reassociate,
     ReciprocalDivision,
-    Vectorize,
 )
 from repro.toolchains.base import Compiler, CompilerKind
 from repro.toolchains.optlevels import OptLevel
@@ -52,23 +49,6 @@ class GccCompiler(Compiler):
 
     #: horizontal-reduction shape of the modeled gcc vectorizer
     REDUCE_STYLE = "adjacent"
-
-    def _vector_passes(self, level: OptLevel) -> list:
-        pol = self._policy(level)
-        if not pol.vector_width:
-            return []
-        passes: list = [IfConvert()] if pol.if_convert else []
-        passes += [
-            Vectorize(
-                pol.vector_width,
-                style=self.REDUCE_STYLE,
-                masked=pol.if_convert,
-                int_guards=pol.int_guards,
-                mixed=pol.mixed_precision,
-            ),
-            LoopUnroll(pol.vector_width),
-        ]
-        return passes
 
     def pipeline(self, level: OptLevel) -> PassPipeline:
         if level in (OptLevel.O0_NOFMA, OptLevel.O0):

@@ -1,6 +1,7 @@
 """The staged campaign engine: determinism, sharing, stages, backends,
 sharding."""
 
+import copy
 import multiprocessing
 
 import pytest
@@ -10,8 +11,7 @@ from repro.difftest.backend import (
     BackendError,
     ExecutionBackend,
     ProcessBackend,
-    SerialBackend,
-    create_backend,
+    check_backend,
     resolve_jobs,
 )
 from repro.difftest.config import CampaignConfig
@@ -29,7 +29,7 @@ from repro.experiments.settings import ExperimentSettings
 from repro.fleet.supervisor import CampaignSpec
 from repro.errors import ReproError
 from repro.fp.bits import double_to_hex
-from repro.generation.program import GeneratedProgram
+from repro.generation.program import GeneratedProgram, GeneratorCapabilities
 from repro.toolchains import (
     ClangCompiler,
     GccCompiler,
@@ -194,20 +194,21 @@ class TestBackendEquivalence:
         config = EngineConfig(backend="process", jobs="auto")
         assert config.resolved_jobs == (os.cpu_count() or 1)
 
-    def test_create_backend_types(self):
-        assert isinstance(create_backend("serial", 1), SerialBackend)
-        process = create_backend("process", 2)
-        assert isinstance(process, ProcessBackend) and process.jobs == 2
+    def test_backend_types(self):
+        check_backend("serial", 1)
+        check_backend("process", 2)
+        process = ProcessBackend(2)
+        assert process.jobs == 2
         # Kernels never cross a process boundary: the process policy
         # dispatches a program's kernel runs inline, like serial.
         assert ProcessBackend.run_batches is ExecutionBackend.run_batches
         assert process.run_batches([]) == []
         with pytest.raises(BackendError, match="unknown backend"):
-            create_backend("fork-bomb", 2)
+            check_backend("fork-bomb", 2)
         with pytest.raises(BackendError, match="unknown backend"):
-            create_backend("thread", 1)
+            check_backend("thread", 1)
         with pytest.raises(BackendError, match="serial backend"):
-            create_backend("serial", 2)
+            check_backend("serial", 2)
 
     def test_backend_config_validation(self):
         with pytest.raises(BackendError, match="unknown backend"):
@@ -332,6 +333,71 @@ class TestProgramFanOut:
                 engine_type=_FaultyWorkerEngine,
                 **self.PROCESS,
             )
+
+
+class _Recording:
+    """Generator wrapper that logs its ``generate`` and ``observe`` calls
+    in one log, shared by the copies an island campaign makes."""
+
+    name = "recording"
+
+    def __init__(self, inner, log, feedback):
+        self.inner = inner
+        self.log = log
+        self.capabilities = GeneratorCapabilities(feedback=feedback, shardable=True)
+
+    def __deepcopy__(self, memo):
+        inner = copy.deepcopy(self.inner, memo)
+        return _Recording(inner, self.log, self.capabilities.feedback)
+
+    def bind(self, shard_index, shard_count, rng_seed):
+        self.inner.bind(shard_index, shard_count, rng_seed)
+
+    def generate(self):
+        self.log.append("generate")
+        return self.inner.generate()
+
+    def observe(self, outcome):
+        self.log.append("observe")
+        self.inner.observe(outcome)
+
+
+class TestGenerateObserveOrder:
+    """Only a feedback-free campaign may generate ahead of ``observe``,
+    and never by more than the ``2 * jobs`` programs the fan-out keeps."""
+
+    BUDGET = 10
+
+    def _log(self, feedback, **engine):
+        log = []
+        generator = _Recording(
+            make_generator("loops", SplittableRng(5, "order")), log, feedback
+        )
+        CampaignEngine(
+            [GccCompiler(), ClangCompiler()],
+            CampaignConfig(budget=self.BUDGET),
+            EngineConfig(**engine),
+        ).run(generator)
+        return log
+
+    @pytest.mark.parametrize(
+        "engine",
+        [{}, dict(backend="process", jobs=2), dict(islands=2)],
+        ids=["serial", "process", "islands"],
+    )
+    def test_feedback_calls_alternate(self, engine):
+        log = self._log(True, **engine)
+        assert log == ["generate", "observe"] * self.BUDGET
+
+    def test_feedback_free_lookahead_is_bounded(self):
+        jobs = 2
+        outstanding = []
+        for call in self._log(False, backend="process", jobs=jobs):
+            previous = outstanding[-1] if outstanding else 0
+            outstanding.append(previous + (1 if call == "generate" else -1))
+        assert outstanding[-1] == 0
+        # The parent's own first program waits for a full window.
+        assert max(outstanding) == 2 * jobs
 
 
 def _serve_queue(tmp_path):

@@ -10,6 +10,8 @@ from repro.errors import ParseError
 from repro.experiments.approaches import make_generator
 from repro.frontend import lexer, parser
 from repro.frontend.parser import parse_program
+from repro.fp.formats import Precision
+from repro.generation.llm.mutator import _synthesize_snippet
 from repro.metrics.ctokens import c_tokens
 from repro.toolchains import default_compilers
 from repro.utils.rng import SplittableRng
@@ -63,9 +65,21 @@ def test_seventeen_sources_evict_the_first():
     assert parse_program.cache_info().misses == 18
 
 
+def test_snippet_synthesis_leaves_the_memo_alone():
+    # A graft's wrapper text is parsed once and dropped; through the memo
+    # it would evict the feedback seeds a mutation round reads again.
+    parse_program(source(0))
+    before = parse_program.cache_info()
+    for n in range(8):
+        rng = SplittableRng(n, "snippet")
+        assert _synthesize_snippet(rng, ("x", "y"), Precision.DOUBLE)
+    assert parse_program.cache_info() == before
+
+
 def per_program(approach, monkeypatch, budget=20):
-    """Memo misses (actual parses) and ``tokenize`` calls of each program
-    of a default campaign."""
+    """Memo misses (parses of whole program texts) and ``tokenize`` calls
+    (every lex, snippet wrappers included) of each program of a default
+    campaign."""
     lexes = [0]
 
     def counting_tokenize(source):
@@ -90,16 +104,18 @@ def per_program(approach, monkeypatch, budget=20):
 def test_llm4fp_parses_per_program(monkeypatch):
     # A grammar-prompted program is parsed once, by the generator's input
     # pairing; the engine's frontend then hits the memo, and the CUDA
-    # translation is an AST rewrite.  A mutation round parses its grafted
-    # snippets and its candidate variants, and its seed again only when
-    # the memo has evicted it, which no program of this prefix meets.
+    # translation is an AST rewrite.  A mutation round parses its
+    # candidate variants through the memo, and its seed again only when
+    # the memo has evicted it, which no program of this prefix meets;
+    # its grafted snippets are parsed outside the memo.
     parses, _ = per_program("llm4fp", monkeypatch)
-    assert parses == [1, 1, 4, 3, 3, 1, 2, 2, 7, 2, 1, 1, 5, 1, 3, 5, 3, 2, 3, 8]
+    assert parses == [1, 1, 1, 1, 1, 1, 1, 1, 2, 1, 1, 1, 1, 1, 1, 2, 1, 1, 1, 3]
 
 
 def test_llm4fp_lexes_each_parsed_text_once(monkeypatch):
     # The seed check reads the token texts the memo keeps with each unit,
-    # so no text is lexed apart from its parse.
+    # so no text is lexed apart from its parse.  The counts include the
+    # snippet wrappers, each lexed once by its uncached parse.
     _, lexes = per_program("llm4fp", monkeypatch)
     assert lexes == [1, 1, 4, 3, 3, 1, 2, 2, 7, 2, 1, 1, 5, 1, 3, 5, 3, 2, 3, 8]
 
