@@ -522,9 +522,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_run.add_argument(
         "--exec-mode", choices=EXEC_MODES, default=None, dest="exec_mode",
-        help="execute-stage mode: tape (compiled, default), tree "
-        "(reference interpreter) or check (both, trap on any bit of "
-        "divergence); default: REPRO_EXEC_MODE or tape",
+        help="execute-stage mode: tape (compiled) or check (tape and "
+        "reference interpreter, trap on any bit of divergence); "
+        "default: REPRO_EXEC_MODE or tape",
     )
     p_run.add_argument(
         "--shard", default=None, metavar="i/n",
@@ -600,7 +600,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_tab.add_argument(
         "--exec-mode", choices=EXEC_MODES, default=None, dest="exec_mode",
-        help="execute-stage mode: tape / tree / check "
+        help="execute-stage mode: tape / check "
         "(default: REPRO_EXEC_MODE or tape)",
     )
     p_tab.add_argument(
@@ -675,7 +675,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_serve.add_argument(
         "--exec-mode", choices=EXEC_MODES, default=None, dest="exec_mode",
-        help="worker execute-stage mode (default: each worker's own default)",
+        help="worker execute-stage mode: tape / check (default: each worker's own default)",
     )
     p_serve.add_argument(
         "--queue", default=None, metavar="JOBS.jsonl",

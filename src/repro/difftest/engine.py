@@ -213,11 +213,11 @@ class EngineConfig:
             order) for a *sharded* island campaign; how concurrently
             running shards find each other's merge-point exports.
         exec_mode: how the execute stage runs kernels — ``"tape"``
-            (compiled register-machine tapes, the default), ``"tree"``
-            (the reference tree-walk interpreter) or ``"check"`` (both,
-            raising :class:`~repro.errors.ExecutionDivergence` on any bit
-            of disagreement).  All three produce byte-identical campaign
-            results; ``REPRO_EXEC_MODE`` overrides the default.
+            (compiled register-machine tapes, the default) or
+            ``"check"`` (the tape and the reference tree-walk
+            interpreter, raising :class:`~repro.errors.ExecutionDivergence`
+            on any bit of disagreement).  Both produce byte-identical
+            campaign results; ``REPRO_EXEC_MODE`` overrides the default.
     """
 
     jobs: int | str = 1
@@ -691,7 +691,7 @@ class CampaignEngine:
 
         Two binaries whose optimized kernel and FP environment are
         content-equal are observationally the same machine program — one
-        interpreter run serves all their labels (bit-identical by the
+        run serves all their labels (bit-identical by the
         worker's purity guarantee).  Grouping spans compilers: gcc and
         clang frequently converge to the same optimized kernel on
         fold-free programs.  Kernels are keyed in one intern table for

@@ -1,4 +1,4 @@
-"""Deterministic IR interpreter — the 'hardware' the simulated binaries run on."""
+"""Deterministic IR execution — the 'hardware' the simulated binaries run on."""
 
 from repro.execution.interp import Interpreter
 from repro.execution.result import ExecutionResult, ExecStatus

@@ -13,16 +13,15 @@ operation routes through the deterministic
 :class:`~repro.fp.env.FPEnvironment`, and libm perturbations are keyed
 hashes, not RNG draws).
 
-Three execution modes (``EXEC_MODES``):
+Two execution modes (``EXEC_MODES``):
 
-* ``tree`` — the reference tree-walk interpreter;
-* ``tape`` — the compiled tape executor (the campaign default;
-  bit-identical);
-* ``check`` — run both and raise
+* ``tape`` — the compiled tape executor, every caller's default;
+* ``check`` — also run the reference tree-walk interpreter and raise
   :class:`~repro.errors.ExecutionDivergence` on any bit of difference
   (status, error message, step count, stdout, printed-value bits).
   Results are compared on raw IEEE bits — never dataclass equality,
-  which NaN payloads would defeat.
+  which NaN payloads would defeat.  Outside ``check``, the interpreter
+  runs only as the tape's fault rerun.
 
 A tape lives exactly as long as its call: there is no cross-task tape
 cache.  The engine already runs each distinct (kernel, environment) of a
@@ -50,10 +49,10 @@ __all__ = [
     "run_kernel_task",
 ]
 
-#: Valid execute-stage modes, in reference-first order.
-EXEC_MODES = ("tree", "tape", "check")
+#: Valid execute-stage modes, the default first.
+EXEC_MODES = ("tape", "check")
 
-#: The mode campaigns use when none is named (``REPRO_EXEC_MODE`` overrides).
+#: Every caller's mode when none is named (``REPRO_EXEC_MODE`` overrides).
 DEFAULT_EXEC_MODE = "tape"
 
 #: One execution unit: ``(kernel, env, inputs, max_steps, mode)``.
@@ -84,21 +83,19 @@ def run_kernel(
     env: FPEnvironment,
     inputs: tuple,
     max_steps: int = DEFAULT_MAX_STEPS,
-    mode: str = "tree",
+    mode: str = DEFAULT_EXEC_MODE,
 ) -> ExecutionResult:
     """Execute ``kernel`` under ``env`` on one input vector.
 
     ``mode`` picks the executor (see :data:`EXEC_MODES`); a direct call
-    defaults to the reference interpreter.  Safe to call concurrently
-    from any thread or process: every invocation uses a private
-    interpreter or tape and the result depends only on the arguments.
+    runs the tape.  Safe to call concurrently from any thread or
+    process: every invocation uses a private tape or interpreter and
+    the result depends only on the arguments.
     """
     if mode == "tape":
         return compile_tape(kernel, env).run(inputs, max_steps)
     check_exec_mode(mode)
     tree = Interpreter(kernel, env, max_steps).run(inputs)
-    if mode == "tree":
-        return tree
     tape = compile_tape(kernel, env).run(inputs, max_steps)
     if result_key(tree) != result_key(tape):
         raise ExecutionDivergence(

@@ -93,7 +93,7 @@ class ExperimentSettings:
     backend: str = field(
         default_factory=lambda: os.environ.get("REPRO_BACKEND", DEFAULT_BACKEND)
     )
-    #: execute-stage mode: tree / tape / check (``REPRO_EXEC_MODE``)
+    #: execute-stage mode: tape / check (``REPRO_EXEC_MODE``)
     exec_mode: str = field(
         default_factory=lambda: os.environ.get("REPRO_EXEC_MODE", DEFAULT_EXEC_MODE)
     )

@@ -42,7 +42,7 @@ class Binary:
         return f"{self.compiler}/{self.level}"
 
     def run(self, inputs: tuple, max_steps: int = DEFAULT_MAX_STEPS) -> ExecutionResult:
-        """Execute on one input vector with the reference interpreter."""
+        """Execute on one input vector on the compiled tape."""
         return run_kernel(self.kernel, self.env, inputs, max_steps)
 
 

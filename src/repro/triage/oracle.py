@@ -3,7 +3,7 @@
 A :class:`PairOracle` pins one (compiler pair, optimization level) cell
 and evaluates candidate *source text* through the same path the campaign
 engine uses — :func:`~repro.difftest.engine.frontend_kernels` per target
-kind, the compiler's pass pipeline, the deterministic interpreter — so a
+kind, the compiler's pass pipeline, the compiled tape — so a
 reduction verdict agrees bit-for-bit with what a campaign would observe.
 Any front-end, compile, or runtime failure simply makes the candidate
 uninteresting; delta debugging proposes many invalid programs and the

@@ -283,8 +283,8 @@ def reduce_program(
     intermediate step is).  Deterministic: the same arguments always
     produce the same reduced program.
 
-    Candidates run on the tree interpreter: each kernel runs once, so a
-    tape compile would not pay for itself.
+    Candidates run on the tape; a runaway one that crosses the step cap
+    below faults and reruns on the interpreter, paying for both.
     """
     by_name = compilers_by_name(compilers)
     try:

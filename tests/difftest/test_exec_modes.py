@@ -1,4 +1,4 @@
-"""Execute-stage modes: campaign results identical for tree/tape/check.
+"""Execute-stage modes: campaign results identical for tape and check.
 
 The engine's ``exec_mode`` swaps the executor under the execute stage;
 nothing downstream may be able to tell.  These tests pin that at the
@@ -9,6 +9,7 @@ strongest level available — the v3 checkpoint byte stream — across every
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.difftest.config import CampaignConfig
 from repro.difftest.engine import CampaignEngine, EngineConfig
 from repro.difftest.harness import run_campaign
@@ -36,12 +37,12 @@ class TestCampaignIdentity:
         "mode,backend,jobs",
         [
             ("tape", "serial", 1),
-            ("check", "serial", 1),
             ("tape", "process", 2),
+            ("check", "process", 2),
         ],
     )
     def test_checkpoints_byte_identical(self, tmp_path, mode, backend, jobs):
-        reference = _checkpoint_bytes(tmp_path, "ref", "tree", "serial", 1)
+        reference = _checkpoint_bytes(tmp_path, "ref", "check", "serial", 1)
         assert (
             _checkpoint_bytes(tmp_path, f"{mode}-{backend}", mode, backend, jobs)
             == reference
@@ -59,16 +60,31 @@ class TestExecModeKnob:
         assert ExperimentSettings().exec_mode == "check"
 
     def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError, match="exec_mode"):
-            EngineConfig(exec_mode="jit")
-        with pytest.raises(ValueError, match="exec_mode"):
-            ExperimentSettings(exec_mode="jit")
+        for mode in ("jit", "tree"):
+            with pytest.raises(ValueError, match="exec_mode must be one of"):
+                EngineConfig(exec_mode=mode)
+            with pytest.raises(ValueError, match="exec_mode must be one of"):
+                ExperimentSettings(exec_mode=mode)
+
+    def test_env_tree_rejected(self, monkeypatch):
+        monkeypatch.setenv("REPRO_EXEC_MODE", "tree")
+        with pytest.raises(ValueError, match="exec_mode must be one of tape, check"):
+            EngineConfig()
+        with pytest.raises(ValueError, match="exec_mode must be one of tape, check"):
+            ExperimentSettings()
+
+    @pytest.mark.parametrize("command", ["run", "tables", "serve"])
+    def test_cli_refuses_tree(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, "--exec-mode", "tree"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'tree'" in capsys.readouterr().err
 
     def test_settings_flow_into_engine_config(self):
         from repro.experiments.runner import ExperimentContext
 
-        ctx = ExperimentContext(ExperimentSettings(exec_mode="tree"))
-        assert ctx.engine_config().exec_mode == "tree"
+        ctx = ExperimentContext(ExperimentSettings(exec_mode="check"))
+        assert ctx.engine_config().exec_mode == "check"
 
     def test_check_mode_engine_smoke(self):
         # check mode re-runs every execution through both executors and

@@ -226,7 +226,7 @@ class TestTierNodeParity:
 
         kernel = self._vector_kernel()
         env = FPEnvironment(libm=CudaLibm(), veclibm=NvccVecLibm())
-        tree = run_kernel(kernel, env, self.INPUTS, 200000, "tree")
+        tree = Interpreter(kernel, env, 200000).run(self.INPUTS)
         check = run_kernel(kernel, env, self.INPUTS, 200000, "check")
         assert result_key(check) == result_key(tree)
 
@@ -428,16 +428,25 @@ class TestRunKernelModes:
             ]
             for mode in EXEC_MODES
         }
+        keys["tree"] = [
+            result_key(Interpreter(kernel, env, 10_000).run(inputs))
+            for inputs in ((0.1, 10), (2.5, 3))
+        ]
         assert keys["tape"] == keys["tree"] == keys["check"]
 
     def test_default_mode_is_tape(self):
+        assert EXEC_MODES == ("tape", "check")
         assert DEFAULT_EXEC_MODE == "tape"
-        assert DEFAULT_EXEC_MODE in EXEC_MODES
+        kernel, env = self._kernel()
+        # a direct call never builds check mode's reference interpreter
+        with mock.patch.object(worker, "Interpreter", side_effect=AssertionError):
+            assert run_kernel(kernel, env, (1.0, 2)).ok
 
     def test_bad_mode_rejected(self):
         kernel, env = self._kernel()
-        with pytest.raises(ValueError, match="exec_mode"):
-            run_kernel(kernel, env, (1.0, 2), 10_000, "jit")
+        for mode in ("jit", "tree"):
+            with pytest.raises(ValueError, match="exec_mode must be one of"):
+                run_kernel(kernel, env, (1.0, 2), 10_000, mode)
 
     def test_check_mode_raises_on_divergence(self, monkeypatch):
         kernel, env = self._kernel()
@@ -466,7 +475,7 @@ class TestRunKernelModes:
         kernel, env = self._kernel()
         for inputs in ((0.5, 4), (1.0, 0)):
             task = (kernel, env, inputs, 10_000, "tape")
-            direct = run_kernel(kernel, env, inputs, 10_000, "tree")
+            direct = Interpreter(kernel, env, 10_000).run(inputs)
             assert result_key(run_kernel_task(task)) == result_key(direct)
 
 

@@ -214,18 +214,20 @@ class TestQueueFile:
             load_jobs(path)
 
     def test_unknown_exec_mode_rejected_before_any_worker(self, tmp_path, capsys):
-        path = tmp_path / "jobs.jsonl"
-        path.write_text(
-            '{"approach": "loops", "budget": 2}\n'
-            '{"approach": "varity", "budget": 2, "exec_mode": "jit"}\n'
-        )
-        with pytest.raises(ValueError, match="jobs.jsonl:2: exec_mode"):
-            load_jobs(path)
-        fleet = tmp_path / "fleet"
-        assert cli_main(["serve", "--dir", str(fleet), "--queue", str(path)]) == 2
-        assert not fleet.exists() or not any(fleet.iterdir())
-        err = capsys.readouterr().err.strip()
-        assert err.count("\n") == 0 and "jobs.jsonl:2" in err
+        for mode in ("jit", "tree"):
+            path = tmp_path / f"jobs-{mode}.jsonl"
+            path.write_text(
+                '{"approach": "loops", "budget": 2}\n'
+                f'{{"approach": "varity", "budget": 2, "exec_mode": "{mode}"}}\n'
+            )
+            with pytest.raises(ValueError, match=f"jobs-{mode}.jsonl:2: exec_mode"):
+                load_jobs(path)
+            fleet = tmp_path / f"fleet-{mode}"
+            assert cli_main(["serve", "--dir", str(fleet), "--queue", str(path)]) == 2
+            assert not fleet.exists() or not any(fleet.iterdir())
+            err = capsys.readouterr().err.strip()
+            assert err.count("\n") == 0 and f"jobs-{mode}.jsonl:2" in err
+            assert f"exec_mode must be one of tape, check, got '{mode}'" in err
 
     def test_not_utf8_queue_exits_2_naming_the_line(self, tmp_path, capsys):
         path = tmp_path / "jobs.jsonl"

@@ -85,7 +85,7 @@ def kernel_of(source):
 
 
 def run(kernel, inputs, env=None):
-    result = run_kernel(kernel, env or FPEnvironment(), inputs)
+    result = run_kernel(kernel, env or FPEnvironment(), inputs, mode="check")
     assert result.ok, result.error
     return result.signature()
 
@@ -399,7 +399,7 @@ void compute(double *a, double s, int n) {
         assert len(wide) == 1
         # Map lanes are lane-wise identical to scalar stores; only the
         # trailing reduction reassociates, so values stay finite and ok.
-        result = run_kernel(vec, FPEnvironment(), INPUTS_8)
+        result = run_kernel(vec, FPEnvironment(), INPUTS_8, mode="check")
         assert result.ok, result.error
 
     def test_int_condition_stays_scalar(self):
@@ -456,7 +456,7 @@ class TestMaskedInterp:
                 ),
             ),
         )
-        result = run_kernel(kernel, env, ())
+        result = run_kernel(kernel, env, (), mode="check")
         assert result.ok
         # lanes: 1.0, 9.0, 0.5, 9.0 -> ladder sum 19.5
         assert result.printed[0] == 19.5
@@ -481,7 +481,7 @@ class TestMaskedInterp:
                 ),
             ),
         )
-        result = run_kernel(kernel, FPEnvironment(), ((1.0, 2.0, 3.0, 4.0),))
+        result = run_kernel(kernel, FPEnvironment(), ((1.0, 2.0, 3.0, 4.0),), mode="check")
         assert result.ok, result.error
         assert result.printed[0] == 2.0 + 3.0 + 4.0  # lane 3: 0.0, no read
 
@@ -498,7 +498,7 @@ class TestMaskedInterp:
             (ir.Param("a", "double*"),),
             (ir.SAssign("x", ir.VecReduce("+", load, 4, "double", "ladder"), "double"),),
         )
-        result = run_kernel(kernel, FPEnvironment(), ((1.0, 2.0, 3.0, 4.0),))
+        result = run_kernel(kernel, FPEnvironment(), ((1.0, 2.0, 3.0, 4.0),), mode="check")
         assert result.status is ExecStatus.TRAP
         assert "out of bounds" in result.error
 
@@ -520,7 +520,7 @@ class TestMaskedInterp:
                 ),
             ),
         )
-        result = run_kernel(kernel, FPEnvironment(), ((1.0, 2.0, 3.0, 4.0),))
+        result = run_kernel(kernel, FPEnvironment(), ((1.0, 2.0, 3.0, 4.0),), mode="check")
         assert result.ok
         assert result.printed[0] == 2.0 + 4.0  # inverted: lanes 1 and 3
 
@@ -544,5 +544,5 @@ class TestMaskedInterp:
             (),
             (ir.SPrint("%.17g\\n", (ir.VecReduce("+", node, 2, "double", "ladder"),)),),
         )
-        result = run_kernel(kernel, FPEnvironment(), ())
+        result = run_kernel(kernel, FPEnvironment(), (), mode="check")
         assert result.printed[0] == 107.0

@@ -2,9 +2,11 @@
 
 ``LoopUnroll`` and ``IfConvert`` only reshape loops: every FP operation
 still runs in the original order on the original operands.  Applied
-alone to a campaign kernel, each must leave the tree interpreter's
-status, stdout and printed bits unchanged on the program's own inputs.
-Step counts are not compared: unrolling legitimately changes them.
+alone to a campaign kernel, each must leave status, stdout and printed
+bits unchanged on the program's own inputs.  Every run is in ``check``
+mode, so the tape is also compared bit for bit with the reference
+interpreter on each kernel.  Step counts are not compared: unrolling
+legitimately changes them.
 
 The host pipelines rely on this twice over: a loop ``Vectorize`` leaves
 scalar is unrolled, and triage bisection must never pin a flip on
@@ -55,7 +57,7 @@ def campaign_kernels():
 
 
 def observable(kernel, inputs):
-    r = run_kernel(kernel, FPEnvironment(), inputs)
+    r = run_kernel(kernel, FPEnvironment(), inputs, mode="check")
     return r.status, r.stdout, tuple(double_to_bits(v) for v in r.printed)
 
 

@@ -96,7 +96,7 @@ def kernel_of(source):
 
 
 def run(kernel, inputs, env=None):
-    result = run_kernel(kernel, env or FPEnvironment(), inputs)
+    result = run_kernel(kernel, env or FPEnvironment(), inputs, mode="check")
     assert result.ok, result.error
     return result.signature()
 
@@ -437,6 +437,7 @@ class TestVectorInterp:
                 ),
                 env,
                 (),
+                mode="check",
             ).printed[0]
             for style, node in results.items()
         }
@@ -461,6 +462,6 @@ class TestVectorInterp:
                 ),
             ),
         )
-        result = run_kernel(kernel, FPEnvironment(), ((1.0,) * 8,))
+        result = run_kernel(kernel, FPEnvironment(), ((1.0,) * 8,), mode="check")
         assert result.status is ExecStatus.TRAP
         assert "out of bounds" in result.error

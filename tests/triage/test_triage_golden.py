@@ -9,14 +9,21 @@ reduced program, its edit and oracle-test counts, and the bisection
 traces.  A refactor of reduction, bisection or clustering must leave it
 unchanged; a change that means to alter a report re-pins it and says
 why.
+
+Triage runs every candidate and bisection replay on the compiled tape.
+The same two digests are asserted once more with those runs in
+``check`` mode, which also runs the reference interpreter and raises on
+any diverging bit.
 """
 
 import hashlib
+from functools import partial
 
 import pytest
 
 from repro.difftest.config import CampaignConfig
 from repro.difftest.engine import CampaignEngine
+from repro.execution.worker import run_kernel
 from repro.experiments.approaches import make_generator
 from repro.toolchains import default_compilers
 from repro.triage import distilled_trigger, triage_campaign, triage_single
@@ -62,3 +69,12 @@ REPORTS = {"demo": demo_report, "loops": loops_report}
 def test_triage_report_matches_golden_digest(name):
     text = REPORTS[name]().render()
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[name]
+
+
+def test_triage_on_the_tape_matches_the_interpreter(monkeypatch):
+    checked = partial(run_kernel, mode="check")
+    monkeypatch.setattr("repro.toolchains.base.run_kernel", checked)
+    monkeypatch.setattr("repro.triage.bisect.run_kernel", checked)
+    for name in sorted(GOLDEN):
+        text = REPORTS[name]().render()
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[name], name
