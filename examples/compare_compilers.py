@@ -17,11 +17,11 @@ from collections import Counter
 
 from repro import (
     CampaignConfig,
+    CampaignEngine,
     CampaignReport,
     SplittableRng,
     default_compilers,
     make_generator,
-    run_campaign,
 )
 from repro.utils.tables import TextTable
 
@@ -32,9 +32,10 @@ def main() -> None:
 
     rng = SplittableRng(seed)
     generator = make_generator("llm4fp", rng)
-    result = run_campaign(
-        generator, default_compilers(), CampaignConfig(budget=budget, seed=seed)
+    engine = CampaignEngine(
+        default_compilers(), CampaignConfig(budget=budget, seed=seed)
     )
+    result = engine.run(generator)
     report = CampaignReport(result)
 
     # -- within-compiler stability (RQ4 view) ------------------------------

@@ -18,10 +18,10 @@ import sys
 
 from repro import (
     CampaignConfig,
+    CampaignEngine,
     CampaignReport,
     SplittableRng,
     make_generator,
-    run_campaign,
 )
 from repro.difftest.classify import kind_label
 from repro.fp.formats import Precision
@@ -37,7 +37,7 @@ def run_at(precision: Precision, budget: int, seed: int, fmad_prob=None):
         else NvccCompiler(precision=precision, fmad_prob=fmad_prob)
     )
     compilers = [GccCompiler(), ClangCompiler(), nvcc]
-    return run_campaign(generator, compilers, CampaignConfig(budget=budget))
+    return CampaignEngine(compilers, CampaignConfig(budget=budget)).run(generator)
 
 
 def show(title: str, result) -> None:

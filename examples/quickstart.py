@@ -13,11 +13,11 @@ import sys
 
 from repro import (
     CampaignConfig,
+    CampaignEngine,
     CampaignReport,
     SplittableRng,
     default_compilers,
     make_generator,
-    run_campaign,
 )
 from repro.toolchains import ALL_LEVELS, flags_for
 
@@ -39,7 +39,8 @@ def main() -> None:
     compilers = default_compilers()
     print(f"Running LLM4FP campaign: {budget} programs x "
           f"{len(compilers)} compilers x {len(ALL_LEVELS)} levels ...")
-    result = run_campaign(generator, compilers, CampaignConfig(budget=budget, seed=seed))
+    engine = CampaignEngine(compilers, CampaignConfig(budget=budget, seed=seed))
+    result = engine.run(generator)
 
     report = CampaignReport(result)
     s = report.summary()

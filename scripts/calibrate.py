@@ -7,7 +7,7 @@ import time
 sys.path.insert(0, "src")
 
 from repro.difftest.config import CampaignConfig
-from repro.difftest.harness import run_campaign
+from repro.difftest.engine import CampaignEngine
 from repro.difftest.report import CampaignReport
 from repro.experiments.approaches import APPROACHES, make_generator
 from repro.toolchains import default_compilers
@@ -26,7 +26,7 @@ for approach in APPROACHES:
     t0 = time.time()
     rng = SplittableRng(20250916, f"approach-{approach}")
     gen = make_generator(approach, rng)
-    result = run_campaign(gen, default_compilers(), CampaignConfig(budget=BUDGET))
+    result = CampaignEngine(default_compilers(), CampaignConfig(budget=BUDGET)).run(gen)
     report = CampaignReport(result)
     dt = time.time() - t0
     n_compile_fail = sum(

@@ -2,12 +2,14 @@
 
 Quickstart::
 
-    from repro import SplittableRng, make_generator, run_campaign, default_compilers
-    from repro.difftest import CampaignConfig, CampaignReport
+    from repro import (
+        CampaignConfig, CampaignEngine, CampaignReport, SplittableRng,
+        default_compilers, make_generator,
+    )
 
-    rng = SplittableRng(42)
-    generator = make_generator("llm4fp", rng)
-    result = run_campaign(generator, default_compilers(), CampaignConfig(budget=50))
+    generator = make_generator("llm4fp", SplittableRng(42))
+    engine = CampaignEngine(default_compilers(), CampaignConfig(budget=50))
+    result = engine.run(generator)
     print(CampaignReport(result).summary())
 
 See ``docs/architecture.md`` for the module map and the data flow of a
@@ -16,7 +18,6 @@ campaign.
 
 from repro.difftest.config import CampaignConfig
 from repro.difftest.engine import CampaignEngine, EngineConfig
-from repro.difftest.harness import run_campaign
 from repro.difftest.report import CampaignReport
 from repro.experiments.approaches import ALL_APPROACHES, APPROACHES, make_generator
 from repro.fp.formats import Precision
@@ -38,7 +39,6 @@ __all__ = [
     "CampaignConfig",
     "CampaignEngine",
     "EngineConfig",
-    "run_campaign",
     "CampaignReport",
     "ALL_APPROACHES",
     "APPROACHES",

@@ -18,12 +18,11 @@ from repro.difftest.backend import (
 )
 from repro.execution.worker import EXEC_MODES
 from repro.difftest.config import CampaignConfig
-from repro.difftest.engine import EngineConfig, JsonLineProgress
-from repro.difftest.harness import run_campaign
+from repro.difftest.engine import CampaignEngine, EngineConfig, JsonLineProgress
 from repro.difftest.record import ProgramOutcome
 from repro.difftest.report import CampaignReport
 from repro.difftest.store import (
-    CampaignStore, CampaignStoreError, load_result, merge_shards,
+    CampaignStore, CampaignStoreError, _read_shard_set, load_result,
 )
 from repro.experiments import table2, table3, table4, table5, figure3, triage_summary
 from repro.experiments.approaches import ALL_APPROACHES, make_generator
@@ -163,14 +162,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         progress = None
     else:
         progress = _StreamProgress(args.budget)
-    result = run_campaign(
-        generator,
-        default_compilers(tiers=args.tiers),
-        config,
-        progress=progress,
-        engine_config=engine_config,
-        store=store,
-    )
+    engine = CampaignEngine(default_compilers(tiers=args.tiers), config, engine_config)
+    result = engine.run(generator, progress=progress, store=store)
     if progress is not None:
         progress.finish()
     report = CampaignReport(result)
@@ -245,13 +238,12 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 
 def _cmd_merge(args: argparse.Namespace) -> int:
     """Splice shard checkpoint files back into one campaign report."""
-    results = [load_result(path) for path in args.checkpoints]
-    merged = merge_shards(results)
+    _, _, merged = _read_shard_set(args.checkpoints)
     report = CampaignReport(merged)
     s = report.summary()
     print(f"approach:             {s['approach']}")
     print(f"programs:             {merged.budget}")
-    print(f"shards merged:        {len(results)}")
+    print(f"shards merged:        {len(args.checkpoints)}")
     print(f"total comparisons:    {s['total_comparisons']:,}")
     print(f"inconsistencies:      {s['inconsistencies']:,}")
     print(f"inconsistency rate:   {s['inconsistency_rate'] * 100:.2f}%")
@@ -353,7 +345,6 @@ def _parse_inputs(spec: str) -> tuple:
 
 def _cmd_triage(args: argparse.Namespace) -> int:
     """Reduce -> bisect -> cluster triggering programs into a ranked report."""
-    from repro.difftest.engine import CampaignEngine
     from repro.generation.program import GeneratedProgram
     from repro.triage import distilled_trigger, triage_results, triage_single
 

@@ -28,9 +28,8 @@ from repro.difftest.engine import (
     FrontendRecord,
     STAGES,
 )
-from repro.difftest.harness import run_campaign
 from repro.difftest.report import CampaignReport
-from repro.difftest.store import CampaignStore, CampaignStoreError, merge_shards
+from repro.difftest.store import CampaignStore, CampaignStoreError
 
 __all__ = [
     "BACKENDS",
@@ -40,7 +39,6 @@ __all__ = [
     "resolve_jobs",
     "CampaignStore",
     "CampaignStoreError",
-    "merge_shards",
     "CampaignConfig",
     "digit_difference",
     "compare_signatures",
@@ -55,6 +53,5 @@ __all__ = [
     "CompileRecord",
     "ExecuteRecord",
     "STAGES",
-    "run_campaign",
     "CampaignReport",
 ]

@@ -1,11 +1,12 @@
 """The staged campaign engine (paper Figure 1, decomposed).
 
-The original :func:`~repro.difftest.harness.run_campaign` was one
-monolithic loop: generate a program, then serially compile and run every
-(compiler, level) pair from scratch.  This module splits that loop into
-five explicit stages with typed per-stage records and makes the
-compile+execute matrix — the embarrassingly parallel middle of the loop —
-deduplicated and concurrently schedulable:
+A campaign generates a program, compiles it with every (compiler,
+level) pair, runs every binary and compares the outputs.
+:meth:`CampaignEngine.run` is the one way to run a campaign; this
+module splits its loop into five explicit stages with typed per-stage
+records and makes the compile+execute matrix — the embarrassingly
+parallel middle of the loop — deduplicated and concurrently
+schedulable:
 
 * **generate** — ask the generator for the next program.  Stays serial:
   the feedback loop (triggering programs re-seed the generator) makes
@@ -50,9 +51,9 @@ Two campaign-scale facilities ride on that determinism:
   cheap generate stage (restoring the generator's feedback state from the
   stored verdicts) and recomputes only unfinished programs.
 * **sharding** — ``shard i/n`` deterministically partitions the budget by
-  ``index % n`` so n machines produce disjoint shards whose
-  :func:`~repro.difftest.store.merge_shards` union is bit-identical to
-  an unsharded run.  Feedback generators shard as islands
+  ``index % n`` so n machines produce disjoint shard checkpoints whose
+  :func:`~repro.difftest.store.merge_shard_stores` splice is
+  byte-identical to an unsharded run's.  Feedback generators shard as islands
   (``EngineConfig.islands``), which partition generation itself.
 
 Note on throughput: on the serial backend the measured gains come from
@@ -197,8 +198,9 @@ class EngineConfig:
             pool workers; feedback and island campaigns run inline).
             Results are byte-identical across both.
         shard_index / shard_count: run only budget indices where
-            ``index % shard_count == shard_index``; disjoint shards merge
-            to the unsharded result (:func:`repro.difftest.store.merge_shards`).
+            ``index % shard_count == shard_index``; disjoint shard
+            checkpoints merge to the unsharded one
+            (:func:`repro.difftest.store.merge_shard_stores`).
         islands: ``0`` (off) replays the whole generation stream on every
             shard (feedback-free generators only); ``n >= 1`` partitions
             *generation itself* into ``n`` islands (budget index ``i``

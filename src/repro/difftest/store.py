@@ -18,17 +18,17 @@ A truncated final line — the signature of a crash mid-append — is
 detected on open and the file is truncated back to the last complete
 record; everything before it is trusted, everything after recomputed.
 
-:func:`merge_shards` is the other half of ``--shard i/n``: it validates
-that a set of disjoint shard results covers the full budget and splices
-their outcomes back into index order, summing timing and dedup counters,
-so the merged result is bit-identical to an unsharded run.
+:func:`merge_shard_stores` is the other half of ``--shard i/n``: it
+checks that a set of shard checkpoints is every shard of one campaign,
+covering the full budget, and splices their records back into index
+order, so the merged file is byte-identical to an unsharded run's
+checkpoint.  ``llm4fp merge`` reads a shard set through the same checks.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import replace
 from pathlib import Path
 from typing import Iterator
 
@@ -41,8 +41,6 @@ __all__ = [
     "CampaignStore",
     "CampaignStoreError",
     "load_result",
-    "load_triggers",
-    "merge_shards",
     "merge_shard_stores",
     "read_island_records",
     "read_complete_lines",
@@ -393,35 +391,42 @@ def _decode_records(
     return outcomes, islands
 
 
-def load_result(path: str | os.PathLike) -> CampaignResult:
-    """Reconstruct a :class:`CampaignResult` from a checkpoint file alone.
+def _read_checkpoint(path: str | os.PathLike) -> tuple[dict, list[tuple[bytes, dict]]]:
+    """``path``'s header and its complete body lines as ``(raw, record)``.
 
-    The file is self-describing (the header pins approach, budget, levels,
-    compilers and shard), so this is how shard results come back together
-    after running on separate machines: load each shard's JSONL and hand
-    the results to :func:`merge_shards`.  Timing and dedup counters
-    are not checkpointed — they describe the machine that ran the shard,
-    not the campaign — so they read zero on a loaded result.
+    A crash tail is skipped: the complete prefix is what resume trusts.
+    Raises :class:`CampaignStoreError` naming ``path`` when the file
+    cannot be read, has no campaign header or has an unreadable version.
     """
-    lines, _, _ = read_complete_lines(path)
-    if not lines or lines[0].get("kind") != "campaign":
+    try:
+        data = Path(path).read_bytes()
+    except OSError as e:
+        raise CampaignStoreError(f"cannot read checkpoint {path}: {e.strerror}") from e
+    lines = list(_complete_lines(data))
+    if not lines or lines[0][1].get("kind") != "campaign":
         raise CampaignStoreError(f"{path} is not a campaign checkpoint")
-    header = lines[0]
+    header = lines[0][1]
     if header.get("version") not in _READABLE_VERSIONS:
         raise CampaignStoreError(
             f"{path}: unsupported checkpoint version {header.get('version')!r}"
         )
-    outcomes, _ = _decode_records(lines[1:], path)
-    outcomes.sort(key=lambda o: o.index)
+    return header, lines[1:]
+
+
+def _result(
+    header: dict, outcomes: list[ProgramOutcome], path: str | os.PathLike
+) -> CampaignResult:
+    """The :class:`CampaignResult` a checkpoint header and its outcomes
+    describe, outcomes in index order."""
     try:
         return CampaignResult(
             approach=header["approach"],
-            budget=header["budget"],
+            budget=_budget_index(header, "budget"),
             levels=tuple(OptLevel(s) for s in header["levels"]),
             compilers=tuple(header["compilers"]),
-            outcomes=outcomes,
-            shard_index=header["shard_index"],
-            shard_count=header["shard_count"],
+            outcomes=sorted(outcomes, key=lambda o: o.index),
+            shard_index=_budget_index(header, "shard_index"),
+            shard_count=_budget_index(header, "shard_count"),
             tiers=header.get("tiers", "baseline"),
         )
     except (KeyError, TypeError, ValueError) as e:
@@ -430,17 +435,17 @@ def load_result(path: str | os.PathLike) -> CampaignResult:
         ) from e
 
 
-def load_triggers(path: str | os.PathLike) -> list[ProgramOutcome]:
-    """The triggering programs persisted in a checkpoint, in index order.
+def load_result(path: str | os.PathLike) -> CampaignResult:
+    """Reconstruct a :class:`CampaignResult` from a checkpoint file alone.
 
-    Checkpoints record *every* completed program (that is what resume
-    needs); this convenience extracts just the ones that diverged, for
-    ad-hoc inspection and for feeding
-    :func:`repro.triage.triage_outcomes` directly.  (``llm4fp triage``
-    itself goes through :func:`load_result` because its report also
-    counts the non-triggering programs.)
+    The file is self-describing (the header pins approach, budget, levels,
+    compilers and shard).  Timing and dedup counters are not
+    checkpointed — they describe the machine that ran the campaign, not
+    the campaign — so they read zero on a loaded result.
     """
-    return load_result(path).triggering_outcomes
+    header, lines = _read_checkpoint(path)
+    outcomes, _ = _decode_records([record for _, record in lines], path)
+    return _result(header, outcomes, path)
 
 
 def read_island_records(path: str | os.PathLike) -> list[dict]:
@@ -501,175 +506,112 @@ def tail_outcomes(
 # -- shard merging ---------------------------------------------------------------
 
 
-def merge_shards(results: list[CampaignResult]) -> CampaignResult:
-    """Splice disjoint shard results back into one complete campaign.
-
-    The input must be every shard of one campaign (each produced with the
-    same approach/budget/levels/compilers and a common ``shard_count``).
-    Outcomes are re-interleaved by budget index and matrix-stage timings
-    and dedup counters summed; the merged result is bit-identical to an
-    unsharded run for every observable field.  Generation time (and
-    simulated LLM latency) is taken as the *maximum* over shards, not the
-    sum: every shard replays the full program stream, so summing would
-    overstate it ~shard_count-fold relative to the unsharded run.
-    """
-    if not results:
-        raise ValueError("merge_shards needs at least one shard result")
-    first = results[0]
-    identity = (first.approach, first.budget, first.levels, first.compilers, first.tiers)
-    count = first.shard_count
-    seen: set[int] = set()
-    for r in results:
-        if (r.approach, r.budget, r.levels, r.compilers, r.tiers) != identity:
-            raise ValueError(
-                "shard results describe different campaigns: "
-                f"{(r.approach, r.budget)} vs {(first.approach, first.budget)}"
-            )
-        if r.shard_count != count:
-            raise ValueError(
-                f"mixed shard counts: {r.shard_count} vs {count}"
-            )
-        if r.shard_index in seen:
-            raise ValueError(f"duplicate shard {r.shard_index}/{count}")
-        seen.add(r.shard_index)
-    if seen != set(range(count)):
-        missing = sorted(set(range(count)) - seen)
-        raise ValueError(f"incomplete shard set: missing {missing} of /{count}")
-    outcomes = sorted(
-        (o for r in results for o in r.outcomes), key=lambda o: o.index
-    )
-    indices = [o.index for o in outcomes]
-    if indices != list(range(first.budget)):
-        raise ValueError(
-            "merged shards do not cover the budget exactly "
-            f"({len(indices)} outcomes for budget {first.budget})"
-        )
-    merged = replace(
-        first,
-        outcomes=outcomes,
-        generation_seconds=max(r.generation_seconds for r in results),
-        frontend_seconds=sum(r.frontend_seconds for r in results),
-        compile_seconds=sum(r.compile_seconds for r in results),
-        execute_seconds=sum(r.execute_seconds for r in results),
-        compare_seconds=sum(r.compare_seconds for r in results),
-        llm_latency_seconds=max(r.llm_latency_seconds for r in results),
-        shared_runs=sum(r.shared_runs for r in results),
-        total_runs=sum(r.total_runs for r in results),
-        shard_index=0,
-        shard_count=1,
-    )
-    return merged
+_SHARD_KEYS = ("shard_index", "shard_count")
 
 
-def merge_shard_stores(
-    paths: list[str | os.PathLike], out_path: str | os.PathLike
-) -> Path:
-    """Splice shard checkpoint *files* into one merged checkpoint file.
+def _read_shard_set(
+    paths: list[str | os.PathLike],
+) -> tuple[dict, list[bytes], CampaignResult]:
+    """Read and check the checkpoint files of every shard of one campaign.
 
-    Where :func:`merge_shards` merges in-memory results, this merges at
-    the byte level: each shard's record lines are kept verbatim (never
-    re-encoded) and written to ``out_path`` in budget-index order under a
-    header whose shard is rewritten to ``0/1``.  Because every shard
-    replays the identical program stream and the engine's encoding is
-    deterministic, the merged file is **byte-identical to the checkpoint
-    an unsharded ``run --resume`` would have written** — the property the
-    fleet supervisor's kill/reassign contract is audited against.
-
-    Validates the same invariants as :func:`merge_shards`: one campaign
-    identity, a common shard count, no duplicate or missing shards, and
-    exact coverage of the budget.  Raises :class:`CampaignStoreError` on
-    any violation (the merged file is not written).
+    Checks one campaign identity (the whole header but its shard), a
+    common shard count, no duplicate or missing shard, and exact coverage
+    of the budget; a crash tail is skipped.  Returns the merged header
+    (shard 0's, with the shard rewritten to ``0/1``), the body lines in
+    the order an unsharded run writes them, and the merged result decoded
+    from them.  Raises :class:`CampaignStoreError` on any violation.
     """
     if not paths:
-        raise CampaignStoreError("merge_shard_stores needs at least one shard file")
+        raise CampaignStoreError("a shard set needs at least one checkpoint file")
     headers: list[dict] = []
     rows: dict[int, bytes] = {}
     island_rows: dict[int, list[bytes]] = {}  # budget index -> island lines after it
+    outcomes: list[ProgramOutcome] = []
     for path in paths:
-        data = Path(path).read_bytes()
-        header: dict | None = None
-        # A crash tail is skipped: the complete prefix is what resume trusts.
-        for raw, record in _complete_lines(data):
-            if header is None:
-                if record.get("kind") != "campaign":
-                    raise CampaignStoreError(f"{path} is not a campaign checkpoint")
-                if record.get("version") not in _READABLE_VERSIONS:
-                    raise CampaignStoreError(
-                        f"{path}: unsupported checkpoint version "
-                        f"{record.get('version')!r}"
-                    )
-                header = record
-                continue
-            outcomes, islands = _decode_records([record], path)
+        header, lines = _read_checkpoint(path)
+        headers.append(header)
+        for raw, record in lines:
+            decoded, islands = _decode_records([record], path)
             if islands:
                 island_rows.setdefault(record["after"], []).append(raw)
                 continue
-            index = outcomes[0].index
+            index = decoded[0].index
             if index in rows:
                 raise CampaignStoreError(
                     f"duplicate outcome for budget index {index} "
                     f"(shards overlap or a file was passed twice)"
                 )
             rows[index] = raw
-        if header is None:
-            raise CampaignStoreError(f"{path} is not a campaign checkpoint")
-        headers.append(header)
+            outcomes.extend(decoded)
 
-    def identity(h: dict) -> tuple:
-        return tuple(
-            (k, json.dumps(v, sort_keys=True))
-            for k, v in sorted(h.items())
-            if k not in ("shard_index", "shard_count")
-        )
+    def identity(h: dict) -> dict:
+        return {k: v for k, v in h.items() if k not in _SHARD_KEYS}
 
     first = headers[0]
-    count = first.get("shard_count")
+    count = _result(first, [], paths[0]).shard_count
     seen: set[int] = set()
-    for h in headers:
+    for path, h in zip(paths, headers):
         if identity(h) != identity(first):
-            raise CampaignStoreError(
-                "shard checkpoints describe different campaigns:\n"
-                f"  {first}\n  {h}"
+            fields = sorted(
+                k for k in identity(h) | identity(first) if h.get(k) != first.get(k)
             )
-        if h.get("shard_count") != count:
             raise CampaignStoreError(
-                f"mixed shard counts: {h.get('shard_count')} vs {count}"
+                "shard checkpoints describe different campaigns "
+                f"(mismatched: {', '.join(fields)}): {paths[0]} vs {path}"
             )
-        if h.get("shard_index") in seen:
-            raise CampaignStoreError(
-                f"duplicate shard {h.get('shard_index')}/{count}"
-            )
-        seen.add(h.get("shard_index"))
+        shard = _result(h, [], path)
+        if shard.shard_count != count:
+            raise CampaignStoreError(f"mixed shard counts: {shard.shard_count} vs {count}")
+        if shard.shard_index in seen:
+            raise CampaignStoreError(f"duplicate shard {shard.shard_index}/{count}")
+        seen.add(shard.shard_index)
     if seen != set(range(count)):
         missing = sorted(set(range(count)) - seen)
-        raise CampaignStoreError(
-            f"incomplete shard set: missing {missing} of /{count}"
-        )
-    budget = first["budget"]
-    if sorted(rows) != list(range(budget)):
+        raise CampaignStoreError(f"incomplete shard set: missing {missing} of /{count}")
+    merged_header = {**first, "shard_index": 0, "shard_count": 1}
+    result = _result(merged_header, outcomes, paths[0])
+    if sorted(rows) != list(range(result.budget)):
         raise CampaignStoreError(
             "merged shards do not cover the budget exactly "
-            f"({len(rows)} outcomes for budget {budget})"
+            f"({len(rows)} outcomes for budget {result.budget})"
         )
-    # The merged header is shard 0's header with the shard rewritten —
-    # same key order as the writer, so the bytes match an unsharded run.
-    merged_header = dict(first)
-    merged_header["shard_index"] = 0
-    merged_header["shard_count"] = 1
+    # Each shard wrote its island records right after the boundary
+    # outcome; replaying them at the same index reproduces the byte
+    # layout of the unsharded --islands run.
+    body = [
+        line
+        for index in range(result.budget)
+        for line in (rows[index], *island_rows.get(index, ()))
+    ]
+    return merged_header, body, result
+
+
+def merge_shard_stores(
+    paths: list[str | os.PathLike], out_path: str | os.PathLike
+) -> Path:
+    """Splice shard checkpoint files into one merged checkpoint file.
+
+    Each shard's record lines are kept verbatim (never re-encoded) and
+    written to ``out_path`` in budget-index order under a header whose
+    shard is rewritten to ``0/1``.  Because every shard replays the
+    identical program stream and the engine's encoding is deterministic,
+    the merged file is **byte-identical to the checkpoint an unsharded
+    ``run --resume`` would have written** — the property the fleet
+    supervisor's kill/reassign contract is audited against.
+
+    Raises :class:`CampaignStoreError` when the files are not every shard
+    of one campaign (see :func:`_read_shard_set`); the merged file is
+    then not written.
+    """
+    header, body, _ = _read_shard_set(paths)
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
     tmp = out.with_name(out.name + ".tmp")
     with tmp.open("wb") as f:
-        f.write(
-            json.dumps(merged_header, separators=(",", ":")).encode("utf-8") + b"\n"
-        )
-        for index in range(budget):
-            f.write(rows[index])
-            # Each shard wrote its island records right after the boundary
-            # outcome; replaying them at the same index reproduces the
-            # byte layout of the unsharded --islands run.
-            for raw in island_rows.get(index, ()):
-                f.write(raw)
+        # Shard 0's header key order is the writer's, so the bytes match
+        # an unsharded run.
+        f.write(json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n")
+        f.writelines(body)
         f.flush()
         os.fsync(f.fileno())
     os.replace(tmp, out)

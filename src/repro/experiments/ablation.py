@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.difftest.config import CampaignConfig
-from repro.difftest.harness import run_campaign
+from repro.difftest.engine import CampaignEngine
 from repro.experiments.settings import ExperimentSettings
 from repro.generation.llm.base import GenerationConfig
 from repro.generation.llm.generator import LLMProgramGenerator
@@ -56,7 +56,7 @@ def _llm4fp_campaign(
         mutation_prob=mutation_prob,
     )
     cfg = CampaignConfig(budget=settings.budget, levels=settings.levels, seed=settings.seed)
-    return run_campaign(generator, default_compilers(), cfg)
+    return CampaignEngine(default_compilers(), cfg).run(generator)
 
 
 def sweep_mutation_prob(

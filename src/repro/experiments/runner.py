@@ -6,8 +6,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.difftest.config import CampaignConfig
-from repro.difftest.engine import EngineConfig
-from repro.difftest.harness import run_campaign
+from repro.difftest.engine import CampaignEngine, EngineConfig
 from repro.difftest.record import CampaignResult
 from repro.difftest.report import CampaignReport
 from repro.difftest.store import CampaignStore
@@ -114,13 +113,10 @@ class ExperimentContext:
             )
             config = CampaignConfig(budget=s.budget, levels=s.levels, seed=s.seed)
             store = self.store(approach)
-            self._results[approach] = run_campaign(
-                generator,
-                default_compilers(),
-                config,
-                engine_config=self.engine_config(store),
-                store=store,
+            engine = CampaignEngine(
+                default_compilers(), config, self.engine_config(store)
             )
+            self._results[approach] = engine.run(generator, store=store)
         return self._results[approach]
 
     def report(self, approach: str) -> CampaignReport:

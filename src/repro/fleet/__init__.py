@@ -1,9 +1,9 @@
 """Campaign fleet supervision: ``llm4fp serve``.
 
-Shards, crash-safe resume and bit-identical :func:`merge_shards` turned
-one campaign into N independent workers — but left a human as the
-scheduler.  This package is the scheduler: an asyncio supervisor that
-launches one ``llm4fp run --shard i/n --resume`` worker per shard,
+Shards, crash-safe resume and byte-identical
+:func:`~repro.difftest.store.merge_shard_stores` turned one campaign
+into N independent workers — but left a human as the scheduler.  This
+package is the scheduler: an asyncio supervisor that launches one ``llm4fp run --shard i/n --resume`` worker per shard,
 heartbeats each on its checkpoint file's tail growth, kills and
 reassigns dead or stalled shards (bounded retries, exponential backoff,
 then an honest partial verdict), splices the finished shard checkpoints

@@ -114,8 +114,10 @@ class PairOracle:
         binaries = self._compile_pair(source)
         if binaries is None:
             return PairObservation(ok=False)
-        ra, rb = (b.run(inputs, self.max_steps) for b in binaries)
-        return self._verdict(binaries, ra, rb)
+        ra = binaries[0].run(inputs, self.max_steps)
+        if not ra.ok:  # side b cannot change the verdict
+            return PairObservation(ok=False)
+        return self._verdict(binaries, ra, binaries[1].run(inputs, self.max_steps))
 
     def matches(self, source: str, inputs: tuple, target: InconsistencySignature) -> bool:
         """The interesting-predicate: the candidate still exhibits the same

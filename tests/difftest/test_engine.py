@@ -22,8 +22,12 @@ from repro.difftest.engine import (
     _differing_values,
     _diffing_digits,
 )
-from repro.difftest.harness import run_campaign
-from repro.difftest.store import CampaignStore, merge_shards
+from repro.difftest.store import (
+    CampaignStore,
+    CampaignStoreError,
+    load_result,
+    merge_shard_stores,
+)
 from repro.experiments.approaches import make_generator
 from repro.experiments.settings import ExperimentSettings
 from repro.fleet.supervisor import CampaignSpec
@@ -91,14 +95,14 @@ def result_key(result):
     ]
 
 
-def run_with(engine_config, approach="varity", budget=8, seed=123):
+def run_with(engine_config, approach="varity", budget=8, seed=123, store=None):
     rng = SplittableRng(seed, f"engine-{approach}")
     generator = make_generator(approach, rng)
     compilers = [GccCompiler(), ClangCompiler(), NvccCompiler()]
     engine = CampaignEngine(
         compilers, CampaignConfig(budget=budget), engine_config
     )
-    return engine.run(generator)
+    return engine.run(generator, store=store)
 
 
 class TestDeterminism:
@@ -119,13 +123,6 @@ class TestDeterminism:
         legacy = run_with(EngineConfig(jobs=1, share_runs=False))
         full = run_with(EngineConfig(backend="process", jobs=2, share_runs=True))
         assert result_key(legacy) == result_key(full)
-
-    def test_shim_matches_engine(self):
-        rng = SplittableRng(123, "engine-varity")
-        generator = make_generator("varity", rng)
-        compilers = [GccCompiler(), ClangCompiler(), NvccCompiler()]
-        shimmed = run_campaign(generator, compilers, CampaignConfig(budget=8))
-        assert result_key(shimmed) == result_key(run_with(EngineConfig()))
 
 
 class TestBackendEquivalence:
@@ -448,29 +445,29 @@ class TestBackendRefusal:
         assert not (tmp_path / "fleet").exists()  # no worker ever spawned
 
 
+def shard_stores(tmp_path, count, budget):
+    """Run every shard of one campaign; return their checkpoint paths."""
+    paths = [tmp_path / f"shard{i}.jsonl" for i in range(count)]
+    for i, path in enumerate(paths):
+        run_with(
+            EngineConfig(shard_index=i, shard_count=count),
+            budget=budget,
+            store=CampaignStore(path),
+        )
+    return paths
+
+
 class TestSharding:
-    def test_shard_union_identical_to_unsharded(self):
+    def test_shard_union_identical_to_unsharded(self, tmp_path):
         unsharded = run_with(EngineConfig(), budget=8)
-        shards = [
-            run_with(EngineConfig(shard_index=i, shard_count=3), budget=8)
-            for i in range(3)
-        ]
+        paths = shard_stores(tmp_path, 3, budget=8)
         # disjoint coverage: every index exactly once across shards
+        shards = [load_result(p) for p in paths]
         indices = sorted(o.index for r in shards for o in r.outcomes)
         assert indices == list(range(8))
-        merged = merge_shards(shards)
+        merged = load_result(merge_shard_stores(paths, tmp_path / "merged.jsonl"))
         assert result_key(merged) == result_key(unsharded)
         assert merged.shard_count == 1 and merged.budget == 8
-
-    def test_shard_counters_sum_to_unsharded(self):
-        unsharded = run_with(EngineConfig(), budget=6)
-        shards = [
-            run_with(EngineConfig(shard_index=i, shard_count=2), budget=6)
-            for i in range(2)
-        ]
-        merged = merge_shards(shards)
-        assert merged.total_runs == unsharded.total_runs
-        assert merged.triggering_programs == unsharded.triggering_programs
 
     def test_feedback_generator_rejected(self):
         with pytest.raises(ValueError, match="feedback"):
@@ -488,17 +485,15 @@ class TestSharding:
         with pytest.raises(ValueError, match="shard_index"):
             EngineConfig(shard_index=-1, shard_count=2)
 
-    def test_merge_rejects_incomplete_or_duplicate_sets(self):
-        shards = [
-            run_with(EngineConfig(shard_index=i, shard_count=2), budget=4)
-            for i in range(2)
-        ]
-        with pytest.raises(ValueError, match="missing"):
-            merge_shards(shards[:1])
-        with pytest.raises(ValueError, match="duplicate"):
-            merge_shards([shards[0], shards[0]])
-        with pytest.raises(ValueError, match="at least one"):
-            merge_shards([])
+    def test_merge_rejects_incomplete_or_duplicate_sets(self, tmp_path):
+        paths = shard_stores(tmp_path, 2, budget=4)
+        out = tmp_path / "merged.jsonl"
+        with pytest.raises(CampaignStoreError, match="missing"):
+            merge_shard_stores(paths[:1], out)
+        with pytest.raises(CampaignStoreError, match="duplicate"):
+            merge_shard_stores([paths[0], paths[0]], out)
+        with pytest.raises(CampaignStoreError, match="at least one"):
+            merge_shard_stores([], out)
 
 
 class _Repeat:

@@ -12,7 +12,6 @@ import pytest
 from repro.cli import main as cli_main
 from repro.difftest.config import CampaignConfig
 from repro.difftest.engine import CampaignEngine, EngineConfig
-from repro.difftest.harness import run_campaign
 from repro.difftest.store import CampaignStore
 from repro.experiments.approaches import make_generator
 from repro.experiments.settings import ExperimentSettings
@@ -22,11 +21,12 @@ from repro.utils.rng import SplittableRng
 
 def _checkpoint_bytes(tmp_path, name, mode, backend, jobs):
     path = tmp_path / f"{name}.jsonl"
-    run_campaign(
-        make_generator("loops", SplittableRng(11, "exec-modes")),
+    CampaignEngine(
         default_compilers(),
         CampaignConfig(budget=4, seed=11),
-        engine_config=EngineConfig(exec_mode=mode, backend=backend, jobs=jobs),
+        EngineConfig(exec_mode=mode, backend=backend, jobs=jobs),
+    ).run(
+        make_generator("loops", SplittableRng(11, "exec-modes")),
         store=CampaignStore(path),
     )
     return path.read_bytes()

@@ -4,7 +4,6 @@ import pytest
 
 from repro.difftest.config import CampaignConfig
 from repro.difftest.engine import CampaignEngine
-from repro.difftest.harness import run_campaign
 from repro.difftest.report import CampaignReport
 from repro.generation.program import GeneratedProgram
 from repro.toolchains import ClangCompiler, GccCompiler, NvccCompiler
@@ -127,7 +126,7 @@ class TestRunCampaign:
         ]
         gen = _StubGenerator(programs)
         compilers = [GccCompiler(), ClangCompiler(), NvccCompiler()]
-        result = run_campaign(gen, compilers, CampaignConfig(budget=2))
+        result = CampaignEngine(compilers, CampaignConfig(budget=2)).run(gen)
         assert len(gen.outcomes) == 2  # every verdict reaches the generator
         triggered = [o.program for o in gen.outcomes if o.triggered]
         assert triggered == programs[:1]
@@ -137,7 +136,7 @@ class TestRunCampaign:
     def test_report_rates(self):
         gen = _StubGenerator([prog(TRANSCENDENTAL, (0.37, 1.91, 23))])
         compilers = [GccCompiler(), ClangCompiler(), NvccCompiler()]
-        result = run_campaign(gen, compilers, CampaignConfig(budget=1))
+        result = CampaignEngine(compilers, CampaignConfig(budget=1)).run(gen)
         report = CampaignReport(result)
         summary = report.summary()
         assert 0.0 < summary["inconsistency_rate"] <= 1.0
@@ -147,11 +146,8 @@ class TestRunCampaign:
         seen = []
         gen = _StubGenerator([prog(PURE_ARITH, (1.0, 2.0))])
         compilers = [GccCompiler(), NvccCompiler()]
-        run_campaign(
-            gen,
-            compilers,
-            CampaignConfig(budget=1),
-            progress=lambda i, o: seen.append(i),
+        CampaignEngine(compilers, CampaignConfig(budget=1)).run(
+            gen, progress=lambda i, o: seen.append(i)
         )
         assert seen == [0]
 
@@ -162,7 +158,7 @@ class TestRunCampaign:
             rng = SplittableRng(99, "det")
             gen = make_generator("llm4fp", rng)
             compilers = [GccCompiler(), ClangCompiler(), NvccCompiler()]
-            return run_campaign(gen, compilers, CampaignConfig(budget=6))
+            return CampaignEngine(compilers, CampaignConfig(budget=6)).run(gen)
 
         r1, r2 = run_once(), run_once()
         assert r1.inconsistencies == r2.inconsistencies
@@ -188,7 +184,7 @@ int main(int argc, char **argv) {
         gen = _StubGenerator([prog(src, (1.0 + 2.0**-30, 1.0 + 2.0**-30, -1.0))])
         # Force full contraction so the single multiply-add site fuses.
         compilers = [GccCompiler(), ClangCompiler(), NvccCompiler(fmad_prob=1.0)]
-        result = run_campaign(gen, compilers, CampaignConfig(budget=1))
+        result = CampaignEngine(compilers, CampaignConfig(budget=1)).run(gen)
         rates = CampaignReport(result).vs_o0_nofma()
         assert sum(rates["nvcc"].values()) > 0
         assert sum(rates["gcc"].values()) == 0

@@ -15,7 +15,6 @@ from repro.difftest.store import (
     encode_outcome,
     load_result,
     merge_shard_stores,
-    merge_shards,
     tail_outcomes,
 )
 from repro.experiments.approaches import make_generator
@@ -254,9 +253,8 @@ class TestLoadResult:
                 budget, EngineConfig(shard_index=i, shard_count=2)
             ).run(_generator(), store=CampaignStore(path))
             paths.append(path)
-        loaded = [load_result(p) for p in paths]
-        assert [r.shard_index for r in loaded] == [0, 1]
-        merged = merge_shards(loaded)
+        assert [load_result(p).shard_index for p in paths] == [0, 1]
+        merged = load_result(merge_shard_stores(paths, tmp_path / "merged.jsonl"))
         assert result_key(merged) == result_key(unsharded)
 
     def test_loaded_result_matches_in_memory(self, tmp_path):
@@ -398,6 +396,45 @@ class TestMergeShardStores:
         assert "shards merged:        2" in out
         assert "programs:             6" in out
 
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("mixed-seed", "different campaigns (mismatched: seed)"),
+            ("incomplete", "incomplete shard set: missing [1] of /2"),
+            ("same-file-twice", "duplicate outcome for budget index 0"),
+            ("missing-path", "cannot read checkpoint"),
+            ("triage-missing-path", "cannot read checkpoint"),
+        ],
+    )
+    def test_cli_refuses_a_set_that_is_not_one_campaign(
+        self, tmp_path, capsys, case, message
+    ):
+        # Each case fails by name: exit 2, one line on stderr, no traceback.
+        from repro.cli import main
+
+        paths = [str(p) for p in self._shard_files(tmp_path, budget=4)]
+        other = tmp_path / "seed2-shard1.jsonl"
+        if case == "mixed-seed":
+            CampaignEngine(
+                default_compilers(),
+                CampaignConfig(budget=4, seed=2),
+                EngineConfig(shard_index=1, shard_count=2),
+            ).run(_generator(), store=CampaignStore(other))
+        nope = str(tmp_path / "nope.jsonl")
+        argv = {
+            "mixed-seed": ["merge", paths[0], str(other)],
+            "incomplete": ["merge", paths[0]],
+            "same-file-twice": ["merge", paths[0], paths[0]],
+            "missing-path": ["merge", paths[0], nope],
+            "triage-missing-path": ["triage", nope],
+        }[case]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert err.startswith(f"llm4fp {argv[0]}: ") and "\n" not in err
+        assert message in err
+
 
 class TestMalformedShardRecords:
     """The heartbeat and the shard merge read records through the same
@@ -437,6 +474,15 @@ class TestMalformedShardRecords:
         path = self._shard(tmp_path, to_island)
         with pytest.raises(CampaignStoreError, match="malformed island.*shard0.jsonl"):
             merge_shard_stores([path], tmp_path / "merged.jsonl")
+
+    @pytest.mark.parametrize("key", ["shard_index", "shard_count", "budget"])
+    def test_merge_header_int_field_not_an_int(self, tmp_path, key):
+        store = CampaignStore(tmp_path / "shard0.jsonl")
+        store.open(dict(HEADER, **{key: [0]}))
+        with pytest.raises(
+            CampaignStoreError, match=f"malformed checkpoint header in .*shard0.jsonl.*{key}"
+        ):
+            merge_shard_stores([store.path], tmp_path / "merged.jsonl")
 
 
 class TestLegacyVersions:
@@ -504,11 +550,9 @@ class TestLegacyVersions:
             CampaignStore(path).open(HEADER)
 
     def test_v1_triggers_load_for_triage(self, tmp_path):
-        from repro.difftest.store import load_triggers
-
         path = tmp_path / "v1.jsonl"
         write_legacy_checkpoint(path, version=1)
-        triggers = load_triggers(path)
+        triggers = load_result(path).triggering_outcomes
         assert [o.index for o in triggers] == [0, 1]
 
     def test_v1_shards_merge(self, tmp_path):
@@ -531,7 +575,7 @@ class TestLegacyVersions:
                 encoding="utf-8",
             )
             paths.append(path)
-        merged = merge_shards([load_result(p) for p in paths])
+        merged = load_result(merge_shard_stores(paths, tmp_path / "merged.jsonl"))
         assert [o.index for o in merged.outcomes] == [0, 1]
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from repro.difftest.config import CampaignConfig
 from repro.difftest.engine import CampaignEngine
-from repro.difftest.harness import run_campaign
 from repro.difftest.report import CampaignReport
 from repro.difftest.store import CampaignStore, CampaignStoreError, load_result
 from repro.generation.loops import LoopReductionGenerator
@@ -24,12 +23,10 @@ def full_generator(seed=20250916):
 
 
 def run_full(budget=60, seed=20250916, store=None):
-    return run_campaign(
-        full_generator(seed),
-        default_compilers(tiers="full"),
-        CampaignConfig(budget=budget, seed=seed),
-        store=store,
+    engine = CampaignEngine(
+        default_compilers(tiers="full"), CampaignConfig(budget=budget, seed=seed)
     )
+    return engine.run(full_generator(seed), store=store)
 
 
 @pytest.fixture(scope="module")
@@ -57,11 +54,10 @@ class TestEngineProfiles:
         assert tags.get(MASKED_INT_GUARD, 0) > 0
 
     def test_baseline_compilers_never_emit_the_new_tags(self):
-        result = run_campaign(
-            full_generator(),  # tier workloads, baseline toolchains
-            default_compilers(),
-            CampaignConfig(budget=10, seed=20250916),
+        engine = CampaignEngine(
+            default_compilers(), CampaignConfig(budget=10, seed=20250916)
         )
+        result = engine.run(full_generator())  # tier workloads, baseline toolchains
         tags = CampaignReport(result).tag_counts()
         assert VEC_LIBM not in tags
         assert MIXED_PRECISION not in tags
@@ -81,10 +77,8 @@ class TestStoreTiers:
         # The "tiers" key is written only when non-default, so pre-registry
         # checkpoints and fresh baseline checkpoints stay byte-compatible.
         path = tmp_path / "base.jsonl"
-        run_campaign(
+        CampaignEngine(default_compilers(), CampaignConfig(budget=2, seed=7)).run(
             LoopReductionGenerator(SplittableRng(7, "cli-loops")),
-            default_compilers(),
-            CampaignConfig(budget=2, seed=7),
             store=CampaignStore(path),
         )
         header = json.loads(path.read_text().splitlines()[0])

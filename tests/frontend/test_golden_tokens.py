@@ -13,7 +13,7 @@ import json
 from pathlib import Path
 
 from repro.difftest.config import CampaignConfig
-from repro.difftest.harness import run_campaign
+from repro.difftest.engine import CampaignEngine
 from repro.experiments.approaches import make_generator
 from repro.frontend.lexer import tokenize
 from repro.toolchains import default_compilers
@@ -39,9 +39,10 @@ def generator_sources(approach, budget=100):
     if approach != "llm4fp":
         # feedback-free: the campaign tests exactly this stream
         return [generator.generate().source for _ in range(budget)]
-    result = run_campaign(
-        generator, default_compilers(), CampaignConfig(budget=budget, seed=DEFAULT_SEED)
+    engine = CampaignEngine(
+        default_compilers(), CampaignConfig(budget=budget, seed=DEFAULT_SEED)
     )
+    result = engine.run(generator)
     return [outcome.program.source for outcome in result.outcomes]
 
 

@@ -5,7 +5,7 @@ program."""
 import pytest
 
 from repro.difftest.config import CampaignConfig
-from repro.difftest.harness import run_campaign
+from repro.difftest.engine import CampaignEngine
 from repro.errors import ParseError
 from repro.experiments.approaches import make_generator
 from repro.frontend import lexer, parser
@@ -88,10 +88,10 @@ def per_program(approach, monkeypatch, budget=20):
 
     monkeypatch.setattr(parser, "tokenize", counting_tokenize)
     totals = []
-    run_campaign(
+    CampaignEngine(
+        default_compilers(), CampaignConfig(budget=budget, seed=DEFAULT_SEED)
+    ).run(
         make_generator(approach, SplittableRng(DEFAULT_SEED, f"cli-{approach}")),
-        default_compilers(),
-        CampaignConfig(budget=budget, seed=DEFAULT_SEED),
         progress=lambda i, outcome: totals.append(
             (parse_program.cache_info().misses, lexes[0])
         ),

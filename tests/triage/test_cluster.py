@@ -7,7 +7,7 @@ from repro.cli import main as cli_main
 from repro.difftest.config import CampaignConfig
 from repro.difftest.engine import CampaignEngine, EngineConfig
 from repro.difftest.report import CampaignReport
-from repro.difftest.store import load_triggers, merge_shards
+from repro.difftest.store import CampaignStore, load_result, merge_shard_stores
 from repro.experiments.approaches import make_generator
 from repro.toolchains import default_compilers
 from repro.triage import triage_campaign, triage_results
@@ -22,13 +22,13 @@ def _generator():
     return make_generator(APPROACH, SplittableRng(SEED, f"triage-{APPROACH}"))
 
 
-def _campaign(engine_config=None):
+def _campaign(engine_config=None, store=None):
     engine = CampaignEngine(
         default_compilers(),
         CampaignConfig(budget=BUDGET, seed=SEED),
         engine_config,
     )
-    return engine.run(_generator())
+    return engine.run(_generator(), store=store)
 
 
 @pytest.fixture(scope="module")
@@ -70,11 +70,11 @@ def test_clusters_stable_across_backends(baseline_report):
     assert report.render() == baseline_report.render()
 
 
-def test_clusters_stable_across_shards(baseline_report):
-    shards = [
-        _campaign(EngineConfig(shard_index=i, shard_count=2)) for i in range(2)
-    ]
-    merged = merge_shards(shards)
+def test_clusters_stable_across_shards(baseline_report, tmp_path):
+    paths = [tmp_path / f"shard{i}.jsonl" for i in range(2)]
+    for i, path in enumerate(paths):
+        _campaign(EngineConfig(shard_index=i, shard_count=2), CampaignStore(path))
+    merged = load_result(merge_shard_stores(paths, tmp_path / "merged.jsonl"))
     report = triage_campaign(merged, reduce=False)
     assert report.render() == baseline_report.render()
 
@@ -139,7 +139,7 @@ def test_cli_checkpoint_flow(tmp_path, capsys):
         == 0
     )
     capsys.readouterr()
-    assert load_triggers(checkpoint)  # persisted triggers round-trip
+    assert load_result(checkpoint).triggering_outcomes  # triggers round-trip
     out_path = tmp_path / "report.txt"
     assert (
         cli_main(

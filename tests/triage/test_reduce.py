@@ -5,9 +5,11 @@ import pytest
 from repro.difftest.config import CampaignConfig
 from repro.difftest.engine import CampaignEngine
 from repro.errors import TriageError
+from repro.execution.limits import DEFAULT_MAX_STEPS
 from repro.frontend import ast
 from repro.frontend.parser import parse_program
-from repro.toolchains import default_compilers
+from repro.toolchains import OptLevel, default_compilers
+from repro.toolchains.base import Binary
 from repro.triage import (
     canonical_signature,
     distilled_trigger,
@@ -141,6 +143,42 @@ def test_test_budget_is_respected(compilers, distilled_target):
 
 
 # -- the structural-edit substrate ------------------------------------------------
+
+
+#: Indexes past its array when ``n >= 2``: every binary faults.
+TRAPPING = """
+#include <stdio.h>
+#include <stdlib.h>
+void compute(double a, int n) {
+  double t[2];
+  t[0] = a;
+  double comp = t[n];
+  printf("%.17g\\n", comp);
+}
+int main(int argc, char **argv) {
+  compute(atof(argv[1]), atoi(argv[2]));
+  return 0;
+}
+"""
+
+
+def test_oracle_skips_side_b_when_side_a_faults(compilers, monkeypatch):
+    runs = 0
+    run = Binary.run
+
+    def counted(self, inputs, max_steps=DEFAULT_MAX_STEPS):
+        nonlocal runs
+        runs += 1
+        return run(self, inputs, max_steps)
+
+    monkeypatch.setattr(Binary, "run", counted)
+    by_name = compilers_by_name(compilers)
+    oracle = PairOracle(by_name["gcc"], by_name["nvcc"], OptLevel.O0_NOFMA)
+    observation = oracle.observe(TRAPPING, (1.0, 7))
+    assert not observation.ok
+    assert runs == 1
+    assert oracle.observe(TRAPPING, (1.0, 0)).ok  # in bounds: both sides run
+    assert runs == 3
 
 
 def test_ast_replace_at_roundtrip():
