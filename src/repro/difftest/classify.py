@@ -39,13 +39,13 @@ only through an unmasked reduction's shape still tag
 
 from __future__ import annotations
 
-import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
 from repro.fp.classify import CLASS_ORDER, FPClass, classify_double
 from repro.ir import nodes as ir
+from repro.toolchains.cache import kernel_fingerprint
 
 __all__ = [
     "inconsistency_kind",
@@ -231,10 +231,11 @@ def _strip(stmts: tuple[ir.Stmt, ...]) -> tuple[ir.Stmt, ...]:
     return tuple(out)
 
 
-def devectorized_fingerprint(kernel: ir.Kernel) -> str:
-    """Content hash of :func:`devectorized_body` — what the compare stage
-    stores and compares (no retained IR, no per-pair deep tuple walks)."""
-    return hashlib.sha256(repr(devectorized_body(kernel)).encode("utf-8")).hexdigest()
+def devectorized_fingerprint(kernel: ir.Kernel, table: dict) -> tuple[int, ...]:
+    """:func:`devectorized_body`'s statements keyed in the intern ``table``
+    (:func:`~repro.toolchains.cache.kernel_fingerprint`): two kernels'
+    results are equal exactly when their devectorized bodies' ``repr``s are."""
+    return tuple(kernel_fingerprint(s, table) for s in devectorized_body(kernel))
 
 
 def inconsistency_kind(a: float, b: float) -> frozenset[FPClass]:

@@ -21,16 +21,15 @@ schedulable:
   environment) coincide (equal ``Compiler.cache_token``) thus get the
   same optimized kernel object without running a pass.
 * **execute** — one :class:`ExecuteRecord` per compiled binary.  Binaries
-  whose optimized kernel and FP environment are content-identical produce
-  bit-identical results (the interpreter is deterministic), so each
-  distinct (kernel, environment) group runs once and the result is shared
-  across its labels.  Kernels are keyed through one per-program intern
-  table (:func:`~repro.toolchains.cache.kernel_fingerprint`).
+  holding the same optimized kernel *object* under equal environments
+  produce bit-identical results, so each (kernel object, environment)
+  group runs once and shares its result across its labels; no kernel is
+  walked.
 * **compare** — pairwise bitwise comparison at each level, unchanged
-  semantics.  Structural tier evidence (devectorized fingerprints, tier
+  semantics.  Structural tier evidence (devectorized content keys, tier
   shapes) is computed lazily, only for the inconsistent pairs whose
   scalar environments are equal and whose devectorized kernels match —
-  the only pairs that can carry a tag.
+  the only pairs that can carry a tag, and the only use of content keys.
 
 Compilation and execution run in the calling process, in matrix order;
 each distinct execute unit is dispatched through
@@ -104,7 +103,7 @@ from repro.ir import nodes as ir
 from repro.ir.lower import lower_compute
 from repro.tiers import structural_tag
 from repro.toolchains.base import Binary, Compiler, CompilerKind
-from repro.toolchains.cache import env_fingerprint, kernel_fingerprint
+from repro.toolchains.cache import env_fingerprint
 from repro.toolchains.cuda import translate_to_cuda
 from repro.toolchains.optlevels import OptLevel
 from repro.utils.timing import Stopwatch
@@ -189,7 +188,7 @@ class EngineConfig:
             per CPU.  More than one needs ``backend="process"``.
         share_runs: deduplicate work *within* one program's matrix — each
             distinct pass runs once per input kernel, and binaries with
-            content-identical (optimized kernel, environment) execute once.
+            the same optimized kernel object and environment execute once.
             Disabling it reproduces the legacy serial cost model exactly
             (used as the benchmark baseline).
         backend: fan-out policy — ``"serial"`` (inline, requires jobs=1;
@@ -689,15 +688,15 @@ class CampaignEngine:
         compiles: list[CompileRecord],
         inputs: tuple,
     ) -> dict[str, ExecuteRecord]:
-        """Run every compiled binary, sharing content-identical executions.
+        """Run every compiled binary, sharing one execution per kernel object.
 
-        Two binaries whose optimized kernel and FP environment are
-        content-equal are observationally the same machine program — one
-        run serves all their labels (bit-identical by the
-        worker's purity guarantee).  Grouping spans compilers: gcc and
-        clang frequently converge to the same optimized kernel on
-        fold-free programs.  Kernels are keyed in one intern table for
-        the stage, so nodes the binaries share are keyed once.
+        Two binaries holding the same optimized kernel object under equal
+        FP environments are the same machine program — one run serves all
+        their labels (bit-identical by the worker's purity guarantee).
+        The pass memo gives every level of a class, and every compiler
+        that ran the same passes on the same input, one kernel object.
+        Content-equal kernels built as different objects run separately;
+        content keys serve only the compare stage's tier tagging.
 
         Each distinct group becomes one
         :data:`~repro.execution.worker.KernelTask` carrying the engine's
@@ -706,15 +705,11 @@ class CampaignEngine:
         share = self.engine_config.share_runs
         max_steps = self.config.max_steps
         groups: dict[object, list[CompileRecord]] = {}
-        table: dict = {}
         for record in compiles:
             if not record.ok:
                 continue
             if share:
-                key: object = (
-                    kernel_fingerprint(record.binary.kernel, table),
-                    env_fingerprint(record.binary.env),
-                )
+                key: object = (id(record.binary.kernel), env_fingerprint(record.binary.env))
             else:
                 key = record.label
             groups.setdefault(key, []).append(record)

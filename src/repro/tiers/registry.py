@@ -167,17 +167,18 @@ def structural_tag(kernel_a, env_a, kernel_b, env_b, memo=None) -> str | None:
 
     ``memo`` is a dict shared by the calls of one program: fingerprints
     are keyed by ``id(kernel)`` and shapes by ``(id(kernel), environment
-    content)``, so the memo must not outlive the kernels it has seen.
+    content)``, so the memo must not outlive the kernels it has seen.  Its
+    one intern table keys every devectorized statement of the program.
     """
     if scalar_env_fingerprint(env_a) != scalar_env_fingerprint(env_b):
         return None
     if memo is None:
         memo = {}
 
-    def devec_fp(kernel) -> str:
+    def devec_fp(kernel) -> tuple[int, ...]:
         key = ("devec", id(kernel))
         if key not in memo:
-            memo[key] = devectorized_fingerprint(kernel)
+            memo[key] = devectorized_fingerprint(kernel, memo.setdefault("intern", {}))
         return memo[key]
 
     def shapes(kernel, env) -> tuple[tuple, ...]:

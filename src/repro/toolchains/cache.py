@@ -1,16 +1,16 @@
-"""Content fingerprints of kernels and FP environments.
+"""Content fingerprints of IR nodes and FP environments.
 
-The engine shares one execution between the binaries of a program whose
-optimized kernel and environment coincide (run sharing), the structural
-tagger compares environments, and the corpus hashes environments into
-its compiler-model fingerprint.  All need keys that address *content*,
-never object identity:
+The structural tagger asks whether two *different* kernel objects strip
+to equal devectorized statements, and compares environments; the corpus
+hashes environments into its compiler-model fingerprint.  Both need keys
+that address *content*, never object identity (run sharing groups
+binaries by kernel object and needs no content key):
 
-* :func:`kernel_fingerprint` interns a kernel into a caller-owned table
+* :func:`kernel_fingerprint` interns an IR node into a caller-owned table
   and returns a small int.  Each node is interned as its class, the
   ``repr`` of each non-child field and its children's keys (child fields
-  from :data:`repro.ir.nodes.FIELDS`), so two kernels interned into
-  one table get equal keys exactly when their ``repr``s are equal:
+  from :data:`repro.ir.nodes.FIELDS`), so two nodes interned into one
+  table get equal keys exactly when their ``repr``s are equal:
   ``-0.0`` and ``0.0`` stay distinct (structural ``==`` would conflate
   them — a signed-zero print is observable) and all NaN literals
   collapse, matching the signature canonicalization.  Rewrites return
@@ -20,8 +20,8 @@ never object identity:
   :class:`~repro.fp.env.FPEnvironment` feeds into execution: precision,
   libm identity + perturbation parameters, FTZ and approx-unit flags.
 
-Nothing here is cached across programs: an intern table lives for one
-program's execute stage and is dropped with it.
+Nothing here is cached across programs: an intern table lives in one
+program's tier-evidence memo and is dropped with it.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ def _libm_key(libm) -> tuple | None:
     )
 
 
-def kernel_fingerprint(kernel: ir.Kernel, table: dict) -> int:
-    """``kernel``'s content key in ``table`` (equal iff ``repr``-equal).
+def kernel_fingerprint(node, table: dict) -> int:
+    """An IR node's content key in ``table`` (equal iff ``repr``-equal).
 
     ``table`` maps each node shape ``(class, field keys...)`` to its int
     key, and each interned node's ``id`` to ``(node, key)``; holding the
@@ -57,7 +57,7 @@ def kernel_fingerprint(kernel: ir.Kernel, table: dict) -> int:
     ids are ints, so the two never collide in one dict.  A key means
     nothing outside its table.
     """
-    return _intern(kernel, table)
+    return _intern(node, table)
 
 
 def _intern(node, table: dict) -> int:

@@ -525,6 +525,56 @@ class TestRunSharing:
         assert result.shared_runs >= 9
         assert result.run_share_rate >= 9 / 18
 
+    def test_execute_stage_shares_by_kernel_object(self, monkeypatch):
+        """The execute stage walks no kernel: it interns nothing and
+        compiles one tape per (kernel object, environment) group of the
+        successful compiles.  Content keys serve only the compare stage."""
+        from repro.execution import worker
+        from repro.toolchains import cache
+
+        interns = {"execute": 0, "elsewhere": 0}
+        tapes = [0]
+        groups = [0]
+        stage = ["elsewhere"]
+        intern = cache._intern
+        compile_tape = worker.compile_tape
+
+        def counting_intern(node, table):
+            interns[stage[0]] += 1
+            return intern(node, table)
+
+        def counting_tape(kernel, env):
+            tapes[0] += 1
+            return compile_tape(kernel, env)
+
+        class Recording(CampaignEngine):
+            def _execute_stage(self, compiles, inputs):
+                groups[0] += len(
+                    {
+                        (id(r.binary.kernel), env_fingerprint(r.binary.env))
+                        for r in compiles
+                        if r.ok
+                    }
+                )
+                stage[0] = "execute"
+                try:
+                    return super()._execute_stage(compiles, inputs)
+                finally:
+                    stage[0] = "elsewhere"
+
+        monkeypatch.setattr(cache, "_intern", counting_intern)
+        monkeypatch.setattr(worker, "compile_tape", counting_tape)
+        seed = 20250916
+        engine = Recording(
+            default_compilers(),
+            CampaignConfig(budget=10, seed=seed),
+            EngineConfig(backend="serial", jobs=1, exec_mode="tape"),
+        )
+        result = engine.run(make_generator("loops", SplittableRng(seed, "cli-loops")))
+        assert interns["execute"] == 0
+        assert interns["elsewhere"] > 0  # the tier-tag precondition still keys
+        assert tapes[0] == groups[0] == result.total_runs - result.shared_runs
+
     def test_sharing_disabled_runs_everything(self):
         program = GeneratedProgram(source=TRANSCENDENTAL, inputs=(0.37, 1.91, 5))
         compilers = [GccCompiler(), ClangCompiler(), NvccCompiler()]
@@ -592,7 +642,8 @@ def _counted_loops_campaign(monkeypatch):
     Returns the engine, the result, one ``(outcome, compiles, tape keys)``
     triple per program, the ids of every tape compiled and the campaign's
     ``Pass.run`` total.  Each compile is ``(compiler, level, token,
-    optimized kernel)``.
+    optimized kernel)``; each tape key is ``(id(kernel),
+    env_fingerprint(env))``.
     """
     from repro.execution import worker
     from repro.ir.passes.base import Pass
@@ -605,8 +656,6 @@ def _counted_loops_campaign(monkeypatch):
     compile_kernel = Compiler.compile_kernel
     compile_tape = worker.compile_tape
 
-    table: dict = {}  # one intern table per program, cleared by progress
-
     def counting_compile(compiler, kernel, level, memo=None):
         binary = compile_kernel(compiler, kernel, level, memo)
         compiles.append(
@@ -615,7 +664,9 @@ def _counted_loops_campaign(monkeypatch):
         return binary
 
     def counting_tape(kernel, env):
-        tapes.append((kernel_fingerprint(kernel, table), env_fingerprint(env)))
+        # Kernels live until their program's progress call, so ids are
+        # distinct within one program's list.
+        tapes.append((id(kernel), env_fingerprint(env)))
         tape = compile_tape(kernel, env)
         tape_ids.add(id(tape))
         return tape
@@ -638,7 +689,6 @@ def _counted_loops_campaign(monkeypatch):
         per_program.append((outcome, list(compiles), list(tapes)))
         compiles.clear()
         tapes.clear()
-        table.clear()
 
     # At this seed one program lowers to a kernel an earlier program
     # already compiled, so a cross-program cache would serve it.
@@ -678,6 +728,7 @@ class TestNothingCachedAcrossPrograms:
             by_class: dict = {}
             for name, _, token, kernel in compiled:
                 assert by_class.setdefault((name, token), kernel) is kernel
+            # One tape per (kernel object, environment) group.
             assert len(taped) == len(set(taped))
         groups = result.total_runs - result.shared_runs
         assert sum(len(taped) for _, _, taped in per_program) == groups
@@ -701,7 +752,9 @@ class TestLibmEvaluations:
     def test_tape_call_sites_reuse_repeated_arguments(self, monkeypatch):
         """Loop bodies repeat the same libm call; each tape call site
         evaluates a repeated argument once.  Evaluating every call, this
-        campaign made 9,106 ``PerturbedLibm.call`` evaluations."""
+        campaign made 9,106 ``PerturbedLibm.call`` evaluations.  Runs are
+        shared by kernel object, so content-equal kernels built as
+        different objects each run (509 evaluations under content keys)."""
         from repro.fp.mathlib import PerturbedLibm
 
         evaluations = [0]
@@ -719,7 +772,7 @@ class TestLibmEvaluations:
             EngineConfig(backend="serial", jobs=1, exec_mode="tape"),
         )
         engine.run(make_generator("varity", SplittableRng(seed, "cli-varity")))
-        assert evaluations[0] == 509
+        assert evaluations[0] == 568
 
 
 class TestStageAccounting:

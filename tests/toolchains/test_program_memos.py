@@ -1,12 +1,14 @@
-"""Per-program memos of the compile and execute stages: the pass memo
+"""Per-program memos of the compile and compare stages: the pass memo
 (``PassPipeline.run(kernel, memo)``, keyed by ``Pass.key()``) and the
-kernel intern table (``kernel_fingerprint(kernel, table)``)."""
+intern table (``kernel_fingerprint(node, table)``) that devectorized
+fingerprints are keyed in."""
 
 import gc
 import struct
 
 import pytest
 
+from repro.difftest.classify import devectorized_fingerprint
 from repro.difftest.config import CampaignConfig
 from repro.difftest.engine import CampaignEngine, EngineConfig, frontend_kernels
 from repro.experiments.approaches import make_generator
@@ -14,7 +16,12 @@ from repro.fp.formats import Precision
 from repro.fp.mathlib import PerturbedLibm
 from repro.ir import nodes as ir
 from repro.ir.passes import ConstantFold, PassPipeline
-from repro.toolchains import NvccCompiler, default_compilers, kernel_fingerprint
+from repro.toolchains import (
+    CompilerKind,
+    NvccCompiler,
+    default_compilers,
+    kernel_fingerprint,
+)
 from repro.toolchains.optlevels import ALL_LEVELS
 from repro.utils.rng import SplittableRng
 
@@ -183,3 +190,31 @@ def test_interned_nodes_are_pinned():
         keys.append(kernel_fingerprint(_print_kernel(float(i)), table))
         gc.collect()
     assert len(set(keys)) == 20
+
+
+# -- devectorized keys -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("approach", APPROACHES)
+def test_host_and_device_lowerings_get_equal_devectorized_keys(campaigns, approach):
+    # Two lowerings of one source: distinct objects, equal content.
+    table: dict = {}
+    for program, _ in campaigns[approach]:
+        kernels = frontend_kernels(program.source).kernels
+        host, device = kernels[CompilerKind.HOST], kernels[CompilerKind.DEVICE]
+        assert host is not device
+        assert devectorized_fingerprint(host, table) == devectorized_fingerprint(
+            device, table
+        )
+
+
+def test_devectorized_keys_keep_signed_zero_and_fold_nan():
+    # Structural == conflates the zeros (FConst(0.0) == FConst(-0.0)),
+    # and a signed-zero print is observable; every NaN prints as ``nan``.
+    table: dict = {}
+
+    def key(value: float) -> tuple[int, ...]:
+        return devectorized_fingerprint(_print_kernel(value), table)
+
+    assert key(0.0) != key(-0.0)
+    assert key(_nan(1)) == key(_nan(2))
