@@ -50,7 +50,7 @@ leg, which also runs the interpreter) is its end-to-end effect;
 ``execute_stage_share`` records how much of campaign wall-clock the
 execute stage is (the Amdahl context for any engine-level expectation).
 
-A full-tier leg (schema 7) tracks the divergence-tier registry's
+A full-tier leg (schema 7) tracks the divergence tiers'
 coverage and cost: the loops workload regenerated with the full
 profile's tier shares (libm-call, mixed-precision and integer-guarded
 loops) through ``default_compilers(tiers="full")``.

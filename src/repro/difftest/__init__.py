@@ -24,7 +24,6 @@ from repro.difftest.engine import (
     CampaignEngine,
     CompileRecord,
     EngineConfig,
-    ExecuteRecord,
     FrontendRecord,
     STAGES,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "EngineConfig",
     "FrontendRecord",
     "CompileRecord",
-    "ExecuteRecord",
     "STAGES",
     "CampaignReport",
 ]

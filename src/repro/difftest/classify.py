@@ -5,36 +5,16 @@ unordered pair of their numerical categories in
 {Real, Zero, +Inf, -Inf, NaN}; e.g. a real number vs. a zero counts once as
 {Real, Zero}.  The eleven possible kinds are the x-axis of Figure 3.
 
-Beyond the value-class taxonomy, the vectorization tier adds one
-*structural* kind: :data:`VECTOR_REDUCTION` marks an inconsistent
-comparison attributable to the vector tier *alone*.  Three conditions,
-all deterministic functions of the two optimized kernels:
-
-1. the sides reduce loops with **different vector shapes** (different
-   widths / horizontal-reduction styles);
-2. their FP environments are observationally equal (so the optimized IR
-   is the only possible divergence source); and
-3. stripped of every vector construct, the kernels are
-   **content-identical** — the sides agree on all scalar code, so no
-   other pass (reassociation, folding, contraction) can be the cause.
-
-Without (3) a program that merely *contains* a vectorizable loop would
-be mislabeled whenever an unrelated scalar transform (e.g. fast-math
-reassociation of a straight-line sum) flips the comparison.  The tag is
-precise by construction; triage bisection remains the ground truth for
-*which* pass flipped a comparison.
-
-The if-conversion tier adds a second structural kind,
-:data:`MASKED_LANE`: the same environment/scalar-part preconditions,
-but the sides differ in their *masked* shapes — mask sites
-(``VecSelect``/``VecCmp``/masked load/store) or the reductions those
-masked regions feed (:func:`masked_shape`).  Masked lanes execute both
-arms of a converted conditional and blend by mask, so the divergent
-association includes work the scalar branchy loop never did; the kind
-takes precedence over plain ``vector-reduction`` because it names the
-narrower mechanism, while sides that masked *identically* and diverge
-only through an unmasked reduction's shape still tag
-``vector-reduction``.
+Beyond the value-class taxonomy, an inconsistent comparison may carry a
+*structural* kind, a divergence-tier tag (:mod:`repro.tiers`).  A tag
+needs the two sides' kernels to be content-identical once every vector
+construct is stripped (:func:`devectorized_body`): the sides then agree
+on all scalar code, so no other pass (reassociation, folding,
+contraction) can be the cause.  Without that precondition a program that
+merely *contains* a vectorizable loop would be mislabeled whenever an
+unrelated scalar transform (e.g. fast-math reassociation of a
+straight-line sum) flips the comparison.  Triage bisection remains the
+ground truth for *which* pass flipped a comparison.
 """
 
 from __future__ import annotations
@@ -52,114 +32,9 @@ __all__ = [
     "ALL_KINDS",
     "kind_label",
     "KindCount",
-    "VECTOR_REDUCTION",
-    "MASKED_LANE",
-    "vector_shape",
-    "masked_shape",
     "devectorized_body",
     "devectorized_fingerprint",
 ]
-
-#: Structural inconsistency kind: the two sides disagree on how loop
-#: reductions were vectorized (shape below), under equal environments.
-VECTOR_REDUCTION = "vector-reduction"
-
-#: Structural inconsistency kind: like ``vector-reduction``, but at least
-#: one side widened *if-converted* (masked) code — speculated lanes
-#: executed both arms of a conditional and blended by mask.
-MASKED_LANE = "masked-lane"
-
-
-def vector_shape(kernel: ir.Kernel) -> tuple[tuple[str, int, str], ...]:
-    """The kernel's reduction shape: every :class:`~repro.ir.nodes.VecReduce`
-    site as ``(op, lanes, style)``, in deterministic pre-order.
-
-    Two optimized kernels with different shapes associate their reduction
-    sums differently, so equal inputs can round to different results.
-    """
-    return tuple(
-        (e.op, e.lanes, e.style) for e in ir.walk(kernel) if isinstance(e, ir.VecReduce)
-    )
-
-
-def masked_shape(kernel: ir.Kernel) -> tuple[tuple, ...]:
-    """The kernel's if-conversion sites, in deterministic pre-order.
-
-    Site descriptors: ``("cmp", op, lanes)`` for lane compares,
-    ``("select", lanes)`` for blends, ``("mload", lanes)`` for masked
-    loads, ``("mstore", lanes)`` for masked vector stores — and, inside
-    a *masked region* (a guarded vector block whose subtree contains
-    mask nodes), ``("reduce", op, lanes, style)`` for its horizontal
-    reductions: a reduction fed by blended lanes belongs to the masking
-    mechanism, while a reduction in an unmasked loop elsewhere in the
-    same kernel stays out of this shape (so a pure reduction-style
-    divergence next to an identically-masked loop tags
-    ``vector-reduction``, not ``masked-lane``).
-
-    Non-empty exactly when the kernel contains *widened* if-converted
-    code (scalar select form, including the scalar epilogue the
-    vectorizer emits, does not count: it executes one arm, not both).
-    """
-    shape: list[tuple] = []
-    _masked_sites(kernel.body, shape)
-    return tuple(shape)
-
-
-# The walkers below are module-level functions rather than recursive
-# closures: a closure that calls itself reaches itself through its own
-# cell, leaving a function<->cell cycle for the cyclic GC on every call.
-
-
-def _leaf_sites(s: ir.Stmt, include_reduce: bool, shape: list[tuple]) -> None:
-    if isinstance(s, ir.SMaskedStore) and s.lanes > 1:
-        shape.append(("mstore", s.lanes))
-    for top in ir.stmt_exprs(s):
-        for e in ir.walk(top):
-            if isinstance(e, ir.VecCmp):
-                shape.append(("cmp", e.op, e.lanes))
-            elif isinstance(e, ir.VecSelect):
-                shape.append(("select", e.lanes))
-            elif isinstance(e, ir.VecMaskedLoad):
-                shape.append(("mload", e.lanes))
-            elif include_reduce and isinstance(e, ir.VecReduce):
-                shape.append(("reduce", e.op, e.lanes, e.style))
-
-
-def _has_mask(s: ir.Stmt) -> bool:
-    for sub in ir.walk_stmts((s,)):
-        if isinstance(sub, ir.SMaskedStore) and sub.lanes > 1:
-            return True
-        for top in ir.stmt_exprs(sub):
-            if any(
-                isinstance(e, (ir.VecCmp, ir.VecSelect, ir.VecMaskedLoad))
-                for e in ir.walk(top)
-            ):
-                return True
-    return False
-
-
-def _masked_sites(stmts: tuple[ir.Stmt, ...], shape: list[tuple]) -> None:
-    """Append :func:`masked_shape`'s site descriptors for ``stmts``."""
-    for s in stmts:
-        if isinstance(s, ir.SIf) and _has_mask(s):
-            # A masked vector region (the vectorizer's guard block):
-            # consume it whole, reductions included.
-            for sub in ir.walk_stmts((s,)):
-                _leaf_sites(sub, True, shape)
-        elif isinstance(s, ir.SIf):
-            _leaf_sites(s, False, shape)  # own condition only
-            _masked_sites(s.then, shape)
-            _masked_sites(s.other, shape)
-        elif isinstance(s, ir.SFor):
-            _leaf_sites(s, False, shape)
-            _masked_sites(s.init, shape)
-            _masked_sites(s.body, shape)
-            _masked_sites(s.step, shape)
-        elif isinstance(s, ir.SWhile):
-            _leaf_sites(s, False, shape)
-            _masked_sites(s.body, shape)
-        else:
-            _leaf_sites(s, False, shape)
 
 
 def _expr_has_vector(e: ir.Expr) -> bool:

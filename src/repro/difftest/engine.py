@@ -20,16 +20,18 @@ schedulable:
   object across levels and compilers.  Levels whose (pipeline,
   environment) coincide (equal ``Compiler.cache_token``) thus get the
   same optimized kernel object without running a pass.
-* **execute** — one :class:`ExecuteRecord` per compiled binary.  Binaries
-  holding the same optimized kernel *object* under equal environments
-  produce bit-identical results, so each (kernel object, environment)
-  group runs once and shares its result across its labels; no kernel is
-  walked.
-* **compare** — pairwise bitwise comparison at each level, unchanged
-  semantics.  Structural tier evidence (devectorized content keys, tier
-  shapes) is computed lazily, only for the inconsistent pairs whose
-  scalar environments are equal and whose devectorized kernels match —
-  the only pairs that can carry a tag, and the only use of content keys.
+* **execute** — runs every compiled binary and writes its
+  :class:`~repro.execution.result.ExecutionResult` onto the cell's
+  :class:`CompileRecord`.  Binaries holding the same optimized kernel
+  *object* under equal environments produce bit-identical results, so
+  each (kernel object, environment) group runs once and its cells share
+  the one result; no kernel is walked.
+* **compare** — reads the cells in matrix order into the outcome, then
+  compares their signatures pairwise at each level.  Structural tier
+  evidence (devectorized content keys, tier shapes) is computed lazily,
+  only for the inconsistent pairs whose scalar environments are equal
+  and whose devectorized kernels match — the only pairs that can carry a
+  tag, and the only use of content keys.
 
 Compilation and execution run in the calling process, in matrix order;
 each distinct execute unit is dispatched through
@@ -90,7 +92,6 @@ from repro.difftest.record import CampaignResult, ComparisonRecord, ProgramOutco
 from repro.errors import CompileError, ReproError
 from repro.execution.worker import DEFAULT_EXEC_MODE, check_exec_mode
 from repro.execution.result import ExecutionResult, _value_hex
-from repro.fp.env import FPEnvironment
 from repro.frontend.parser import parse_program
 from repro.frontend.sema import check_program
 from repro.generation.islands import IslandCoordinator
@@ -112,7 +113,6 @@ __all__ = [
     "EngineConfig",
     "FrontendRecord",
     "CompileRecord",
-    "ExecuteRecord",
     "CampaignEngine",
     "JsonLineProgress",
     "STAGES",
@@ -275,40 +275,20 @@ class FrontendRecord:
 
 @dataclass
 class CompileRecord:
-    """One (compiler, level) cell of the compile stage."""
+    """One (compiler, level) cell: its compiled binary and, once the
+    execute stage ran, that binary's result (shared with every cell
+    holding the same kernel object under an equal environment)."""
 
     compiler: str
     level: OptLevel
     ok: bool
     binary: Binary | None = None
     error: str | None = None
+    result: ExecutionResult | None = None
 
     @property
     def label(self) -> str:
         return f"{self.compiler}/{self.level}"
-
-
-@dataclass
-class ExecuteRecord:
-    """One binary's execution, possibly shared across identical binaries."""
-
-    label: str
-    result: ExecutionResult
-    shared: bool = False  # served by another label's identical run
-
-
-@dataclass
-class _BinaryRun:
-    """Signature + values of one successful execution (compare-stage view)."""
-
-    signature: str | None
-    value: float | None
-    printed: tuple[float, ...] = ()
-    #: the optimized kernel and its environment; the compare stage
-    #: extracts tier evidence from them only for inconsistent pairs
-    #: (:func:`repro.tiers.structural_tag`)
-    kernel: ir.Kernel | None = None
-    env: FPEnvironment | None = None
 
 
 def frontend_kernels(source: str) -> FrontendRecord:
@@ -643,10 +623,9 @@ class CampaignEngine:
         with sw.phase("compile"):
             compiles = self._compile_stage(frontend)
         with sw.phase("execute"):
-            executions = self._execute_stage(compiles, program.inputs)
+            self._execute_stage(compiles, program.inputs)
         with sw.phase("compare"):
-            runs = self._collect(compiles, executions, outcome)
-            self._compare_stage(index, runs, outcome)
+            self._compare_stage(index, compiles, outcome)
             outcome.triggered = any(not c.consistent for c in outcome.comparisons)
         return outcome
 
@@ -683,16 +662,12 @@ class CampaignEngine:
 
     # -- execute stage -----------------------------------------------------------
 
-    def _execute_stage(
-        self,
-        compiles: list[CompileRecord],
-        inputs: tuple,
-    ) -> dict[str, ExecuteRecord]:
+    def _execute_stage(self, compiles: list[CompileRecord], inputs: tuple) -> None:
         """Run every compiled binary, sharing one execution per kernel object.
 
         Two binaries holding the same optimized kernel object under equal
         FP environments are the same machine program — one run serves all
-        their labels (bit-identical by the worker's purity guarantee).
+        their cells (bit-identical by the worker's purity guarantee).
         The pass memo gives every level of a class, and every compiler
         that ran the same passes on the same input, one kernel object.
         Content-equal kernels built as different objects run separately;
@@ -700,7 +675,8 @@ class CampaignEngine:
 
         Each distinct group becomes one
         :data:`~repro.execution.worker.KernelTask` carrying the engine's
-        exec mode, run inline through :data:`_INLINE`, in task order.
+        exec mode, run inline through :data:`_INLINE`, in task order; its
+        result is written onto every record of the group.
         """
         share = self.engine_config.share_runs
         max_steps = self.config.max_steps
@@ -723,74 +699,50 @@ class CampaignEngine:
             (members[0].binary.kernel, members[0].binary.env, inputs, max_steps, mode)
             for members in ordered
         ]
-        results = _INLINE.run_batches(tasks)
+        for members, result in zip(ordered, _INLINE.run_batches(tasks)):
+            for record in members:
+                record.result = result
 
-        executions: dict[str, ExecuteRecord] = {}
-        for members, result in zip(ordered, results):
-            for pos, record in enumerate(members):
-                executions[record.label] = ExecuteRecord(
-                    label=record.label, result=result, shared=pos > 0
-                )
-        return executions
+    # -- compare stage -----------------------------------------------------------
 
-    # -- collect + compare stages ------------------------------------------------
-
-    def _collect(
+    def _compare_stage(
         self,
+        index: int,
         compiles: list[CompileRecord],
-        executions: dict[str, ExecuteRecord],
         outcome: ProgramOutcome,
-    ) -> dict[tuple[str, OptLevel], _BinaryRun]:
-        """Fill the outcome's per-binary dicts in legacy matrix order.
-
-        Records each successful run's kernel and environment by
-        reference; no tier evidence is extracted here.
-        """
-        runs: dict[tuple[str, OptLevel], _BinaryRun] = {}
+    ) -> None:
+        """Fill the outcome's per-binary dicts in matrix order, then compare
+        every compiler pair at each level by those signatures."""
+        cells: dict[str, CompileRecord] = {}
         for record in compiles:
             label = record.label
             outcome.compiled[label] = record.ok
             if not record.ok:
                 continue
-            result = executions[label].result
+            result = record.result
             outcome.ran[label] = result.ok
             if result.ok:
-                sig = result.signature()
-                runs[(record.compiler, record.level)] = _BinaryRun(
-                    sig,
-                    result.value,
-                    result.printed,
-                    kernel=record.binary.kernel,
-                    env=record.binary.env,
-                )
-                if sig is not None:
-                    outcome.signatures[label] = sig
-                    outcome.values[label] = result.value
-        return runs
-
-    def _compare_stage(
-        self,
-        index: int,
-        runs: dict[tuple[str, OptLevel], _BinaryRun],
-        outcome: ProgramOutcome,
-    ) -> None:
+                outcome.signatures[label] = result.signature()
+                outcome.values[label] = result.value
+                cells[label] = record
+        signatures = outcome.signatures
         # Tier evidence memo for this program: sibling levels share the
         # optimized kernel object, so each kernel's evidence is computed
         # at most once (see repro.tiers.structural_tag).
         memo: dict = {}
         for level in self.config.levels:
             for ca, cb in combinations(self.compilers, 2):
-                ra = runs.get((ca.name, level))
-                rb = runs.get((cb.name, level))
-                if ra is None or rb is None or ra.signature is None or rb.signature is None:
+                a, b = f"{ca.name}/{level}", f"{cb.name}/{level}"
+                if a not in cells or b not in cells:
                     continue  # not comparable; still in the denominator
-                consistent = ra.signature == rb.signature
-                if consistent:
+                if signatures[a] == signatures[b]:
                     outcome.comparisons.append(
                         ComparisonRecord(index, ca.name, cb.name, level, True)
                     )
                     continue
-                va, vb = _differing_values(ra, rb)
+                ra, rb = cells[a], cells[b]
+                va, vb = _differing_values(ra.result, rb.result)
+                ba, bb = ra.binary, rb.binary
                 outcome.comparisons.append(
                     ComparisonRecord(
                         index,
@@ -801,7 +753,7 @@ class CampaignEngine:
                         value_a=va,
                         value_b=vb,
                         digit_diff=_diffing_digits(va, vb),
-                        tag=structural_tag(ra.kernel, ra.env, rb.kernel, rb.env, memo),
+                        tag=structural_tag(ba.kernel, ba.env, bb.kernel, bb.env, memo),
                     )
                 )
 
@@ -846,12 +798,9 @@ def _test_in_worker(
 
 
 def _differing_values(
-    ra: _BinaryRun | ExecutionResult, rb: _BinaryRun | ExecutionResult
+    ra: ExecutionResult, rb: ExecutionResult
 ) -> tuple[float | None, float | None]:
     """The first printed pair whose encodings differ (fallback: finals).
-
-    Reads only ``printed`` and ``value``, so triage's oracle passes its
-    :class:`ExecutionResult` pair straight in.
 
     The fallback can surface ``None`` finals — e.g. one run printed
     nothing while the other printed values — which downstream code must

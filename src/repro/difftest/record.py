@@ -17,11 +17,12 @@ class ComparisonRecord:
     """One pairwise output comparison at one optimization level.
 
     ``tag`` carries a structural inconsistency kind when one applies —
-    the tag of a registered divergence tier (:mod:`repro.tiers`:
-    ``vec-libm``, ``mixed-precision``, ``masked-int-guard``,
-    ``masked-lane``, ``vector-reduction``) — set by the engine when the
-    two sides' optimized kernels extract different tier shapes under
-    observationally equal FP environments.  It complements (never
+    the tag of a divergence tier in :data:`repro.tiers.TIERS`
+    (``vec-libm``, ``mixed-precision``, ``masked-int-guard``,
+    ``masked-lane``, ``vector-reduction``) — set by
+    :func:`repro.tiers.structural_tag` when the two sides' optimized
+    kernels extract different tier shapes under observationally equal FP
+    environments.  It complements (never
     replaces) the value-class ``kind``: Figure 3 taxonomies stay
     value-based, while triage keys on the structural kind when present.
     """

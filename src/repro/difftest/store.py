@@ -64,7 +64,7 @@ __all__ = [
 #   v3 header reads as islands=0/merge_every=0.  Later v4 writers add an
 #   optional ``tiers`` header field when the campaign ran under a
 #   non-default divergence-tier profile (see :mod:`repro.tiers`), in
-#   which case rows may carry the newer registry tags (``vec-libm``,
+#   which case rows may carry the newer tier tags (``vec-libm``,
 #   ``mixed-precision``, ``masked-int-guard``); a header without the
 #   field reads as ``tiers="baseline"``, whose rows — and bytes — are
 #   identical to pre-registry v4 files.

@@ -10,7 +10,6 @@ from repro.execution.limits import DEFAULT_MAX_STEPS
 from repro.execution.result import ExecutionResult
 from repro.execution.worker import run_kernel
 from repro.fp.env import FPEnvironment
-from repro.frontend import ast
 from repro.frontend.parser import parse_program
 from repro.frontend.sema import check_program
 from repro.ir import nodes as ir
@@ -101,12 +100,8 @@ class Compiler:
             unit = parse_program(source)
         except ReproError as e:
             raise CompileError(f"{self.name}: parse error: {e}") from e
-        return self.compile_unit(unit, level)
-
-    def compile_unit(self, unit: ast.TranslationUnit, level: OptLevel) -> Binary:
         try:
-            sema = check_program(unit)
-            kernel = lower_compute(sema)
+            kernel = lower_compute(check_program(unit))
         except ReproError as e:
             raise CompileError(f"{self.name}: {e}") from e
         return self.compile_kernel(kernel, level)
@@ -118,7 +113,7 @@ class Compiler:
 
         The differential harness front-ends each program once and reuses
         the kernel across this compiler's levels, like a build farm reusing
-        a parse tree — semantics are identical to :meth:`compile_unit`.
+        a parse tree — semantics are identical to :meth:`compile_source`.
         A per-program ``memo`` (see :meth:`PassPipeline.run`) runs each
         distinct pass once on each distinct input kernel, across levels
         and compilers.

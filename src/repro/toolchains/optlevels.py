@@ -104,9 +104,10 @@ _HOST_IF_CONVERT_LEVELS = frozenset({OptLevel.O3, OptLevel.O3_FASTMATH})
 # -- the per-compiler tier-policy table ----------------------------------------
 #
 # One :class:`TierPolicy` per (family, level, profile) answers every "does
-# this toolchain engage tier X here?" question the pipelines, environments
-# and the divergence-tier registry (:mod:`repro.tiers`) ask.  The
-# ``baseline`` profile reproduces the pre-registry behaviour exactly —
+# this toolchain engage tier X here?" question the pipelines and
+# environments ask; which tag a divergence earns is the separate table
+# in :mod:`repro.tiers`.  The ``baseline`` profile reproduces the
+# pre-registry behaviour exactly —
 # vector widths and if-conversion as above, no vector math library, no
 # mixed-precision or integer-guard widening — so existing campaigns replay
 # byte-identically.  The ``full`` profile additionally engages the newer

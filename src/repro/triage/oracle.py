@@ -14,14 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.difftest.classify import inconsistency_kind, kind_label
 from repro.difftest.engine import _differing_values, frontend_kernels
+from repro.difftest.record import ComparisonRecord
 from repro.errors import CompileError
 from repro.execution.limits import DEFAULT_MAX_STEPS
 from repro.tiers import structural_tag
 from repro.toolchains.base import Compiler
 from repro.toolchains.optlevels import OptLevel
-from repro.triage.signature import PRINT_COUNT_KIND, InconsistencySignature
+from repro.triage.signature import InconsistencySignature, signature_of
 
 __all__ = ["PairObservation", "PairOracle", "compilers_by_name"]
 
@@ -89,20 +89,16 @@ class PairOracle:
                 ok=True, consistent=True, signature_a=sig_a, signature_b=sig_b,
                 steps=steps,
             )
+        # The record the engine's compare stage would write for this cell,
+        # named by the same signature rule, so a reduction verdict agrees
+        # with what the campaign recorded.
         va, vb = _differing_values(ra, rb)
-        # Same tagging helper and precedence as the engine's compare
-        # stage: the registry's structural kind over the value-class pair,
-        # so a reduction verdict agrees with what the campaign recorded.
         ba, bb = binaries
-        tag = structural_tag(ba.kernel, ba.env, bb.kernel, bb.env)
-        if tag is not None:
-            kind = tag
-        else:
-            kind = (
-                kind_label(inconsistency_kind(va, vb))
-                if va is not None and vb is not None
-                else PRINT_COUNT_KIND
-            )
+        record = ComparisonRecord(
+            0, ba.compiler, bb.compiler, self.level, False, value_a=va, value_b=vb,
+            tag=structural_tag(ba.kernel, ba.env, bb.kernel, bb.env),
+        )
+        kind = signature_of(record).kind
         return PairObservation(
             ok=True, consistent=False, kind=kind, signature_a=sig_a,
             signature_b=sig_b, steps=steps,

@@ -72,9 +72,10 @@ def signature_of(record: ComparisonRecord) -> InconsistencySignature:
     (``vector-reduction``, ``masked-lane``, ``vec-libm``, ...) — takes
     precedence over the value-class pair: it carries strictly more
     information about the root cause, so triage clusters structural
-    divergences separately from same-class environmental ones.  New
-    registry tiers flow through here (and hence into
-    :func:`repro.corpus.signature_key`) with no per-tag code.
+    divergences separately from same-class environmental ones.  Every
+    tier in :data:`repro.tiers.TIERS` flows through here (and hence into
+    :func:`repro.corpus.signature_key`) with no per-tag code.  The triage
+    oracle names its candidates' divergences by this rule too.
     """
     if record.consistent:
         raise ValueError("comparison is consistent; it has no signature")

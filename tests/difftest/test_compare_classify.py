@@ -21,12 +21,19 @@ from repro.fp.classify import FPClass
 
 
 def tier_shapes(reduction=(), masked=()):
-    """A registry-ordered shape vector carrying only the two original
+    """A ``TIERS``-ordered shape vector carrying only the two original
     tiers' shapes (every other tier extracts nothing)."""
-    from repro.tiers import MASKED_LANE, VECTOR_REDUCTION, registry
+    from repro.tiers import MASKED_LANE, TIERS, VECTOR_REDUCTION
 
     sides = {VECTOR_REDUCTION: reduction, MASKED_LANE: masked}
-    return tuple(sides.get(tier.tag, ()) for tier in registry())
+    return tuple(sides.get(tag, ()) for tag, _ in TIERS)
+
+
+def host_env(**kwargs):
+    from repro.fp.env import FPEnvironment
+    from repro.fp.mathlib import HostLibm
+
+    return FPEnvironment(libm=HostLibm(), **kwargs)
 
 
 class TestCompare:
@@ -113,7 +120,7 @@ class TestKinds:
 
 
 class TestVectorReductionKind:
-    def _kernels(self):
+    def _kernels(self, init="0.0"):
         from repro.frontend.parser import parse_program
         from repro.frontend.sema import check_program
         from repro.ir.lower import lower_compute
@@ -122,7 +129,7 @@ class TestVectorReductionKind:
         src = (
             "#include <stdio.h>\n"
             "void compute(double *a, int n) {\n"
-            "  double comp = 0.0;\n"
+            f"  double comp = {init};\n"
             "  for (int i = 0; i < n; ++i) { comp += a[i]; }\n"
             '  printf("%.17g\\n", comp);\n'
             "}\n"
@@ -137,37 +144,35 @@ class TestVectorReductionKind:
         return scalar, Vectorize(4, "adjacent").run(scalar)
 
     def test_vector_shape_lists_reduce_sites(self):
-        from repro.difftest.classify import vector_shape
+        from repro.tiers import vector_shape
 
         scalar, vec = self._kernels()
         assert vector_shape(scalar) == ()
         assert vector_shape(vec) == (("+", 4, "adjacent"),)
 
     def test_tag_requires_equal_environments(self):
-        from repro.difftest.classify import VECTOR_REDUCTION
-        from repro.tiers import structural_tag_from_shapes
+        from repro.ir.passes import Vectorize
+        from repro.tiers import VECTOR_REDUCTION, structural_tag
 
-        shape_a = tier_shapes()
-        shape_b = tier_shapes(reduction=(("+", 4, "adjacent"),))
-        tag = structural_tag_from_shapes
-        assert tag(shape_a, shape_b, True, True) == VECTOR_REDUCTION
+        scalar, wide4 = self._kernels()
+        wide8 = Vectorize(8, "ladder").run(scalar)
+        env = host_env()
+        assert structural_tag(wide4, env, wide8, env) == VECTOR_REDUCTION
         # differing environments: libm could be the cause — no tag
-        assert tag(shape_a, shape_b, False, True) is None
+        assert structural_tag(wide4, env, wide8, host_env(ftz=True)) is None
         # differing scalar parts: another pass could be the cause — no tag
-        assert tag(shape_a, shape_b, True, False) is None
+        other_scalar, _ = self._kernels(init="1.0")
+        other8 = Vectorize(8, "ladder").run(other_scalar)
+        assert structural_tag(wide4, env, other8, env) is None
         # identical shapes: nothing vector-related to blame
-        assert tag(shape_b, shape_b, True, True) is None
+        assert structural_tag(wide4, env, wide4, env) is None
 
     def test_style_difference_alone_tags(self):
-        from repro.difftest.classify import VECTOR_REDUCTION
-        from repro.tiers import structural_tag_from_shapes
+        from repro.tiers import VECTOR_REDUCTION, structural_tag_from_shapes
 
         adjacent = tier_shapes(reduction=(("+", 4, "adjacent"),))
         ladder = tier_shapes(reduction=(("+", 4, "ladder"),))
-        assert (
-            structural_tag_from_shapes(adjacent, ladder, True, True)
-            == VECTOR_REDUCTION
-        )
+        assert structural_tag_from_shapes(adjacent, ladder) == VECTOR_REDUCTION
 
     def test_devectorized_bodies_are_width_independent(self):
         from repro.difftest.classify import devectorized_body
@@ -345,7 +350,7 @@ class TestMaskedLaneKind:
         )
 
     def test_masked_shape_lists_mask_sites(self):
-        from repro.difftest.classify import masked_shape
+        from repro.tiers import masked_shape
 
         scalar, vec = self._masked_kernel()
         assert masked_shape(scalar) == ()
@@ -358,7 +363,8 @@ class TestMaskedLaneKind:
         no function<->cell cycle is left for the cyclic GC."""
         import gc
 
-        from repro.difftest.classify import devectorized_body, masked_shape
+        from repro.difftest.classify import devectorized_body
+        from repro.tiers import masked_shape
 
         _, vec = self._masked_kernel()
         gc.collect()
@@ -375,11 +381,11 @@ class TestMaskedLaneKind:
         vector_shape but not to masked_shape — so a style divergence in
         an unmasked loop next to identically-masked code still tags
         vector-reduction, not masked-lane."""
-        from repro.difftest.classify import masked_shape, vector_shape
         from repro.frontend.parser import parse_program
         from repro.frontend.sema import check_program
         from repro.ir.lower import lower_compute
         from repro.ir.passes import IfConvert, Vectorize
+        from repro.tiers import masked_shape, vector_shape
 
         src = (
             "#include <stdio.h>\n"
@@ -410,61 +416,58 @@ class TestMaskedLaneKind:
         assert vector_shape(adjacent) != vector_shape(ladder)
 
     def test_scalar_select_form_has_no_masked_shape(self):
-        from repro.difftest.classify import masked_shape
         from repro.frontend.parser import parse_program
         from repro.frontend.sema import check_program
         from repro.ir.lower import lower_compute
         from repro.ir.passes import IfConvert
+        from repro.tiers import masked_shape
 
         scalar = lower_compute(check_program(parse_program(self.GUARDED)))
         assert masked_shape(IfConvert().run(scalar)) == ()
 
     def test_structural_tag_precedence(self):
-        from repro.difftest.classify import MASKED_LANE, VECTOR_REDUCTION
-        from repro.tiers import structural_tag_from_shapes
+        from repro.tiers import MASKED_LANE, VECTOR_REDUCTION, structural_tag_from_shapes
 
-        def structural_tag(plain_a, plain_b, masked_a, masked_b, *preconditions):
+        def structural_tag(plain_a, plain_b, masked_a, masked_b):
             return structural_tag_from_shapes(
                 tier_shapes(reduction=plain_a, masked=masked_a),
                 tier_shapes(reduction=plain_b, masked=masked_b),
-                *preconditions,
             )
 
         plain_a, plain_b = (("+", 4, "adjacent"),), (("+", 4, "ladder"),)
         masked = (("cmp", ">", 4), ("select", 4), ("reduce", "+", 4, "adjacent"))
         masked_other = (("cmp", ">", 4), ("select", 4), ("reduce", "+", 4, "ladder"))
         # differing masked shapes name the narrower mechanism
-        assert (
-            structural_tag(plain_a, plain_b, masked, masked_other, True, True)
-            == MASKED_LANE
-        )
-        assert (
-            structural_tag(plain_a, plain_a, masked, (), True, True) == MASKED_LANE
-        )
+        assert structural_tag(plain_a, plain_b, masked, masked_other) == MASKED_LANE
+        assert structural_tag(plain_a, plain_a, masked, ()) == MASKED_LANE
         # identical masked shapes + differing reduction shapes: the
         # divergence came from an *unmasked* loop — plain vector-reduction
-        assert (
-            structural_tag(plain_a, plain_b, masked, masked, True, True)
-            == VECTOR_REDUCTION
-        )
-        assert (
-            structural_tag(plain_a, plain_b, (), (), True, True)
-            == VECTOR_REDUCTION
-        )
-        # precision preconditions still gate everything
-        assert structural_tag(plain_a, plain_b, masked, masked_other, False, True) is None
-        assert structural_tag(plain_a, plain_b, masked, masked_other, True, False) is None
+        assert structural_tag(plain_a, plain_b, masked, masked) == VECTOR_REDUCTION
+        assert structural_tag(plain_a, plain_b, (), ()) == VECTOR_REDUCTION
         # identical shapes on both axes: nothing structural to blame
-        assert structural_tag(plain_a, plain_a, masked, masked, True, True) is None
+        assert structural_tag(plain_a, plain_a, masked, masked) is None
+
+    def test_preconditions_gate_the_masked_tag(self):
+        from repro.tiers import MASKED_LANE, structural_tag
+
+        scalar, adjacent = self._masked_kernel("adjacent")
+        _, ladder = self._masked_kernel("ladder")
+        env = host_env()
+        assert structural_tag(adjacent, env, ladder, env) == MASKED_LANE
+        # differing environments: no tag, whatever the shapes
+        assert structural_tag(adjacent, env, ladder, host_env(ftz=True)) is None
+        # differing scalar parts: the never-vectorized kernel keeps its
+        # induction init in the loop, so it strips to a different body
+        assert structural_tag(adjacent, env, scalar, env) is None
 
     def test_masked_lane_tag_end_to_end(self):
         """gcc vs clang at O3: both if-convert identically, both widen to
         8 lanes, but reduce horizontally in different styles — the
         comparison carries the masked-lane tag."""
-        from repro.difftest.classify import MASKED_LANE
         from repro.difftest.config import CampaignConfig
         from repro.difftest.engine import CampaignEngine
         from repro.generation.program import GeneratedProgram
+        from repro.tiers import MASKED_LANE
         from repro.toolchains import ClangCompiler, GccCompiler, OptLevel
 
         engine = CampaignEngine(

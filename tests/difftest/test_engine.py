@@ -17,8 +17,8 @@ from repro.difftest.backend import (
 from repro.difftest.config import CampaignConfig
 from repro.difftest.engine import (
     CampaignEngine,
+    CompileRecord,
     EngineConfig,
-    _BinaryRun,
     _differing_values,
     _diffing_digits,
 )
@@ -32,6 +32,7 @@ from repro.experiments.approaches import make_generator
 from repro.experiments.settings import ExperimentSettings
 from repro.fleet.supervisor import CampaignSpec
 from repro.errors import ReproError
+from repro.execution.result import ExecStatus, ExecutionResult
 from repro.fp.bits import double_to_hex
 from repro.generation.program import GeneratedProgram, GeneratorCapabilities
 from repro.toolchains import (
@@ -823,18 +824,17 @@ class TestDifferingValueGuard:
     crash digit accounting — it becomes a sentinel comparison."""
 
     def test_none_final_returns_sentinel(self):
-        ra = _BinaryRun(signature="", value=None, printed=())
-        rb = _BinaryRun(
-            signature="3ff0000000000000", value=1.0, printed=(1.0,)
-        )
+        ra = ExecutionResult(ExecStatus.OK, printed=())
+        rb = ExecutionResult(ExecStatus.OK, printed=(1.0,))
         va, vb = _differing_values(ra, rb)
         assert va is None and vb == 1.0
         assert _diffing_digits(va, vb) == 0
 
     def test_sentinel_comparison_recorded_not_raised(self):
-        # Engine-level: inject runs directly into the compare stage.
+        # Engine-level: inject executed cells directly into the compare stage.
         from repro.difftest.record import ProgramOutcome
         from repro.toolchains import OptLevel
+        from repro.toolchains.base import Binary
 
         compilers = [GccCompiler(), NvccCompiler()]
         engine = CampaignEngine(
@@ -846,14 +846,18 @@ class TestDifferingValueGuard:
         )
         # glibc vs CUDA libm: the environments differ, so tagging stops
         # before it needs the (absent) kernels.
-        gcc_env, nvcc_env = (c.environment(OptLevel.O0) for c in compilers)
-        runs = {
-            ("gcc", OptLevel.O0): _BinaryRun("", None, (), env=gcc_env),
-            ("nvcc", OptLevel.O0): _BinaryRun(
-                "3ff0000000000000", 1.0, (1.0,), env=nvcc_env
-            ),
-        }
-        engine._compare_stage(0, runs, outcome)
+        compiles = [
+            CompileRecord(
+                c.name,
+                OptLevel.O0,
+                True,
+                binary=Binary(c.name, OptLevel.O0, None, c.environment(OptLevel.O0)),
+                result=ExecutionResult(ExecStatus.OK, printed=printed),
+            )
+            for c, printed in zip(compilers, [(), (1.0,)])
+        ]
+        engine._compare_stage(0, compiles, outcome)
+        assert outcome.signatures == {"gcc/O0": "", "nvcc/O0": "3ff0000000000000"}
         assert len(outcome.comparisons) == 1
         rec = outcome.comparisons[0]
         assert not rec.consistent
@@ -862,8 +866,8 @@ class TestDifferingValueGuard:
         assert rec.kind is None  # sentinel: outside the five-class taxonomy
 
     def test_matched_digits_still_computed(self):
-        ra = _BinaryRun("x", 1.0, (1.0,))
-        rb = _BinaryRun("y", 2.0, (2.0,))
+        ra = ExecutionResult(ExecStatus.OK, printed=(1.0,))
+        rb = ExecutionResult(ExecStatus.OK, printed=(2.0,))
         va, vb = _differing_values(ra, rb)
         assert (va, vb) == (1.0, 2.0)
         assert _diffing_digits(va, vb) > 0

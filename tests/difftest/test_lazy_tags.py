@@ -50,12 +50,13 @@ def run(approach, tiers, budget, engine_cls=CampaignEngine):
 
 def eager_tag(binary_a, binary_b):
     """The tag the pre-lazy compare stage computed for one pair."""
+    if scalar_env_fingerprint(binary_a.env) != scalar_env_fingerprint(binary_b.env):
+        return None
+    if repr(devectorized_body(binary_a.kernel)) != repr(devectorized_body(binary_b.kernel)):
+        return None
     return structural_tag_from_shapes(
         shape_vector(binary_a.kernel, binary_a.env),
         shape_vector(binary_b.kernel, binary_b.env),
-        scalar_env_fingerprint(binary_a.env) == scalar_env_fingerprint(binary_b.env),
-        repr(devectorized_body(binary_a.kernel))
-        == repr(devectorized_body(binary_b.kernel)),
     )
 
 
@@ -164,14 +165,16 @@ def test_shape_vector_runs_only_for_taggable_pairs(
         return original(kernel, env)
 
     monkeypatch.setattr(module, "shape_vector", counted)
-    #: program index -> (compare-stage runs, shape_vector calls it made)
+    #: program index -> (compiled binaries by (compiler, level),
+    #: shape_vector calls its compare stage made)
     programs = {}
 
     class RecordingEngine(CampaignEngine):
-        def _compare_stage(self, index, runs, outcome):
+        def _compare_stage(self, index, compiles, outcome):
             start = len(calls)
-            super()._compare_stage(index, runs, outcome)
-            programs[index] = (runs, calls[start:])
+            super()._compare_stage(index, compiles, outcome)
+            binaries = {(r.compiler, r.level): r.binary for r in compiles}
+            programs[index] = (binaries, calls[start:])
 
     _, result = run(approach, tiers, budget, RecordingEngine)
     for outcome in result.outcomes:

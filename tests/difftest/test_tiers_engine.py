@@ -9,7 +9,13 @@ from repro.difftest.engine import CampaignEngine
 from repro.difftest.report import CampaignReport
 from repro.difftest.store import CampaignStore, CampaignStoreError, load_result
 from repro.generation.loops import LoopReductionGenerator
-from repro.tiers import MASKED_INT_GUARD, MIXED_PRECISION, VEC_LIBM
+from repro.tiers import (
+    MASKED_INT_GUARD,
+    MASKED_LANE,
+    MIXED_PRECISION,
+    VEC_LIBM,
+    VECTOR_REDUCTION,
+)
 from repro.toolchains import ClangCompiler, GccCompiler, NvccCompiler, default_compilers
 from repro.utils.rng import SplittableRng
 
@@ -47,11 +53,16 @@ class TestEngineProfiles:
         assert result.tiers == "full"
 
     def test_full_profile_reports_every_new_tag(self, full_result):
+        # Pinned exactly: a reordered tier table or an extractor that
+        # changed its shapes moves these counts.
         _, result = full_result
-        tags = CampaignReport(result).tag_counts()
-        assert tags.get(VEC_LIBM, 0) > 0
-        assert tags.get(MIXED_PRECISION, 0) > 0
-        assert tags.get(MASKED_INT_GUARD, 0) > 0
+        assert CampaignReport(result).tag_counts() == {
+            MASKED_INT_GUARD: 6,
+            MASKED_LANE: 5,
+            MIXED_PRECISION: 3,
+            VEC_LIBM: 4,
+            VECTOR_REDUCTION: 15,
+        }
 
     def test_baseline_compilers_never_emit_the_new_tags(self):
         engine = CampaignEngine(

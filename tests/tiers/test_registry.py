@@ -1,4 +1,4 @@
-"""The divergence-tier registry: ranks, shapes, and tag precedence."""
+"""The divergence-tier table: shapes and tag precedence."""
 
 import importlib
 
@@ -15,21 +15,16 @@ from repro.tiers import (
     MASKED_INT_GUARD,
     MASKED_LANE,
     MIXED_PRECISION,
+    TIERS,
     VEC_LIBM,
     VECTOR_REDUCTION,
-    DivergenceTier,
     int_guard_shape,
     mixed_precision_shape,
-    register,
-    registry,
     shape_vector,
     structural_tag,
     structural_tag_from_shapes,
-    tier_by_tag,
-    tier_tags,
     veclibm_shape,
 )
-from repro.toolchains.optlevels import TierPolicy
 
 
 def kernel_of(source):
@@ -93,30 +88,12 @@ def vectorized(source, *, width=4, style="adjacent", masked=False,
 
 class TestRegistryContents:
     def test_ranks_and_precedence_order(self):
-        tiers = registry()
-        assert [t.tag for t in tiers] == [
+        # The table's order is the tags' precedence: the most specific
+        # mechanism first.
+        assert [tag for tag, _ in TIERS] == [
             VEC_LIBM, MIXED_PRECISION, MASKED_INT_GUARD, MASKED_LANE,
             VECTOR_REDUCTION,
         ]
-        assert [t.rank for t in tiers] == sorted(t.rank for t in tiers)
-        assert tier_tags() == tuple(t.tag for t in tiers)
-
-    def test_policy_fields_name_real_tier_policy_fields(self):
-        fields = TierPolicy.__dataclass_fields__
-        for tier in registry():
-            assert tier.policy_field in fields
-
-    def test_tier_by_tag(self):
-        assert tier_by_tag(VEC_LIBM).rank < tier_by_tag(MASKED_LANE).rank
-
-    def test_duplicate_tag_and_rank_rejected(self):
-        existing = registry()[0]
-        with pytest.raises(ValueError, match="already registered"):
-            register(DivergenceTier(existing.tag, 999, existing.extract, "vec_libm"))
-        with pytest.raises(ValueError, match="rank"):
-            register(
-                DivergenceTier("fresh-tag", existing.rank, existing.extract, "vec_libm")
-            )
 
 
 class TestShapeExtractors:
@@ -155,7 +132,7 @@ class TestShapeExtractors:
         kernel = vectorized(CALL_REDUCTION)
         env = FPEnvironment(libm=HostLibm(), veclibm=GccVecLibm())
         shapes = shape_vector(kernel, env)
-        assert len(shapes) == len(registry())
+        assert len(shapes) == len(TIERS)
         assert shapes[0] == veclibm_shape(kernel, env)
         assert shapes[-1][0] == ("+", 4, "adjacent")
 
@@ -170,32 +147,43 @@ class TestTagPrecedence:
         return shape_vector(ka, env_a), shape_vector(kb, env_b)
 
     def test_preconditions_gate_every_tag(self):
-        sa, sb = self._pair(CALL_REDUCTION)
-        assert structural_tag_from_shapes(sa, sb, False, True) is None
-        assert structural_tag_from_shapes(sa, sb, True, False) is None
+        # The same kernel widened the gcc way and the clang way: its
+        # vec-libm and reduction shapes differ.
+        env_a = FPEnvironment(libm=HostLibm(), veclibm=GccVecLibm())
+        env_b = FPEnvironment(libm=HostLibm(), veclibm=ClangVecLibm())
+        ka = vectorized(CALL_REDUCTION, style="adjacent")
+        kb = vectorized(CALL_REDUCTION, style="ladder")
+        assert structural_tag(ka, env_a, kb, env_b) == VEC_LIBM
+        # differing scalar environments: no tag
+        ftz = FPEnvironment(libm=HostLibm(), veclibm=ClangVecLibm(), ftz=True)
+        assert structural_tag(ka, env_a, kb, ftz) is None
+        # differing scalar parts: no tag, although the shapes differ
+        kc = vectorized(MIXED_REDUCTION, style="ladder", mixed=True)
+        assert shape_vector(ka, env_a) != shape_vector(kc, env_b)
+        assert structural_tag(ka, env_a, kc, env_b) is None
 
     def test_equal_shapes_tag_nothing(self):
         kernel = vectorized(CALL_REDUCTION)
         env = FPEnvironment(libm=HostLibm(), veclibm=GccVecLibm())
         shapes = shape_vector(kernel, env)
-        assert structural_tag_from_shapes(shapes, shapes, True, True) is None
+        assert structural_tag_from_shapes(shapes, shapes) is None
 
     def test_masked_plus_veclibm_kernel_tags_vec_libm_deterministically(self):
         # Satellite regression: a kernel that is simultaneously masked AND
         # calls through a vector math library must tag the more specific
-        # family — vec-libm outranks masked-lane by explicit rank.
+        # family — vec-libm precedes masked-lane in the table.
         sa, sb = self._pair(GUARDED_CALL, masked=True)
         assert sa[0] != sb[0]  # vec-libm shapes differ (lib identity)
         assert sa[3] != sb[3]  # masked shapes differ too (reduce style)
         for _ in range(3):
-            assert structural_tag_from_shapes(sa, sb, True, True) == VEC_LIBM
+            assert structural_tag_from_shapes(sa, sb) == VEC_LIBM
 
     def test_reduction_style_alone_tags_vector_reduction(self):
         env = FPEnvironment(libm=HostLibm())
         ka = vectorized(CALL_REDUCTION, style="adjacent")
         kb = vectorized(CALL_REDUCTION, style="ladder")
         tag = structural_tag_from_shapes(
-            shape_vector(ka, env), shape_vector(kb, env), True, True
+            shape_vector(ka, env), shape_vector(kb, env)
         )
         assert tag == VECTOR_REDUCTION
 
@@ -204,7 +192,7 @@ class TestTagPrecedence:
         ka = vectorized(MIXED_REDUCTION, style="adjacent", mixed=True)
         kb = vectorized(MIXED_REDUCTION, style="ladder", mixed=True)
         tag = structural_tag_from_shapes(
-            shape_vector(ka, env), shape_vector(kb, env), True, True
+            shape_vector(ka, env), shape_vector(kb, env)
         )
         assert tag == MIXED_PRECISION
 
@@ -213,7 +201,7 @@ class TestTagPrecedence:
         ka = vectorized(INT_GUARDED, style="adjacent", masked=True, int_guards=True)
         kb = vectorized(INT_GUARDED, style="ladder", masked=True, int_guards=True)
         tag = structural_tag_from_shapes(
-            shape_vector(ka, env), shape_vector(kb, env), True, True
+            shape_vector(ka, env), shape_vector(kb, env)
         )
         assert tag == MASKED_INT_GUARD
 
@@ -246,7 +234,7 @@ class TestLazyStructuralTag:
         ka = vectorized(GUARDED_CALL, style="adjacent", masked=True)
         kb = vectorized(GUARDED_CALL, style="ladder", masked=True)
         eager = structural_tag_from_shapes(
-            shape_vector(ka, env), shape_vector(kb, env), True, True
+            shape_vector(ka, env), shape_vector(kb, env)
         )
         assert eager == MASKED_LANE
         assert structural_tag(ka, env, kb, env) == eager

@@ -216,16 +216,3 @@ class TestDeviceMechanisms:
         o3 = run(NvccCompiler(), TRANSCENDENTAL, OptLevel.O3, inputs)
         fast = run(NvccCompiler(), TRANSCENDENTAL, OptLevel.O3_FASTMATH, inputs)
         assert o3 == fast
-
-
-class TestCudaTranslationPath:
-    def test_translate_roundtrip_preserves_semantics(self):
-        from repro.frontend.parser import parse_program
-        from repro.toolchains.cuda import translate_to_cuda
-
-        unit = parse_program(TRANSCENDENTAL)
-        cuda_unit = translate_to_cuda(unit)
-        b1 = NvccCompiler().compile_unit(unit, OptLevel.O2)
-        b2 = NvccCompiler().compile_unit(cuda_unit, OptLevel.O2)
-        inputs = (0.9, 1.1, 9)
-        assert b1.run(inputs).signature() == b2.run(inputs).signature()
