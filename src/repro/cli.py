@@ -75,12 +75,21 @@ class _StreamProgress:
         self.stream.flush()
 
 
-def _jobs_arg(value: str) -> int | str:
-    """``--jobs N`` or ``--jobs auto`` (one worker per CPU)."""
-    try:
-        return parse_jobs(value)
-    except ValueError as e:
-        raise argparse.ArgumentTypeError(str(e)) from e
+def _flag(parse):
+    """An argparse ``type``: ``parse``'s ValueError refuses the flag by name."""
+    def parse_flag(value: str):
+        try:
+            return parse(value)
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e)) from e
+    return parse_flag
+
+
+def _count(value: str) -> int:
+    """``--budget``, ``--shards``, ``--workers``, ``--merge-every``: an integer >= 1."""
+    if not value.isdigit() or int(value) < 1:
+        raise ValueError(f"must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -104,7 +113,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         generator = CorpusReplayGenerator(seeds, generator)
         replay_seeds = len(seeds)
     config = CampaignConfig(budget=args.budget, seed=args.seed)
-    shard_index, shard_count = parse_shard(args.shard)
+    shard_index, shard_count = args.shard
     islands = args.islands
     if islands is None:
         islands = ExperimentSettings().islands  # REPRO_ISLANDS, default 0
@@ -403,7 +412,6 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
         format_seeds,
         render_signature,
     )
-    from repro.difftest.store import CampaignStoreError
 
     try:
         if args.action == "ingest":
@@ -498,7 +506,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_run = sub.add_parser("run", help="run one approach's campaign")
     p_run.add_argument("--approach", choices=ALL_APPROACHES, default="llm4fp")
-    p_run.add_argument("--budget", type=int, default=100)
+    p_run.add_argument("--budget", type=_flag(_count), default=100)
     p_run.add_argument("--seed", type=int, default=20250916)
     p_run.add_argument(
         "--backend", choices=BACKENDS, default=DEFAULT_BACKEND,
@@ -507,7 +515,7 @@ def main(argv: list[str] | None = None) -> int:
         "stay inline); results are byte-identical",
     )
     p_run.add_argument(
-        "--jobs", type=_jobs_arg, default=1, metavar="N|auto",
+        "--jobs", type=_flag(parse_jobs), default=1, metavar="N|auto",
         help="processes testing programs (default 1; 'auto' = "
         "one per CPU; more than one needs --backend process)",
     )
@@ -518,7 +526,7 @@ def main(argv: list[str] | None = None) -> int:
         "default: REPRO_EXEC_MODE or tape",
     )
     p_run.add_argument(
-        "--shard", default=None, metavar="i/n",
+        "--shard", type=_flag(parse_shard), default=(0, 1), metavar="i/n",
         help="test only budget indices with index %% n == i; disjoint "
         "shards merge bit-identically (feedback approaches shard via the "
         "island model — see --islands)",
@@ -532,7 +540,7 @@ def main(argv: list[str] | None = None) -> int:
         "sharded feedback approach)",
     )
     p_run.add_argument(
-        "--merge-every", type=int, default=None, metavar="K", dest="merge_every",
+        "--merge-every", type=_flag(_count), default=None, metavar="K", dest="merge_every",
         help="island merge-point cadence: exchange top triggers after "
         "every K owned programs (default: REPRO_MERGE_EVERY or 25)",
     )
@@ -572,7 +580,7 @@ def main(argv: list[str] | None = None) -> int:
     # defaults stay None so the REPRO_* environment knobs apply when a
     # flag is omitted (flags win when given)
     p_tab.add_argument(
-        "--budget", type=int, default=None,
+        "--budget", type=_flag(_count), default=None,
         help="programs per approach (default: REPRO_BUDGET or 200)",
     )
     p_tab.add_argument(
@@ -585,7 +593,7 @@ def main(argv: list[str] | None = None) -> int:
         f"(default: REPRO_BACKEND or {DEFAULT_BACKEND})",
     )
     p_tab.add_argument(
-        "--jobs", type=_jobs_arg, default=None, metavar="N|auto",
+        "--jobs", type=_flag(parse_jobs), default=None, metavar="N|auto",
         help="processes testing programs, 'auto' = one per CPU; more "
         "than one needs --backend process (default: REPRO_JOBS or 1)",
     )
@@ -634,17 +642,17 @@ def main(argv: list[str] | None = None) -> int:
         "fleet_events.jsonl and merged.jsonl accumulate here",
     )
     p_serve.add_argument(
-        "--shards", type=int, default=4, metavar="N",
+        "--shards", type=_flag(_count), default=4, metavar="N",
         help="shard count the budget splits into (default 4)",
     )
     p_serve.add_argument(
-        "--workers", type=int, default=None, metavar="N",
+        "--workers", type=_flag(_count), default=None, metavar="N",
         help="concurrent shard workers (default: REPRO_FLEET_WORKERS or 2)",
     )
     p_serve.add_argument("--approach", choices=ALL_APPROACHES, default="loops",
                          help="approach to run (default loops; feedback "
                          "approaches run as island campaigns automatically)")
-    p_serve.add_argument("--budget", type=int, default=100)
+    p_serve.add_argument("--budget", type=_flag(_count), default=100)
     p_serve.add_argument("--seed", type=int, default=20250916)
     p_serve.add_argument(
         "--islands", type=int, default=None, metavar="N",
@@ -652,7 +660,7 @@ def main(argv: list[str] | None = None) -> int:
         "default: worker auto-detection (islands for feedback approaches)",
     )
     p_serve.add_argument(
-        "--merge-every", type=int, default=None, metavar="K", dest="merge_every",
+        "--merge-every", type=_flag(_count), default=None, metavar="K", dest="merge_every",
         help="island merge-point cadence forwarded to workers "
         "(default: each worker's REPRO_MERGE_EVERY or 25)",
     )
@@ -661,7 +669,7 @@ def main(argv: list[str] | None = None) -> int:
         help="worker engine backend (default: each worker's own default)",
     )
     p_serve.add_argument(
-        "--jobs", type=_jobs_arg, default=None, metavar="N|auto",
+        "--jobs", type=_flag(parse_jobs), default=None, metavar="N|auto",
         help="per-worker matrix jobs (default: each worker's own default)",
     )
     p_serve.add_argument(

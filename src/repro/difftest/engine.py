@@ -57,14 +57,14 @@ Two campaign-scale facilities ride on that determinism:
   byte-identical to an unsharded run's.  Feedback generators shard as islands
   (``EngineConfig.islands``), which partition generation itself.
 
-Note on throughput: on the serial backend the measured gains come from
-the in-program *dedup* — the pass memo and identical-binary run
-sharing.  The ``process`` backend adds real CPU parallelism on top by
-testing ``jobs`` programs at once; a program is the smallest unit worth
-a round trip.  Feedback and island campaigns run inline on it (program
-*i+1* depends on the verdict for *i*); ``islands`` is how they use more
-cores.  Nothing is cached across programs: every compiled binary and
-tape dies with its program.
+Note on throughput: on the serial backend the savings come from the
+in-program *dedup* — the pass memo and run sharing (``shared_runs`` of
+``total_runs``).  The ``process`` backend adds CPU parallelism by
+testing ``jobs`` programs at once, a program being the smallest unit
+worth a round trip.  Feedback and island campaigns run inline on it
+(program *i+1* depends on the verdict for *i*); ``islands`` is how they
+use more cores.  Nothing is cached across programs: every compiled
+binary and tape dies with its program.
 """
 
 from __future__ import annotations
@@ -186,11 +186,6 @@ class EngineConfig:
         jobs: processes testing programs at once (the calling one
             included); ``1`` runs every stage inline, ``"auto"`` uses one
             per CPU.  More than one needs ``backend="process"``.
-        share_runs: deduplicate work *within* one program's matrix — each
-            distinct pass runs once per input kernel, and binaries with
-            the same optimized kernel object and environment execute once.
-            Disabling it reproduces the legacy serial cost model exactly
-            (used as the benchmark baseline).
         backend: fan-out policy — ``"serial"`` (inline, requires jobs=1;
             the default) or ``"process"`` (whole programs of a
             feedback-free, island-free campaign fan out to ``jobs - 1``
@@ -222,7 +217,6 @@ class EngineConfig:
     """
 
     jobs: int | str = 1
-    share_runs: bool = True
     backend: str = DEFAULT_BACKEND
     shard_index: int = 0
     shard_count: int = 1
@@ -639,9 +633,9 @@ class CampaignEngine:
         for the program, so each distinct pass runs once per input kernel
         across levels and compilers: levels with equal
         ``Compiler.cache_token`` get the same optimized kernel object
-        without running a pass.  Without ``share_runs`` there is no memo.
+        without running a pass.
         """
-        memo: dict | None = {} if self.engine_config.share_runs else None
+        memo: dict = {}
         records: list[CompileRecord] = []
         for compiler in self.compilers:
             kernel = frontend.kernels.get(compiler.kind)
@@ -678,17 +672,12 @@ class CampaignEngine:
         exec mode, run inline through :data:`_INLINE`, in task order; its
         result is written onto every record of the group.
         """
-        share = self.engine_config.share_runs
         max_steps = self.config.max_steps
-        groups: dict[object, list[CompileRecord]] = {}
+        groups: dict[tuple, list[CompileRecord]] = {}
         for record in compiles:
-            if not record.ok:
-                continue
-            if share:
-                key: object = (id(record.binary.kernel), env_fingerprint(record.binary.env))
-            else:
-                key = record.label
-            groups.setdefault(key, []).append(record)
+            if record.ok:
+                key = (id(record.binary.kernel), env_fingerprint(record.binary.env))
+                groups.setdefault(key, []).append(record)
 
         ordered = list(groups.values())
         self._total_runs += sum(len(members) for members in ordered)

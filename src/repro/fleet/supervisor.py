@@ -47,7 +47,7 @@ from __future__ import annotations
 import asyncio
 import signal
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -91,6 +91,8 @@ class CampaignSpec:
 
     def __post_init__(self) -> None:
         # Refuse what every worker would refuse; unpinned = worker default.
+        if self.budget < 1:
+            raise ValueError("budget must be positive")
         jobs = 1 if self.jobs is None else parse_jobs(str(self.jobs))
         check_backend(self.backend or DEFAULT_BACKEND, jobs)
         if self.exec_mode is not None:

@@ -32,7 +32,6 @@ root-cause signatures are sampled more.
 from __future__ import annotations
 
 import copy
-import json
 import math
 import re
 import time

@@ -3,8 +3,6 @@ golden diff output, exactly-once reporting, exit codes, env-knob default."""
 
 import json
 
-import pytest
-
 from corpus_testlib import quiet_outcome, trigger_outcome, write_checkpoint
 from repro.cli import main
 from repro.corpus import TriggerCorpus

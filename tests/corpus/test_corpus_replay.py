@@ -250,3 +250,5 @@ class TestCampaignResume:
             o.program.meta.get("origin", "").startswith("harvest#")
             for o in prelude
         )
+        # Same compiler model, so every replayed seed re-triggers.
+        assert all(o.triggered for o in prelude)

@@ -21,6 +21,7 @@ from repro.difftest.engine import (
     EngineConfig,
     _differing_values,
     _diffing_digits,
+    frontend_kernels,
 )
 from repro.difftest.store import (
     CampaignStore,
@@ -108,22 +109,40 @@ def run_with(engine_config, approach="varity", budget=8, seed=123, store=None):
 
 class TestDeterminism:
     """The acceptance property: results are byte-identical across job
-    counts and sharing configurations; only timings may differ."""
+    counts and equal the memo-free, one-run-per-cell reference; only
+    timings may differ."""
 
     def test_jobs_1_vs_4_identical(self):
         serial = run_with(EngineConfig(jobs=1))
         parallel = run_with(EngineConfig(backend="process", jobs=4))
         assert result_key(serial) == result_key(parallel)
 
-    def test_sharing_on_off_identical(self):
-        legacy = run_with(EngineConfig(jobs=1, share_runs=False))
-        shared = run_with(EngineConfig(jobs=1, share_runs=True))
-        assert result_key(legacy) == result_key(shared)
-
-    def test_parallel_all_knobs_identical_to_legacy(self):
-        legacy = run_with(EngineConfig(jobs=1, share_runs=False))
-        full = run_with(EngineConfig(backend="process", jobs=2, share_runs=True))
-        assert result_key(legacy) == result_key(full)
+    @pytest.mark.parametrize(
+        "engine_config",
+        [EngineConfig(jobs=1), EngineConfig(backend="process", jobs=2)],
+        ids=["serial", "process"],
+    )
+    def test_cells_match_the_memo_free_reference(self, engine_config):
+        """Every cell's signature equals a memo-free compile of that cell
+        run alone: the pass memo and run sharing change no result.
+        On ``loops``, O3 and O3_fastmath often share a kernel object
+        under different libms, so a group key that dropped the
+        environment would show."""
+        result = run_with(engine_config, approach="loops")
+        compilers = [GccCompiler(), ClangCompiler(), NvccCompiler()]
+        checked = 0
+        for outcome in result.outcomes:
+            kernels = frontend_kernels(outcome.program.source).kernels
+            for compiler in compilers:
+                for level in CampaignConfig().levels:
+                    label = f"{compiler.name}/{level}"
+                    if not outcome.compiled[label]:
+                        continue
+                    binary = compiler.compile_kernel(kernels[compiler.kind], level)
+                    alone = binary.run(outcome.program.inputs)
+                    assert outcome.signatures.get(label) == alone.signature()
+                    checked += 1
+        assert checked == sum(sum(o.compiled.values()) for o in result.outcomes) > 0
 
 
 class TestBackendEquivalence:
@@ -445,6 +464,35 @@ class TestBackendRefusal:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "fleet").exists()  # no worker ever spawned
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["run", "--budget", "0"], "--budget"),
+            (["tables", "table2", "--budget", "0"], "--budget"),
+            (["run", "--shard", "2/2"], "--shard"),
+            (["run", "--islands", "2", "--merge-every", "0"], "--merge-every"),
+            (["serve", "--shards", "0"], "--shards"),
+            (["serve", "--budget", "0"], "--budget"),
+            (["serve", "--workers", "0"], "--workers"),
+        ],
+        ids=[
+            "run-budget", "tables-budget", "run-shard", "run-merge-every",
+            "serve-shards", "serve-budget", "serve-workers",
+        ],
+    )
+    def test_bad_numeric_flag_is_refused_by_name(self, tmp_path, capsys, argv, flag):
+        if argv[0] == "serve":
+            argv = [*argv, "--dir", str(tmp_path / "fleet")]
+        with pytest.raises(SystemExit) as refused:
+            cli_main(argv)
+        assert refused.value.code == 2
+        named = [
+            line for line in capsys.readouterr().err.splitlines()
+            if line.startswith(f"llm4fp {argv[0]}: ")
+        ]
+        assert len(named) == 1 and f"argument {flag}: " in named[0]
+        assert not (tmp_path / "fleet").exists()  # no worker ever spawned
+
 
 def shard_stores(tmp_path, count, budget):
     """Run every shard of one campaign; return their checkpoint paths."""
@@ -520,11 +568,8 @@ class TestRunSharing:
             compilers, CampaignConfig(budget=1), EngineConfig(jobs=1)
         )
         result = engine.run(_Repeat(program))
-        assert result.total_runs == 18
-        # at minimum the within-compiler level classes collapse 18 -> <= 12
-        # (the vector tier splits O2/O3 into their own classes)
-        assert result.shared_runs >= 9
-        assert result.run_share_rate >= 9 / 18
+        # Levels of one class share a kernel object: 18 cells, 9 runs.
+        assert (result.total_runs, result.shared_runs) == (18, 9)
 
     def test_execute_stage_shares_by_kernel_object(self, monkeypatch):
         """The execute stage walks no kernel: it interns nothing and
@@ -575,17 +620,6 @@ class TestRunSharing:
         assert interns["execute"] == 0
         assert interns["elsewhere"] > 0  # the tier-tag precondition still keys
         assert tapes[0] == groups[0] == result.total_runs - result.shared_runs
-
-    def test_sharing_disabled_runs_everything(self):
-        program = GeneratedProgram(source=TRANSCENDENTAL, inputs=(0.37, 1.91, 5))
-        compilers = [GccCompiler(), ClangCompiler(), NvccCompiler()]
-        engine = CampaignEngine(
-            compilers,
-            CampaignConfig(budget=1),
-            EngineConfig(jobs=1, share_runs=False),
-        )
-        result = engine.run(_Repeat(program))
-        assert result.total_runs == 18 and result.shared_runs == 0
 
     def test_reused_engine_reports_per_run_counters(self):
         # A second run on the same engine must report that run's own
@@ -711,8 +745,6 @@ class TestNothingCachedAcrossPrograms:
     from an earlier program, and no tape outlives its campaign."""
 
     def test_one_compile_per_cell_one_tape_per_group(self, monkeypatch):
-        from repro.difftest.engine import frontend_kernels
-
         engine, result, per_program, _, pass_runs = _counted_loops_campaign(
             monkeypatch
         )
@@ -736,6 +768,7 @@ class TestNothingCachedAcrossPrograms:
         # The pass memo runs as many passes as one compile per level
         # class did (pinned when classes still compiled once each).
         assert pass_runs == 412
+        assert (result.total_runs, result.shared_runs) == (360, 180)
 
     def test_no_tape_outlives_the_campaign(self, monkeypatch):
         import gc

@@ -207,6 +207,14 @@ class TestQueueFile:
         with pytest.raises(ValueError, match="'shards' must be"):
             load_jobs(path)
 
+    def test_zero_budget_rejected_before_any_worker(self, tmp_path, capsys):
+        path = tmp_path / "jobs.jsonl"
+        path.write_text('{"approach": "loops", "budget": 0}\n')
+        fleet = tmp_path / "fleet"
+        assert cli_main(["serve", "--dir", str(fleet), "--queue", str(path)]) == 2
+        assert not fleet.exists() or not any(fleet.iterdir())
+        assert "jobs.jsonl:1: budget must be positive" in capsys.readouterr().err
+
     def test_empty_queue_rejected(self, tmp_path):
         path = tmp_path / "jobs.jsonl"
         path.write_text("# nothing here\n")

@@ -8,7 +8,6 @@ from repro.fp.env import FPEnvironment
 from repro.fp.mathlib import ClangVecLibm, GccVecLibm, HostLibm
 from repro.frontend.parser import parse_program
 from repro.frontend.sema import check_program
-from repro.ir import nodes as ir
 from repro.ir.lower import lower_compute
 from repro.ir.passes import IfConvert, Vectorize
 from repro.tiers import (
