@@ -92,6 +92,20 @@ def _count(value: str) -> int:
     return int(value)
 
 
+def _natural(value: str) -> int:
+    """``--islands``, ``--max-retries``: an integer >= 0."""
+    if not value.isdigit():
+        raise ValueError(f"must be an integer >= 0, got {value!r}")
+    return int(value)
+
+
+def _seconds(value: str) -> float:
+    """``--heartbeat``, ``--stall-timeout``: a finite number > 0."""
+    if not 0 < float(value) < float("inf"):
+        raise ValueError(f"must be a finite number > 0, got {value!r}")
+    return float(value)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.generation.islands import derive_peer_paths
     from repro.generation.program import generator_capabilities
@@ -532,7 +546,7 @@ def main(argv: list[str] | None = None) -> int:
         "island model — see --islands)",
     )
     p_run.add_argument(
-        "--islands", type=int, default=None, metavar="N",
+        "--islands", type=_flag(_natural), default=None, metavar="N",
         help="island-model generation: partition generation itself into N "
         "islands (index %% N), each evolving its own population with "
         "fitness-weighted mutation; the sharding mode that admits feedback "
@@ -655,7 +669,7 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.add_argument("--budget", type=_flag(_count), default=100)
     p_serve.add_argument("--seed", type=int, default=20250916)
     p_serve.add_argument(
-        "--islands", type=int, default=None, metavar="N",
+        "--islands", type=_flag(_natural), default=None, metavar="N",
         help="run workers as island shards (N must equal --shards); "
         "default: worker auto-detection (islands for feedback approaches)",
     )
@@ -692,18 +706,18 @@ def main(argv: list[str] | None = None) -> int:
         "DIR/corpus_new.txt (default: REPRO_CORPUS_PATH)",
     )
     p_serve.add_argument(
-        "--heartbeat", type=float, default=None, metavar="SECONDS",
+        "--heartbeat", type=_flag(_seconds), default=None, metavar="SECONDS",
         help="checkpoint-tail poll interval "
         "(default: REPRO_FLEET_HEARTBEAT or 2.0)",
     )
     p_serve.add_argument(
-        "--stall-timeout", type=float, default=None, metavar="SECONDS",
+        "--stall-timeout", type=_flag(_seconds), default=None, metavar="SECONDS",
         dest="stall_timeout",
         help="no-row-growth threshold before a live worker is killed and "
         "its shard reassigned (default: REPRO_FLEET_STALL or 300)",
     )
     p_serve.add_argument(
-        "--max-retries", type=int, default=None, metavar="N", dest="max_retries",
+        "--max-retries", type=_flag(_natural), default=None, metavar="N", dest="max_retries",
         help="respawns per shard after its first death before the fleet "
         "settles for a partial verdict (default: REPRO_FLEET_RETRIES or 2)",
     )

@@ -97,6 +97,10 @@ class CampaignSpec:
         check_backend(self.backend or DEFAULT_BACKEND, jobs)
         if self.exec_mode is not None:
             check_exec_mode(self.exec_mode)
+        if self.islands is not None and self.islands < 0:
+            raise ValueError("islands must be >= 0 (0 disables the island model)")
+        if self.merge_every is not None and self.merge_every < 1:
+            raise ValueError("merge_every must be >= 1")
 
     @classmethod
     def from_json(cls, record: dict) -> "CampaignSpec":

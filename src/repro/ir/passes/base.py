@@ -79,6 +79,11 @@ class Pass:
         """Hashable configuration: equal keys rewrite every kernel alike."""
         return _attrs_key(self)
 
+    def prefix(self) -> tuple[Pass, ...]:
+        """Passes :meth:`PassPipeline.run` applies, memoized, just before
+        this one: a shared start that must not change this pass's output."""
+        return ()
+
 
 class ExprRewritePass(Pass):
     """Base for passes that only rewrite expressions in place."""
@@ -98,7 +103,7 @@ class PassPipeline:
         self.passes = list(passes)
 
     def run(self, kernel: ir.Kernel, memo: dict | None = None) -> ir.Kernel:
-        """Apply every pass in order.
+        """Apply every pass in order, each after its :meth:`Pass.prefix`.
 
         A pass whose key already ran on this very kernel object reuses
         that output instead of running again.  Pass one ``memo`` dict per
@@ -108,11 +113,12 @@ class PassPipeline:
         """
         memo = {} if memo is None else memo
         for p in self.passes:
-            slot = (p.key(), id(kernel))
-            hit = memo.get(slot)
-            if hit is None:
-                hit = memo[slot] = (kernel, p.run(kernel))
-            kernel = hit[1]
+            for q in (*p.prefix(), p):
+                slot = (q.key(), id(kernel))
+                hit = memo.get(slot)
+                if hit is None:
+                    hit = memo[slot] = (kernel, q.run(kernel))
+                kernel = hit[1]
         return kernel
 
     @property

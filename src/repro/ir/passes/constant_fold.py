@@ -53,7 +53,8 @@ class ConstantFold(Pass):
     compiler) — which may differ from the runtime library by an ulp, a
     modeled divergence source.  ``propagate`` lets const-initialized
     locals reach later use sites before folding (the clang model's more
-    aggressive variant); without it only literal operands fold.
+    aggressive variant); without it only literal operands fold.  The
+    propagating fold runs over the literal fold's output, its :meth:`prefix`.
     """
 
     name = "constant-fold"
@@ -67,6 +68,9 @@ class ConstantFold(Pass):
         self.fold_calls = fold_calls
         self.propagate = propagate
         self.libm = libm or CorrectlyRoundedLibm()
+
+    def prefix(self) -> tuple[Pass, ...]:
+        return (ConstantFold(self.fold_calls, False, self.libm),) if self.propagate else ()
 
     # -- driver ----------------------------------------------------------------
 

@@ -8,7 +8,9 @@ Differences from the gcc model that drive gcc-vs-clang inconsistencies:
 * from ``-O1`` clang's constant propagation is modeled as more aggressive:
   const-initialized locals reach call arguments (``propagate=True``),
   folding sites gcc's literal-only folding misses — which is why the clang
-  column of the paper's Table 5 is the most level-sensitive host column;
+  column of the paper's Table 5 is the most level-sensitive host column.
+  That fold runs over the literal fold's memoized output, so when nothing
+  propagates gcc and clang get one ``-O1`` kernel object and one run;
 * like gcc, no FMA contraction for a baseline x86-64 target (clang 12
   defaults to ``-ffp-contract=off`` for C anyway);
 * from ``-O2`` the loop vectorizer engages at the same widths as gcc

@@ -215,6 +215,26 @@ class TestQueueFile:
         assert not fleet.exists() or not any(fleet.iterdir())
         assert "jobs.jsonl:1: budget must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ('"merge_every": 0', "merge_every must be >= 1"),
+            ('"islands": -1', "islands must be >= 0"),
+        ],
+    )
+    def test_bad_island_field_rejected_before_any_worker(
+        self, tmp_path, capsys, field, message
+    ):
+        path = tmp_path / "jobs.jsonl"
+        path.write_text(
+            '{"approach": "loops", "budget": 2}\n'
+            f'{{"approach": "varity", "budget": 2, "shards": 2, {field}}}\n'
+        )
+        fleet = tmp_path / "fleet"
+        assert cli_main(["serve", "--dir", str(fleet), "--queue", str(path)]) == 2
+        assert not fleet.exists() or not any(fleet.iterdir())
+        assert f"jobs.jsonl:2: {message}" in capsys.readouterr().err
+
     def test_empty_queue_rejected(self, tmp_path):
         path = tmp_path / "jobs.jsonl"
         path.write_text("# nothing here\n")

@@ -17,12 +17,14 @@ from repro.fp.mathlib import PerturbedLibm
 from repro.ir import nodes as ir
 from repro.ir.passes import ConstantFold, PassPipeline
 from repro.toolchains import (
+    ClangCompiler,
     CompilerKind,
+    GccCompiler,
     NvccCompiler,
     default_compilers,
     kernel_fingerprint,
 )
-from repro.toolchains.optlevels import ALL_LEVELS
+from repro.toolchains.optlevels import ALL_LEVELS, OptLevel
 from repro.utils.rng import SplittableRng
 
 APPROACHES = ("varity", "llm4fp", "loops")
@@ -76,9 +78,54 @@ def _all_compilers():
 
 @pytest.mark.parametrize("approach", APPROACHES)
 def test_constant_fold_runs_once_per_configuration(campaigns, approach):
-    # gcc O1..O3_fastmath and clang O0 fold with propagate=False, clang
-    # O1..O3_fastmath with propagate=True: two configurations, one input.
+    # gcc O1..O3_fastmath and clang O0 fold with propagate=False; clang
+    # O1..O3_fastmath propagate over that fold's memoized output.
     assert [calls for _, calls in campaigns[approach]] == [2] * 20
+
+
+def _o1_kernels(body: str) -> tuple[ir.Kernel, ir.Kernel]:
+    """gcc's and clang's O1 kernels of ``body``, compiled through one memo."""
+    src = (
+        "#include <stdio.h>\n#include <math.h>\n"
+        f"void compute(double a) {{ {body} printf(\"%.17g\\n\", c); }}\n"
+        "int main() { compute(1.0); return 0; }\n"
+    )
+    kernel = frontend_kernels(src).kernels[CompilerKind.HOST]
+    memo: dict = {}
+    return tuple(
+        compiler.compile_kernel(kernel, OptLevel.O1, memo).kernel
+        for compiler in (GccCompiler(), ClangCompiler())
+    )
+
+
+def test_gcc_and_clang_share_o1_when_nothing_propagates():
+    gcc, clang = _o1_kernels("double c = sin(0.5) + a;")
+    assert gcc is clang
+
+
+def test_propagation_gives_clang_its_own_o1_kernel():
+    gcc, clang = _o1_kernels("double k = 0.5; double c = sin(k) + a;")
+    assert gcc is not clang
+    assert repr(gcc) != repr(clang)
+
+
+@pytest.mark.parametrize(
+    "approach, tapes", [("varity", 662), ("llm4fp", 976), ("loops", 899)]
+)
+def test_budget_100_tape_counts(approach, tapes):
+    # One tape per (kernel object, environment) group.  Content keys
+    # would give 659/974/897: a few content-equal kernels are still
+    # built as distinct objects.
+    seed = 20250916
+    engine = CampaignEngine(
+        default_compilers(),
+        CampaignConfig(budget=100, seed=seed),
+        EngineConfig(backend="serial", jobs=1),
+    )
+    result = engine.run(
+        make_generator(approach, SplittableRng(seed, f"cli-{approach}"))
+    )
+    assert result.total_runs - result.shared_runs == tapes
 
 
 @pytest.mark.parametrize("approach", APPROACHES)
