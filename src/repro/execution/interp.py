@@ -18,7 +18,12 @@ import math
 
 
 from repro.errors import StepLimitExceeded, TrapError
-from repro.execution.limits import DEFAULT_MAX_STEPS, INT_MAX, INT_MIN
+from repro.execution.limits import (
+    DEFAULT_MAX_STEPS,
+    INT_MAX,
+    INT_MIN,
+    trunc_fits_int,
+)
 from repro.execution.result import ExecStatus, ExecutionResult
 from repro.fp.env import FPEnvironment
 from repro.ir import nodes as ir
@@ -252,7 +257,7 @@ class Interpreter:
             return self.env.canon(float(self._eval(e.operand)), e.ty)
         if isinstance(e, ir.FpToSi):
             v = self._eval(e.operand)
-            if math.isnan(v) or math.isinf(v) or not INT_MIN <= v <= INT_MAX:
+            if not trunc_fits_int(v):
                 raise TrapError(f"invalid float->int conversion of {v!r}")
             return math.trunc(v)
         if isinstance(e, ir.FpExt):

@@ -1,12 +1,15 @@
-"""Tape compiler: lower an IR kernel to a flat register machine.
+"""Tape compiler: lower an IR kernel to structured closures.
 
 The tree-walk :class:`~repro.execution.interp.Interpreter` pays per-step
 AST dispatch (isinstance chains, dict lookups, numpy-boxed arithmetic)
 on every node visit.  A :class:`Tape` is compiled once per ``(kernel,
-environment)`` and replays as a flat register machine: a linear list of
-instructions over pre-resolved scalar-register and array slots, with all
-floating-point operation *sites* pre-bound to the environment's
-specialized implementations (:meth:`FPEnvironment.op_impl` and friends).
+environment)`` into closures that follow the program's own structure: a
+block is one closure calling its statements in order, ``if`` is a Python
+``if`` and loops are Python ``while`` loops, over pre-resolved
+scalar-register and array slots, with all floating-point operation
+*sites* pre-bound to the environment's specialized implementations
+(:meth:`FPEnvironment.op_impl` and friends).  A leaf operand (a ``Load``
+or a constant) is read in place by its parent, not called.
 
 Bit-identical results are the contract, enforced by
 ``tests/execution/test_tape.py`` and the engine's ``check`` mode.  The
@@ -23,19 +26,19 @@ tape runs only the fault-free path:
 Step accounting settles each statement once: an expression has a static
 tick cost (one per node on its strict path), which its statement adds
 and checks against the limit after evaluating.  ``Logic`` and ``Select``
-add their taken arm's ticks straight to the counter, and loop heads
-settle every iteration, so a fault-free run's step total is exact and a
-run that would cross the limit crosses it at the next settle.
+add their taken arm's ticks straight to the counter, and loops settle
+every iteration, so a fault-free run's step total is exact and a run
+that would cross the limit crosses it at the next settle.
 """
 
 from __future__ import annotations
 
-import math
 import operator
+from types import FunctionType
 
 from repro.errors import TrapError
 from repro.execution.interp import Interpreter, printf_plan, render_printf
-from repro.execution.limits import DEFAULT_MAX_STEPS, INT_MAX, INT_MIN
+from repro.execution.limits import DEFAULT_MAX_STEPS, INT_MAX, INT_MIN, trunc_fits_int
 from repro.execution.result import ExecStatus, ExecutionResult
 from repro.fp.env import FPEnvironment
 from repro.ir import nodes as ir
@@ -59,6 +62,10 @@ class _Fault(Exception):
     """A trap or step-limit crossing: the interpreter reruns the run."""
 
 
+class _Return(Exception):
+    """An ``SReturn``: unwinds to :meth:`Tape.run`."""
+
+
 def _fault(*_) -> None:
     raise _Fault
 
@@ -68,17 +75,6 @@ def _true(st, R, A) -> int:
     return 1
 
 
-# Instruction opcodes.  An instruction is a list ``[op, ...]``:
-#   EXEC     [0, fn]                    fn(st, R, A, out) settles its ticks
-#   BRANCH   [1, fn, target, nt, nf]    settle nt (true) or nf (false);
-#                                       false -> target
-#   JUMP     [2, target]
-#   TICK     [3, n]                     settle n ticks
-#   RETURN   [4]                        settle the SReturn tick, halt
-#   HALT     [5]
-_EXEC, _BRANCH, _JUMP, _TICK, _RETURN, _HALT = range(6)
-
-
 def _settle(st: list, n: int) -> None:
     s = st[0] + n
     if s > st[1]:
@@ -86,6 +82,12 @@ def _settle(st: list, n: int) -> None:
     st[0] = s
 
 
+def _return(st, R, A, out) -> None:
+    _settle(st, 1)
+    raise _Return
+
+
+# Python's comparisons already follow IEEE: NaN makes only != true.
 _CMP_OPS = {
     "==": operator.eq,
     "!=": operator.ne,
@@ -96,22 +98,64 @@ _CMP_OPS = {
 }
 
 
-def _cmp_impl(op: str, fp: bool):
-    base = _CMP_OPS[op]
-    if fp:
-        ne = 1 if op == "!=" else 0
+_INT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
-        def impl(a, b, _base=base, _ne=ne):
-            if a != a or b != b:
-                return _ne  # NaN: only != is true
-            return 1 if _base(a, b) else 0
 
-        return impl
-
-    def impl(a, b, _base=base):
+def _cmp_impl(op: str):
+    def impl(a, b, _base=_CMP_OPS[op]):
         return 1 if _base(a, b) else 0
 
     return impl
+
+
+# -- node shapes -----------------------------------------------------------------
+#
+# The nodes that read leaf operands in place are built from a fixed set of
+# shapes: a computation over one or two operands, each a register
+# (``_REG``, with the unset check), a constant (``_CONST``) or a compiled
+# subexpression (``_SUB``), whose result is returned or, for an
+# ``SAssign``, stored and settled.  A shape's code is built from these
+# templates the first time a process meets it, so a process builds at
+# most 3 + 9 per computation; nothing is generated per kernel.  A node's
+# closure is that code with the node's defaults ``(op, *operands)``, plus
+# ``(slot, ticks)`` for a store.
+_REG, _CONST, _SUB = range(3)
+_READS = (
+    "{v} = R[_{v}]\n    if {v} is _UNSET:\n        raise _Fault\n    ",
+    "",
+    "{v} = _{v}(st, R, A)\n    ",
+)
+_COMPUTE = {
+    "op": "r = _op({})",
+    "cmp": "r = 1 if _op({}) else 0",
+    "int": f"r = _op({{}})\n    if not {INT_MIN} <= r <= {INT_MAX}:\n"
+           "        raise _Fault",
+    "call": "r = _op(({},))",
+    "float": "r = _op(float({}))",
+}
+_STORE = ("R[_s] = r\n    s = st[0] + _n\n    if s > st[1]:\n"
+          "        raise _Fault\n    st[0] = s")
+_SHAPES: dict = {}
+_GLOBALS = globals()
+
+
+def _shape(key: tuple):
+    """The code of the shape ``(compute, store, *operand_kinds)``."""
+    compute, store, *kinds = key
+    names = "ab"[: len(kinds)]
+    args = ", ".join("_" + v if k == _CONST else v for k, v in zip(kinds, names))
+    params = "".join(f", _{v}=None" for v in names)
+    src = (
+        f"def fn(st, R, A{', out' if store else ''}, _op=None{params}"
+        f"{', _s=None, _n=None' if store else ''}):\n"
+        f"    {''.join(_READS[k].format(v=v) for k, v in zip(kinds, names))}"
+        f"{_COMPUTE[compute].format(args)}\n"
+        f"    {_STORE if store else 'return r'}\n"
+    )
+    ns: dict = {}
+    exec(src, _GLOBALS, ns)
+    code = _SHAPES[key] = ns["fn"].__code__
+    return code
 
 
 class Tape:
@@ -119,7 +163,7 @@ class Tape:
 
     __slots__ = ("kernel", "env", "code", "n_regs", "n_arrays", "binders")
 
-    def __init__(self, kernel: ir.Kernel, env: FPEnvironment, code: list,
+    def __init__(self, kernel: ir.Kernel, env: FPEnvironment, code,
                  n_regs: int, n_arrays: int, binders: list) -> None:
         self.kernel = kernel
         self.env = env
@@ -143,35 +187,9 @@ class Tape:
             A: list = [None] * self.n_arrays
             for bind, value in zip(self.binders, inputs):
                 bind(value, R, A)
-            out = (printed, stdout)
-            code = self.code
-            pc = 0
-            while True:
-                ins = code[pc]
-                op = ins[0]
-                if op == 0:  # EXEC
-                    ins[1](st, R, A, out)
-                    pc += 1
-                elif op == 1:  # BRANCH
-                    if ins[1](st, R, A):
-                        s = st[0] + ins[3]
-                        pc += 1
-                    else:
-                        s = st[0] + ins[4]
-                        pc = ins[2]
-                    if s > st[1]:
-                        raise _Fault
-                    st[0] = s
-                elif op == 2:  # JUMP
-                    pc = ins[1]
-                elif op == 3:  # TICK
-                    _settle(st, ins[1])
-                    pc += 1
-                elif op == 4:  # RETURN
-                    _settle(st, 1)
-                    break
-                else:  # HALT
-                    break
+            self.code(st, R, A, (printed, stdout))
+        except _Return:
+            pass
         except _Fault:
             return Interpreter(self.kernel, self.env, max_steps).run(inputs)
         return ExecutionResult(
@@ -204,20 +222,16 @@ class _Compiler:
         # param the body never reads still has one.
         self.scalars = _Slots()
         self.arrays = _Slots()
-        self.code: list[list] = []
         for p in kernel.params:
             (self.arrays if p.is_pointer else self.scalars)[p.name]
 
     # -- compilation entry -------------------------------------------------------
 
     def compile(self) -> Tape:
-        for s in self.kernel.body:
-            self._stmt(s)
-        self.code.append([_HALT])
         return Tape(
             self.kernel,
             self.env,
-            self.code,
+            self._block(self.kernel.body),
             len(self.scalars),
             len(self.arrays),
             [self._binder(p) for p in self.kernel.params],
@@ -290,6 +304,57 @@ class _Compiler:
                 return [f(st, R, A) for f in _fs]
         return vals, cost
 
+    def _binary(self, compute: str, op, left, right, store=None):
+        """``compute`` over two operands, reading leaves in place.
+
+        With a ``store`` name, the closure is an ``SAssign`` statement
+        storing the result in that register and settling its ticks.  The
+        operand classification is written out here and in :meth:`_unary`
+        rather than shared: it runs for most nodes, and a helper call per
+        operand made compilation measurably slower.
+        """
+        t = type(left)
+        if t is ir.Load:
+            kl, a, cost = _REG, self.scalars[left.name], 2
+        elif t is ir.FConst or t is ir.IConst:
+            kl, a, cost = _CONST, left.value, 2
+        else:
+            a, cost = self._expr(left)
+            kl = _SUB
+            cost += 1
+        t = type(right)
+        if t is ir.Load:
+            kr, b = _REG, self.scalars[right.name]
+            cost += 1
+        elif t is ir.FConst or t is ir.IConst:
+            kr, b = _CONST, right.value
+            cost += 1
+        else:
+            b, c = self._expr(right)
+            kr = _SUB
+            cost += c
+        key = (compute, store is not None, kl, kr)
+        code = _SHAPES.get(key) or _shape(key)
+        if store is None:
+            return FunctionType(code, _GLOBALS, None, (op, a, b)), cost
+        defaults = (op, a, b, self.scalars[store], cost + 1)
+        return FunctionType(code, _GLOBALS, None, defaults)
+
+    def _unary(self, compute: str, op, operand):
+        """``compute`` over one operand, reading a leaf in place."""
+        t = type(operand)
+        if t is ir.Load:
+            k, a, cost = _REG, self.scalars[operand.name], 2
+        elif t is ir.FConst or t is ir.IConst:
+            k, a, cost = _CONST, operand.value, 2
+        else:
+            a, cost = self._expr(operand)
+            k = _SUB
+            cost += 1
+        key = (compute, False, k)
+        code = _SHAPES.get(key) or _shape(key)
+        return FunctionType(code, _GLOBALS, None, (op, a)), cost
+
     def _lift(self, exprs, apply):
         """Build a node from strict children and ``apply(vals)``."""
         vals_fn, cost = self._children(exprs)
@@ -342,21 +407,10 @@ class _Compiler:
     # -- scalar FP ---------------------------------------------------------------
 
     def _c_fbin(self, e):
-        lf, lc = self._expr(e.left)
-        rf, rc = self._expr(e.right)
-
-        def fn(st, R, A, _op=self.env.op_impl(e.op, e.ty), _l=lf, _r=rf):
-            return _op(_l(st, R, A), _r(st, R, A))
-
-        return fn, 1 + lc + rc
+        return self._binary("op", self.env.op_impl(e.op, e.ty), e.left, e.right)
 
     def _c_fneg(self, e):
-        f, c = self._expr(e.operand)
-
-        def fn(st, R, A, _op=self.env.neg_impl(e.ty), _f=f):
-            return _op(_f(st, R, A))
-
-        return fn, 1 + c
+        return self._unary("op", self.env.neg_impl(e.ty), e.operand)
 
     def _c_fma(self, e):
         def apply(vals, _op=self.env.fma_impl(e.ty)):
@@ -365,6 +419,12 @@ class _Compiler:
         return self._lift((e.a, e.b, e.c), apply)
 
     def _c_fcall(self, e):
+        if 1 <= len(e.args) <= 2:
+            op = self.env.call_impl(e.name, e.ty)
+            if len(e.args) == 1:
+                return self._unary("call", op, e.args[0])
+            return self._binary("call", op, *e.args)
+
         def apply(vals, _op=self.env.call_impl(e.name, e.ty)):
             return _op(tuple(vals))
 
@@ -373,19 +433,11 @@ class _Compiler:
     # -- integers ----------------------------------------------------------------
 
     def _c_ibin(self, e):
-        lf, lc = self._expr(e.left)
-        rf, rc = self._expr(e.right)
         op = e.op
         if op in "+-*":
-            pyop = {"+": operator.add, "-": operator.sub, "*": operator.mul}[op]
-
-            def fn(st, R, A, _op=pyop, _l=lf, _r=rf, _lo=INT_MIN, _hi=INT_MAX):
-                r = _op(_l(st, R, A), _r(st, R, A))
-                if _lo <= r <= _hi:
-                    return r
-                raise _Fault
-
-            return fn, 1 + lc + rc
+            return self._binary("int", _INT_OPS[op], e.left, e.right)
+        lf, lc = self._expr(e.left)
+        rf, rc = self._expr(e.right)
 
         def fn(st, R, A, _l=lf, _r=rf, _div=op == "/"):
             a = _l(st, R, A)
@@ -412,13 +464,7 @@ class _Compiler:
         return self._lift((e.operand,), apply)
 
     def _c_compare(self, e):
-        lf, lc = self._expr(e.left)
-        rf, rc = self._expr(e.right)
-
-        def fn(st, R, A, _op=_cmp_impl(e.op, e.fp), _l=lf, _r=rf):
-            return _op(_l(st, R, A), _r(st, R, A))
-
-        return fn, 1 + lc + rc
+        return self._binary("cmp", _CMP_OPS[e.op], e.left, e.right)
 
     # -- short-circuit: the taken arm adds its own ticks ---------------------------
 
@@ -462,17 +508,14 @@ class _Compiler:
     # -- conversions -------------------------------------------------------------
 
     def _c_sitofp(self, e):
-        def apply(vals, _c=self.env.canon_impl(e.ty)):
-            return _c(float(vals[0]))
-
-        return self._lift((e.operand,), apply)
+        return self._unary("float", self.env.canon_impl(e.ty), e.operand)
 
     def _c_fptosi(self, e):
         def apply(vals):
             v = vals[0]
-            if math.isnan(v) or math.isinf(v) or not INT_MIN <= v <= INT_MAX:
+            if not trunc_fits_int(v):
                 raise _Fault
-            return math.trunc(v)
+            return int(v)
 
         return self._lift((e.operand,), apply)
 
@@ -482,10 +525,7 @@ class _Compiler:
 
     def _c_fptrunc(self, e):
         # nan/inf pass through canon
-        def apply(vals, _c=self.env.canon_impl("float")):
-            return _c(vals[0])
-
-        return self._lift((e.operand,), apply)
+        return self._unary("op", self.env.canon_impl("float"), e.operand)
 
     # -- vectors -----------------------------------------------------------------
 
@@ -567,7 +607,7 @@ class _Compiler:
         return self._lift((e.operand,), apply)
 
     def _c_veccmp(self, e):
-        def apply(vals, _op=_cmp_impl(e.op, fp=True)):
+        def apply(vals, _op=_cmp_impl(e.op)):
             return tuple(map(_op, vals[0], vals[1]))
 
         return self._lift((e.left, e.right), apply)
@@ -683,67 +723,92 @@ class _Compiler:
     }
 
     # -- statement compilation ---------------------------------------------------
+    #
+    # ``_stmt(s) -> fn``: ``fn(st, R, A, out)`` runs the statement and
+    # settles its ticks.
 
-    def _emit(self, ins: list) -> int:
-        self.code.append(ins)
-        return len(self.code) - 1
+    def _block(self, stmts):
+        fns = [self._stmt(s) for s in stmts]
+        if len(fns) == 1:
+            return fns[0]
 
-    def _block(self, stmts) -> None:
-        for s in stmts:
-            self._stmt(s)
+        def block(st, R, A, out, _fns=tuple(fns)):
+            for f in _fns:
+                f(st, R, A, out)
 
-    def _stmt(self, s: ir.Stmt) -> None:
-        if isinstance(s, ir.SAssign):
-            vf, vc = self._expr(s.value)
+        return block
 
-            def fn(st, R, A, out, _slot=self.scalars[s.name], _vf=vf, _n=1 + vc):
-                R[_slot] = _vf(st, R, A)
-                s0 = st[0] + _n
+    def _stmt(self, s: ir.Stmt):
+        return self._SDISPATCH.get(type(s), _Compiler._s_unknown)(self, s)
+
+    def _s_unknown(self, s):  # pragma: no cover - exhaustive
+        return _fault
+
+    def _s_return(self, s):
+        return _return
+
+    def _s_assign(self, s: ir.SAssign):
+        v = s.value
+        t = type(v)
+        if t is ir.FBin:
+            return self._binary(
+                "op", self.env.op_impl(v.op, v.ty), v.left, v.right, s.name
+            )
+        if t is ir.IBin and v.op in "+-*":
+            return self._binary("int", _INT_OPS[v.op], v.left, v.right, s.name)
+        vf, vc = self._expr(v)
+
+        def fn(st, R, A, out, _slot=self.scalars[s.name], _vf=vf, _n=1 + vc):
+            R[_slot] = _vf(st, R, A)
+            s0 = st[0] + _n
+            if s0 > st[1]:
+                raise _Fault
+            st[0] = s0
+
+        return fn
+
+    def _s_if(self, s: ir.SIf):
+        cf, cc = self._expr(s.cond)
+        then = self._block(s.then)
+        other = self._block(s.other) if s.other else None
+
+        def fn(st, R, A, out, _c=cf, _n=1 + cc, _t=then, _o=other):
+            c = _c(st, R, A)
+            s0 = st[0] + _n
+            if s0 > st[1]:
+                raise _Fault
+            st[0] = s0
+            if c:
+                _t(st, R, A, out)
+            elif _o is not None:
+                _o(st, R, A, out)
+
+        return fn
+
+    def _s_loop(self, s):
+        # One tick for the statement; each iteration that runs settles its
+        # condition and one tick more, and the exit settles the condition.
+        init = self._block(s.init) if isinstance(s, ir.SFor) and s.init else None
+        cf, cc = (_true, 0) if s.cond is None else self._expr(s.cond)
+        body = self._block(
+            s.body + s.step if isinstance(s, ir.SFor) else s.body
+        )
+
+        def fn(st, R, A, out, _init=init, _c=cf, _n=cc, _b=body):
+            _settle(st, 1)
+            if _init is not None:
+                _init(st, R, A, out)
+            while _c(st, R, A):
+                s0 = st[0] + _n + 1
                 if s0 > st[1]:
                     raise _Fault
                 st[0] = s0
+                _b(st, R, A, out)
+            _settle(st, _n)
 
-            self._emit([_EXEC, fn])
-        elif isinstance(s, ir.SDeclArray):
-            self._decl_array(s)
-        elif isinstance(s, ir.SStoreElem):
-            self._store_elem(s)
-        elif isinstance(s, ir.SVecStore):
-            self._vec_store(s)
-        elif isinstance(s, ir.SMaskedStore):
-            self._masked_store(s)
-        elif isinstance(s, ir.SIf):
-            cf, cc = self._expr(s.cond)
-            branch = self._emit([_BRANCH, cf, 0, 1 + cc, 1 + cc])
-            self._block(s.then)
-            if s.other:
-                jump = self._emit([_JUMP, 0])
-                self.code[branch][2] = len(self.code)
-                self._block(s.other)
-                self.code[jump][1] = len(self.code)
-            else:
-                self.code[branch][2] = len(self.code)
-        elif isinstance(s, (ir.SFor, ir.SWhile)):
-            # One tick for the statement; each iteration ticks once more.
-            self._emit([_TICK, 1])
-            if isinstance(s, ir.SFor):
-                self._block(s.init)
-            head = len(self.code)
-            cf, cc = (_true, 0) if s.cond is None else self._expr(s.cond)
-            loop = self._emit([_BRANCH, cf, 0, cc + 1, cc])
-            self._block(s.body)
-            if isinstance(s, ir.SFor):
-                self._block(s.step)
-            self._emit([_JUMP, head])
-            self.code[loop][2] = len(self.code)
-        elif isinstance(s, ir.SPrint):
-            self._print(s)
-        elif isinstance(s, ir.SReturn):
-            self._emit([_RETURN])
-        else:  # pragma: no cover - exhaustive
-            self._emit([_EXEC, _fault])
+        return fn
 
-    def _decl_array(self, s: ir.SDeclArray) -> None:
+    def _s_decl_array(self, s: ir.SDeclArray):
         slot = self.arrays[s.name]
         size = s.size
         if s.init is None:
@@ -751,8 +816,7 @@ class _Compiler:
                 A[_slot] = [None] * _size
                 _settle(st, 1)
 
-            self._emit([_EXEC, fn])
-            return
+            return fn
         vals_fn, n = self._children(s.init)
 
         def fn(st, R, A, out, _slot=slot, _size=size, _vf=vals_fn, _n=n):
@@ -762,9 +826,9 @@ class _Compiler:
             A[_slot] = values
             _settle(st, _n)
 
-        self._emit([_EXEC, fn])
+        return fn
 
-    def _store_elem(self, s: ir.SStoreElem) -> None:
+    def _s_store_elem(self, s: ir.SStoreElem):
         fi, ci = self._expr(s.index)
         fv, cv = self._expr(s.value)
 
@@ -779,9 +843,9 @@ class _Compiler:
             arr[idx] = float(_fv(st, R, A))
             _settle(st, _n)
 
-        self._emit([_EXEC, fn])
+        return fn
 
-    def _vec_store(self, s: ir.SVecStore) -> None:
+    def _s_vec_store(self, s: ir.SVecStore):
         fi, ci = self._expr(s.index)
         fv, cv = self._expr(s.value)
 
@@ -798,9 +862,9 @@ class _Compiler:
                 arr[idx + j] = float(values[j])
             _settle(st, _n)
 
-        self._emit([_EXEC, fn])
+        return fn
 
-    def _masked_store(self, s: ir.SMaskedStore) -> None:
+    def _s_masked_store(self, s: ir.SMaskedStore):
         slot = self.arrays[s.name]
         fm, cm = self._expr(s.mask)
         fi, ci = self._expr(s.index)
@@ -822,8 +886,7 @@ class _Compiler:
                 arr[idx] = float(_fv(st, R, A))
                 _settle(st, _n)
 
-            self._emit([_EXEC, fn])
-            return
+            return fn
 
         def fn(st, R, A, out, _slot=slot, _w=s.lanes, _fm=fm, _fv=fv, _fi=fi,
                _n=1 + cm + ci + cv):
@@ -842,13 +905,12 @@ class _Compiler:
                 arr[pos] = float(values[j])
             _settle(st, _n)
 
-        self._emit([_EXEC, fn])
+        return fn
 
-    def _print(self, s: ir.SPrint) -> None:
+    def _s_print(self, s: ir.SPrint):
         plan = printf_plan(s.fmt, len(s.values))
         if plan is None:  # more conversions than arguments
-            self._emit([_EXEC, _fault])
-            return
+            return _fault
         vals_fn, n = self._children(s.values)
 
         def fn(st, R, A, out, _vf=vals_fn, _plan=plan, _n=n):
@@ -861,4 +923,17 @@ class _Compiler:
             out[0].extend(v for v in args if isinstance(v, float))
             _settle(st, _n)
 
-        self._emit([_EXEC, fn])
+        return fn
+
+    _SDISPATCH = {
+        ir.SAssign: _s_assign,
+        ir.SDeclArray: _s_decl_array,
+        ir.SStoreElem: _s_store_elem,
+        ir.SVecStore: _s_vec_store,
+        ir.SMaskedStore: _s_masked_store,
+        ir.SIf: _s_if,
+        ir.SFor: _s_loop,
+        ir.SWhile: _s_loop,
+        ir.SPrint: _s_print,
+        ir.SReturn: _s_return,
+    }

@@ -20,6 +20,7 @@ from operator import is_
 
 import numpy as np
 
+from repro.execution.limits import trunc_fits_int
 from repro.fp.fma import fma as fma_exact
 from repro.fp.formats import FP32, FP64
 from repro.fp.mathlib import CorrectlyRoundedLibm, MathLibrary
@@ -167,7 +168,7 @@ class ConstantFold(Pass):
             return ir.FConst(_f32(v), "float")
         if isinstance(e, ir.FpToSi) and isinstance(e.operand, ir.FConst):
             v = e.operand.value
-            if math.isfinite(v) and abs(v) < 2**31:
+            if trunc_fits_int(v):
                 return ir.IConst(math.trunc(v))
             return e  # out-of-range fp->int is UB; leave for the trap
         if isinstance(e, ir.Compare) and isinstance(e.left, _CONST) and isinstance(

@@ -319,6 +319,38 @@ class TestDirectedParity:
             ' printf("%.17g\\n", acc); }',
             (3.0, 3),
         ),
+        "return_inside_for": (
+            "void compute(double a, int n) { double acc = 0.0;"
+            " for (int i = 0; i < n; ++i) { acc += a * i;"
+            '   printf("%.17g\\n", acc); if (i == 2) { return; } }'
+            ' printf("end\\n"); }',
+            (1.5, 5),
+        ),
+        "return_inside_while_if": (
+            "void compute(double a, int n) { double x = a;"
+            " while (x < 100.0) { x = x * 2.0;"
+            '   if (x > 10.0) { printf("%.17g\\n", x); return; } }'
+            ' printf("unreached %d\\n", n); }',
+            (0.7, 4),
+        ),
+        # C discards the fraction first: both halves convert, one past
+        # either end traps.
+        "fptosi_int_max_half": (
+            'void compute(double a, int n) { int k = (int)a; printf("%d\\n", k); }',
+            (2147483647.5, 0),
+        ),
+        "fptosi_int_min_half": (
+            'void compute(double a, int n) { int k = (int)a; printf("%d\\n", k); }',
+            (-2147483648.5, 0),
+        ),
+        "fptosi_past_int_max": (
+            'void compute(double a, int n) { int k = (int)a; printf("%d\\n", k); }',
+            (2147483648.0, 0),
+        ),
+        "fptosi_past_int_min": (
+            'void compute(double a, int n) { int k = (int)a; printf("%d\\n", k); }',
+            (-2147483649.0, 0),
+        ),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -349,6 +381,27 @@ class TestDirectedParity:
         source, inputs = self.CASES["printf_empty_precision"]
         tree = tree_run(lower(source + " int main() { return 0; }"), env, inputs)
         assert tree.ok and tree.stdout == "2e+00 2 2 4\n"
+
+    def test_return_unwinds_nested_loops(self):
+        env = FPEnvironment()
+        source, inputs = self.CASES["return_inside_for"]
+        tree = tree_run(lower(source + " int main() { return 0; }"), env, inputs)
+        assert tree.ok and tree.stdout == "0\n1.5\n4.5\n"
+        source, inputs = self.CASES["return_inside_while_if"]
+        tree = tree_run(lower(source + " int main() { return 0; }"), env, inputs)
+        assert tree.ok and tree.stdout == "11.199999999999999\n"
+
+    def test_float_to_int_truncates_first(self):
+        env = FPEnvironment()
+        for name, stdout in (("fptosi_int_max_half", "2147483647\n"),
+                             ("fptosi_int_min_half", "-2147483648\n")):
+            source, inputs = self.CASES[name]
+            tree = tree_run(lower(source + " int main() { return 0; }"), env, inputs)
+            assert tree.ok and tree.stdout == stdout
+        for name in ("fptosi_past_int_max", "fptosi_past_int_min"):
+            source, inputs = self.CASES[name]
+            tree = tree_run(lower(source + " int main() { return 0; }"), env, inputs)
+            assert not tree.ok and "invalid float->int conversion" in tree.error
 
     def test_unset_scalar_trap(self):
         # Sema rejects maybe-uninitialized reads in source, but optimizer
@@ -407,6 +460,79 @@ class TestDirectedParity:
         env = FPEnvironment()
         tree = assert_parity(kernel, env, (0.0, 0))
         assert not tree.ok and tree.stdout == ""
+
+
+def _operands(fp: bool):
+    """One operand of each kind a parent reads: a set register, an unset
+    register, a constant and a compound expression."""
+    from repro.ir import nodes as ir
+
+    if fp:
+        return {
+            "set": ir.Load("a", "double"),
+            "unset": ir.Load("ghost", "double"),
+            "const": ir.FConst(1.25),
+            "compound": ir.FBin("*", ir.Load("a", "double"), ir.FConst(0.5)),
+        }
+    return {
+        "set": ir.Load("n", "int"),
+        "unset": ir.Load("ghost_i", "int"),
+        "const": ir.IConst(3),
+        "compound": ir.IBin("-", ir.Load("n", "int"), ir.IConst(1)),
+    }
+
+
+def _leaf_reading_nodes():
+    """name -> (build(*operands), operand arity, fp operands, result type)."""
+    from repro.ir import nodes as ir
+
+    nodes = {
+        f"fbin{op}": (lambda l, r, op=op: ir.FBin(op, l, r), 2, True, "double")
+        for op in "+-*/"
+    }
+    nodes.update({
+        f"ibin{op}": (lambda l, r, op=op: ir.IBin(op, l, r), 2, False, "int")
+        for op in "+-*"
+    })
+    nodes["cmp_fp<"] = (lambda l, r: ir.Compare("<", l, r, True), 2, True, "int")
+    nodes["cmp_fp!="] = (lambda l, r: ir.Compare("!=", l, r, True), 2, True, "int")
+    nodes["cmp_int>="] = (lambda l, r: ir.Compare(">=", l, r, False), 2, False, "int")
+    nodes["call_sin"] = (lambda x: ir.FCall("sin", (x,)), 1, True, "double")
+    nodes["call_pow"] = (lambda x, y: ir.FCall("pow", (x, y)), 2, True, "double")
+    nodes["fneg"] = (lambda x: ir.FNeg(x), 1, True, "double")
+    nodes["sitofp"] = (lambda x: ir.SiToFp(x, "float"), 1, False, "float")
+    nodes["fptrunc"] = (lambda x: ir.FpTrunc(x), 1, True, "float")
+    return nodes
+
+
+class TestLeafOperandParity:
+    """Every node that reads leaf operands in place, with each operand a
+    set register, an unset register, a constant or a compound
+    expression, both as a value and as the value of an ``SAssign``."""
+
+    @pytest.mark.parametrize("name", sorted(_leaf_reading_nodes()))
+    def test_every_operand_kind(self, name):
+        import itertools
+
+        from repro.ir import nodes as ir
+
+        build, arity, fp, ty = _leaf_reading_nodes()[name]
+        fmt = "%d\n" if ty == "int" else "%.17g\n"
+        operands = _operands(fp)
+        params = (ir.Param("a", "double"), ir.Param("n", "int"))
+        envs = (FPEnvironment(), FPEnvironment(ftz=True, approx_div=True))
+        for kinds in itertools.product(sorted(operands), repeat=arity):
+            node = build(*(operands[k] for k in kinds))
+            for body in (
+                (ir.SPrint(fmt, (node,)),),
+                (ir.SAssign("r", node, ty), ir.SPrint(fmt, (ir.Load("r", ty),))),
+            ):
+                kernel = ir.Kernel("compute", params, body + (ir.SReturn(),))
+                for inputs in ((0.75, 5), (-3.0, 2147483647), (math.nan, -2147483648)):
+                    for env in envs:
+                        tree = assert_parity(kernel, env, inputs)
+                    for limit in range(tree.steps + 2):
+                        assert_parity(kernel, envs[0], inputs, limit)
 
 
 class TestRunKernelModes:
@@ -487,7 +613,10 @@ class TestCompileTape:
         )
         tape = compile_tape(kernel, FPEnvironment())
         assert isinstance(tape, Tape)
-        assert tape.n_regs >= 1 and len(tape.code) >= 2
+        assert tape.n_regs >= 1
+        result = tape.run((2.5,))
+        assert result.ok and result.stdout == "2.5\n" and result.printed == (2.5,)
+        assert result.steps == 2  # the printf and its argument
 
 
 class TestCallSiteReuse:

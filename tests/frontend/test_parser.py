@@ -274,11 +274,14 @@ def _program(body: str) -> str:
 
 #: Shapes whose depth grows by a fixed step per repetition: a left-deep
 #: operator chain (built by the parser's loops, not its recursion), a
-#: unary chain, and nested ``if`` statements.
+#: unary chain, and nested ``if``, ``for`` and ``while`` statements (each
+#: loop runs its body once, so the innermost statement executes).
 DEEP_SHAPES = {
     "chain": lambda n: _program("comp = " + "+".join(["x"] * n) + ";"),
     "unary": lambda n: _program("comp = " + "- " * n + "x;"),
     "ifs": lambda n: _program("if (comp > 0.0) " * n + "comp = 1.0;"),
+    "fors": lambda n: _program("for (int i = 0; i < 1; ++i) " * n + "comp = comp + 1.0;"),
+    "whiles": lambda n: _program("while (comp < 2.0) " * n + "comp = comp + 1.0;"),
 }
 
 
@@ -313,6 +316,21 @@ class TestDepthCap:
         program = GeneratedProgram(source=DEEP_SHAPES[shape](_deepest(shape)), inputs=(1.5,))
         outcome = engine.test_program(0, program)
         assert any(outcome.compiled.values())
+
+    @pytest.mark.parametrize("shape", ["fors", "whiles"])
+    def test_deepest_loop_nest_runs_on_the_tape(self, shape):
+        from repro.difftest.engine import frontend_kernels
+        from repro.execution.worker import run_kernel
+        from repro.toolchains import default_compilers
+        from repro.toolchains.optlevels import ALL_LEVELS
+
+        frontend = frontend_kernels(DEEP_SHAPES[shape](_deepest(shape)))
+        for compiler in default_compilers():
+            kernel = frontend.kernels[compiler.kind]
+            for level in ALL_LEVELS:
+                binary = compiler.compile_kernel(kernel, level)
+                result = run_kernel(binary.kernel, binary.env, (1.5,))
+                assert result.ok and result.stdout == "2.5\n", (compiler.name, level)
 
 
 def _reference_child_steps(node):

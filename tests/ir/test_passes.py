@@ -48,6 +48,20 @@ class TestConstantFold:
         k = ConstantFold().run(kernel_for("int i = -7 % 2;"))
         assert first_value(k) == ir.IConst(-1)
 
+    @pytest.mark.parametrize(
+        "literal, expected",
+        [("2147483647.5", 2147483647), ("-2147483648.0", -2147483648),
+         ("-2147483648.5", -2147483648)],
+    )
+    def test_float_to_int_discards_the_fraction_first(self, literal, expected):
+        k = ConstantFold().run(kernel_for(f"int i = (int){literal};"))
+        assert first_value(k) == ir.IConst(expected)
+
+    @pytest.mark.parametrize("literal", ["2147483648.0", "-2147483649.0", "1e300"])
+    def test_float_to_int_out_of_range_left_for_the_trap(self, literal):
+        k = ConstantFold().run(kernel_for(f"int i = (int){literal};"))
+        assert isinstance(first_value(k), ir.FpToSi)
+
     def test_fp_arith(self):
         k = ConstantFold().run(kernel_for("double c = 0.1 + 0.2;"))
         assert first_value(k) == ir.FConst(0.1 + 0.2, "double")

@@ -34,6 +34,7 @@ from repro.difftest.engine import CampaignEngine, EngineConfig
 from repro.experiments.approaches import make_generator
 from repro.fp.mathlib import CorrectlyRoundedLibm
 from repro.toolchains import (
+    CompilerKind,
     GccCompiler,
     OptLevel,
     SystemGcc,
@@ -95,3 +96,29 @@ def test_model_prints_what_real_gcc_prints(programs, approach, level):
         assert result.ok, (approach, index, result.error)
         expected = real.run(program.source, argv(program.inputs))
         assert fold_nan_sign(result.stdout) == fold_nan_sign(expected), (approach, index)
+
+
+#: ``(int)`` of a value whose fraction, once discarded, fits in an int;
+#: once through an input and once as a literal the model's folds can see.
+FP_TO_INT = (
+    "#include <stdio.h>\n#include <stdlib.h>\n"
+    "void compute(double x) {\n"
+    "  double y = {literal};\n"
+    "  int k = (int)x;\n  int m = (int)y;\n"
+    '  printf("%d %d\\n", k, m);\n'
+    "}\n"
+    "int main(int argc, char **argv) {\n  compute(atof(argv[1]));\n  return 0;\n}\n"
+)
+
+
+@pytest.mark.parametrize("value", ["2147483647.5", "-2147483648.5", "-2147483648.0"])
+@pytest.mark.parametrize("level", LEVELS, ids=str)
+def test_float_to_int_discards_the_fraction_first(value, level):
+    source = FP_TO_INT.replace("{literal}", value)
+    expected = SystemGcc(tuple(flags_for("gcc", level).split())).run(source, (value,))
+    assert expected == f"{int(float(value))} {int(float(value))}\n"
+    hosts = [c for c in default_compilers() if c.kind is CompilerKind.HOST]
+    assert hosts
+    for compiler in hosts:
+        result = compiler.compile_source(source, level).run((float(value),))
+        assert result.ok and result.stdout == expected, (compiler.name, result.error)
